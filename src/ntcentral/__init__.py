@@ -1,126 +1,16 @@
-"""Central schemes for one-dimensional systems of nonlocal balance laws."""
+"""Central schemes for one-dimensional systems of nonlocal balance laws.
 
-from .core import (
-    CFL_LIMIT,
-    BoundaryCondition,
-    Grid,
-    SystemState,
-    TimeController,
-    init_cell_averages,
-    max_stable_dt,
-    total_mass,
-    total_variation,
-)
-from .errors import (
-    CflViolationError,
-    ConfigurationError,
-    InputDataError,
-    KernelDefinitionError,
-    ModelDefinitionError,
-    NumericsError,
-    SolverError,
-)
-from .kernels import (
-    BUILTIN_KERNELS,
-    KernelSpec,
-    build_derivative_weights,
-    build_weights,
-    builtin_kernel,
-    eval_nonlocal_field,
-    eval_nonlocal_space_derivative,
-    eval_nonlocal_time_derivative,
-    kernel_integral,
-    normalize_kernel,
-)
-from .limiters import ClipConfig, cell_slopes, minmod, minmod3
-from .models import (
-    MODEL_FACTORIES,
-    DerivedFieldHook,
-    ModelDef,
-    make_model,
-)
-from .schemes import SchemeConfig, Stepper, lxf1_step, lxf2_step, nt_step
-from .harness import (
-    INITIAL_DATA,
-    ConvergenceReport,
-    Experiment,
-    MonitorLog,
-    SchemeSpec,
-    compute_reference,
-    convergence_study,
-    entropy_residual,
-    expression_profile,
-    l1_error,
-    nonlocal_bounds,
-    resolve_profiles,
-    resolve_time_ratio,
-    restrict_to_coarse,
-    restrict_values,
-    run_simulation,
-    snapshot_csv,
-    state_bounds,
-    write_snapshot_csv,
-)
+The package root exports the convergence-study entry points shown in the
+README; everything else is reached through its module (``ntcentral.core``,
+``ntcentral.schemes``, ``ntcentral.harness``, ``ntcentral.cli``, ...).
+"""
+
+from .harness import Experiment, SchemeSpec, convergence_study
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryCondition",
-    "build_derivative_weights",
-    "build_weights",
-    "builtin_kernel",
-    "BUILTIN_KERNELS",
-    "cell_slopes",
-    "CFL_LIMIT",
-    "CflViolationError",
-    "ClipConfig",
-    "compute_reference",
-    "ConfigurationError",
     "convergence_study",
-    "ConvergenceReport",
-    "DerivedFieldHook",
-    "entropy_residual",
-    "eval_nonlocal_field",
-    "eval_nonlocal_space_derivative",
-    "eval_nonlocal_time_derivative",
     "Experiment",
-    "expression_profile",
-    "Grid",
-    "init_cell_averages",
-    "INITIAL_DATA",
-    "InputDataError",
-    "kernel_integral",
-    "KernelDefinitionError",
-    "KernelSpec",
-    "l1_error",
-    "lxf1_step",
-    "lxf2_step",
-    "make_model",
-    "max_stable_dt",
-    "minmod",
-    "minmod3",
-    "MODEL_FACTORIES",
-    "ModelDef",
-    "ModelDefinitionError",
-    "MonitorLog",
-    "nonlocal_bounds",
-    "normalize_kernel",
-    "nt_step",
-    "NumericsError",
-    "resolve_profiles",
-    "resolve_time_ratio",
-    "restrict_to_coarse",
-    "restrict_values",
-    "run_simulation",
-    "SchemeConfig",
     "SchemeSpec",
-    "snapshot_csv",
-    "SolverError",
-    "state_bounds",
-    "Stepper",
-    "SystemState",
-    "TimeController",
-    "total_mass",
-    "total_variation",
-    "write_snapshot_csv",
 ]

@@ -18,16 +18,9 @@ from importlib import resources
 
 import jsonschema
 
-from .errors import (
-    CflViolationError,
-    ConfigurationError,
-    InputDataError,
-    KernelDefinitionError,
-    ModelDefinitionError,
-    NumericsError,
-    SolverError,
-)
+from .errors import ConfigurationError, NumericsError, SolverError
 from .harness import (
+    CONVERGENCE_CSV_HEADER,
     Experiment,
     MonitorLog,
     SchemeSpec,
@@ -39,6 +32,7 @@ from .harness import (
     restrict_values,
     run_simulation,
     snapshot_columns,
+    snapshot_csv,
 )
 from .kernels import build_weights
 from .limiters import NO_CLIP, ClipConfig
@@ -355,9 +349,11 @@ def cmd_run(cfg: RunConfig, strict_cfl: bool = False, threads: int | None = None
             state, log = run_simulation(
                 exp, level, spec, strict_cfl=strict_cfl, record=True, time_ratio=lam
             )
-            header, cols = snapshot_columns(model, grid, state.values)
-            text = _table_csv(list(zip(header, cols)), grid.cells)
-            _emit(_out_path(cfg, cfg.name, exp.name, spec.name), text, cfg.verbose)
+            _emit(
+                _out_path(cfg, cfg.name, exp.name, spec.name),
+                snapshot_csv(model, grid, state.values),
+                cfg.verbose,
+            )
             _emit(
                 _out_path(cfg, cfg.name, exp.name, spec.name, "monitor"),
                 _monitor_csv(model.species, log),
@@ -369,16 +365,12 @@ def cmd_run(cfg: RunConfig, strict_cfl: bool = False, threads: int | None = None
 def cmd_converge(
     cfg: RunConfig, strict_cfl: bool = False, threads: int | None = None
 ) -> int:
-    lines = ["scheme,n,dx,l1_error,rate"]
+    lines = [CONVERGENCE_CSV_HEADER]
     for exp in cfg.experiments:
         report = convergence_study(
             exp, threads=threads, strict_cfl=strict_cfl
         )
-        prefix = f"{exp.name}:" if exp.name else ""
-        for scheme, rows in report.rows.items():
-            for n, dx, err, rate in rows:
-                tail = "" if rate is None else _fmt(rate)
-                lines.append(f"{prefix}{scheme},{n},{_fmt(dx)},{_fmt(err)},{tail}")
+        lines += report.csv_rows(f"{exp.name}:" if exp.name else "")
         if cfg.verbose:
             print(f"  {exp.name or exp.model}: dt/dx={report.time_ratio}", file=sys.stderr)
     _emit(_out_path(cfg, cfg.name), "\n".join(lines) + "\n", cfg.verbose)
@@ -495,7 +487,7 @@ def main(argv=None) -> int:
             args.command
         ]
         return handler(cfg, strict_cfl=args.strict_cfl, threads=args.threads)
-    except (NumericsError, CflViolationError) as exc:
+    except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except SolverError as exc:

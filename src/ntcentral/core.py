@@ -3,8 +3,8 @@
 All solution data lives in plain ``(n_species, n_cells)`` float64 arrays of
 cell averages.  Boundary conditions are realised by padding those arrays with
 ghost cells; every operator in the package resolves out-of-range indices
-through :func:`extend_array` (or its scalar sibling :func:`ghost_value`), so
-the three supported closures behave identically across schemes.
+through :func:`extend_array`, so the three supported closures behave
+identically across schemes.
 """
 
 from __future__ import annotations
@@ -26,8 +26,11 @@ CFL_LIMIT = (math.sqrt(2.0) - 1.0) / 2.0
 # Fixed 5-point Gauss-Legendre rule per cell for initial-data projection.
 # Order 10 keeps the initialisation error far below the scheme error; for
 # piecewise-smooth data with jumps on cell interfaces it is exact because the
-# nodes stay strictly inside each cell.
+# nodes stay strictly inside each cell.  The weights are normalised by their
+# floating-point sum, and init_cell_averages averages the deviations from the
+# middle node, so every constant averages to itself bit for bit.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+_GL_WEIGHTS = _GL_WEIGHTS / _GL_WEIGHTS.sum()
 
 
 class BoundaryCondition(enum.Enum):
@@ -194,21 +197,6 @@ def extend_array(
     return np.pad(a, pad, mode="constant", constant_values=0.0)
 
 
-def ghost_value(
-    state: SystemState, species: int, index: int, bc: BoundaryCondition
-) -> float:
-    """Value of ``species`` at (possibly out-of-range) cell ``index`` under ``bc``."""
-    n = state.n_cells
-    row = state.values[species]
-    if 0 <= index < n:
-        return float(row[index])
-    if bc is BoundaryCondition.PERIODIC:
-        return float(row[index % n])
-    if bc is BoundaryCondition.CONSTANT:
-        return float(row[0] if index < 0 else row[n - 1])
-    return 0.0
-
-
 def init_cell_averages(
     profiles: "Callable | Sequence[Callable]", grid: Grid
 ) -> SystemState:
@@ -233,7 +221,8 @@ def init_cell_averages(
                 f"species {k}: non-finite initial value in cell {j} "
                 f"(x near {grid.centers[j]:.6g})"
             )
-        values[k] = 0.5 * (samples @ _GL_WEIGHTS)
+        mid = samples[:, 2]  # the node at the cell centre
+        values[k] = mid + (samples - mid[:, None]) @ _GL_WEIGHTS
     return SystemState(values, 0.0)
 
 

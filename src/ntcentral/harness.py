@@ -46,7 +46,7 @@ from .schemes import SchemeConfig, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
 # Bump when a solver change invalidates previously cached references.
-_CACHE_TAG = "ntc-1"
+_CACHE_TAG = "ntc-2"
 
 
 # ---------------------------------------------------------------------------
@@ -353,32 +353,17 @@ def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
 
 
 def flux_speed_estimate(model: ModelDef, values: np.ndarray) -> float:
-    """Cheap per-step bound estimate of the flux Lipschitz constant.
+    """Flux Lipschitz bound over the box of the current state.
 
-    Central differences of each flux in its own species and in the nonlocal
-    arguments, sampled at every cell and at the corners of the current
-    convolved-quantity box.  A diagnostic for CFL monitoring, not a proof.
+    The same ``model.lip_flux`` that sets the time step in
+    :func:`resolve_time_ratio`, evaluated on the unwidened state and
+    nonlocal boxes of ``values``, so the per-step CFL monitor checks the
+    quantity the time step was chosen for.
     """
-    u = model.convolved_values(values)
-    lo = u.min(axis=1)
-    hi = u.max(axis=1)
-    m, n = u.shape
-    corners = [lo, hi, 0.5 * (lo + hi)] if m == 1 else [
-        np.array(c) for c in
-        [(lo[0], lo[1]), (lo[0], hi[1]), (hi[0], lo[1]), (hi[0], hi[1]),
-         (0.5 * (lo[0] + hi[0]), 0.5 * (lo[1] + hi[1]))]
-    ] if m == 2 else [lo, hi, 0.5 * (lo + hi)]
-    best = 0.0
-    for corner in corners:
-        R = np.broadcast_to(np.asarray(corner, dtype=float)[:, None], (m, n))
-        er = 1e-6 * (1.0 + float(np.abs(corner).max()))
-        for k in range(model.n_species):
-            fk = model.flux[k]
-            ev = 1e-6 * (1.0 + np.abs(values[k]))
-            dv = (fk(values[k] + ev, R) - fk(values[k] - ev, R)) / (2.0 * ev)
-            dr = (fk(values[k], R + er) - fk(values[k], R - er)) / (2.0 * er)
-            best = max(best, float((np.abs(dv) + np.abs(dr)).max()))
-    return best
+    return model.lip_flux(
+        state_bounds(model, values, widen=0.0),
+        nonlocal_bounds(model, values, widen=0.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +456,9 @@ def run_simulation(
     """Advance one (scheme, level) pair from t=0 to t_final.
 
     Returns ``(SystemState, MonitorLog)``; the log is empty when ``record``
-    is off.  Non-finite states abort with the step index; a per-step CFL
-    estimate warns once per run, or raises in strict mode.
+    is off.  Non-finite states abort with the step index; the per-step CFL
+    monitor (:func:`flux_speed_estimate`) warns once per run, or raises in
+    strict mode.
     """
     model = exp.build_model()
     profiles = exp.profiles()
@@ -622,6 +608,9 @@ def compute_reference(
 # ---------------------------------------------------------------------------
 
 
+CONVERGENCE_CSV_HEADER = "scheme,n,dx,l1_error,rate"
+
+
 @dataclass
 class ConvergenceReport:
     """Per-scheme error/rate table of one experiment."""
@@ -639,16 +628,17 @@ class ConvergenceReport:
     def rates(self, scheme: str) -> list:
         return [r[3] for r in self.rows[scheme]]
 
-    def to_csv(self) -> str:
-        lines = ["scheme,n,dx,l1_error,rate"]
+    def csv_rows(self, prefix: str = "") -> list[str]:
+        """Body lines of the CSV table, each scheme name led by ``prefix``."""
+        lines = []
         for scheme, rows in self.rows.items():
             for n, dx, err, rate in rows:
                 tail = "" if rate is None else repr(float(rate))
-                lines.append(f"{scheme},{n},{dx!r},{float(err)!r},{tail}")
-        return "\n".join(lines) + "\n"
+                lines.append(f"{prefix}{scheme},{n},{dx!r},{float(err)!r},{tail}")
+        return lines
 
-    def write_csv(self, path: str):
-        _atomic_write(path, self.to_csv())
+    def to_csv(self) -> str:
+        return "\n".join([CONVERGENCE_CSV_HEADER] + self.csv_rows()) + "\n"
 
 
 def _atomic_write(path: str, text: str):
@@ -759,10 +749,6 @@ def snapshot_csv(model: ModelDef, grid: Grid, values: np.ndarray) -> str:
     for row in zip(*columns):
         lines.append(",".join(repr(float(v)) for v in row))
     return "\n".join(lines) + "\n"
-
-
-def write_snapshot_csv(path: str, model: ModelDef, grid: Grid, values: np.ndarray):
-    _atomic_write(path, snapshot_csv(model, grid, values))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Convolution kernels and the discrete nonlocal-term evaluations.
+"""Convolution kernels and the quadrature bands of the nonlocal terms.
 
 A nonlocal term is a sliding average R(x) = int omega(y - x) u(y) dy with a
 compactly supported kernel.  On a grid whose spacing divides the support
@@ -24,7 +24,6 @@ import numpy as np
 from scipy import integrate
 from scipy.signal import correlate
 
-from .core import BoundaryCondition, extend_array
 from .errors import ConfigurationError, KernelDefinitionError
 
 
@@ -95,10 +94,6 @@ class QuadratureWeights:
     n2: int
     dx: float
     weights: np.ndarray
-
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.arange(-self.n1, self.n2 + 1)
 
     @property
     def left_weight(self) -> float:
@@ -187,81 +182,6 @@ def correlate_band(u_ext: np.ndarray, w: np.ndarray) -> np.ndarray:
     # cross-correlation along the last axis, out[j] = sum_i u_ext[j + i] * w[i]
     wb = np.reshape(w, (1,) * (u_ext.ndim - 1) + (-1,))
     return correlate(u_ext, wb, mode="valid", method="auto")
-
-
-def eval_nonlocal_field(
-    values: np.ndarray,
-    slopes: np.ndarray | None,
-    qw: QuadratureWeights,
-    bc: BoundaryCondition,
-    extend: int = 0,
-) -> np.ndarray:
-    """Sliding kernel average of one reconstructed field.
-
-    Returns the field on cells ``[-extend, n + extend)``; passing
-    ``slopes=None`` drops the end-interval slope corrections (piecewise
-    constant reconstruction).
-    """
-    u = np.asarray(values, dtype=float)
-    n1, n2 = qw.n1, qw.n2
-    ue = extend_array(u, extend + n1, extend + n2, bc)
-    out = correlate_band(ue, qw.weights)
-    if slopes is not None:
-        s = np.asarray(slopes, dtype=float)
-        se = extend_array(s, extend + n1, extend + n2, bc)
-        m = u.shape[-1] + 2 * extend
-        out = out + 0.25 * qw.dx * (
-            qw.left_weight * se[..., :m] - qw.right_weight * se[..., n1 + n2 :]
-        )
-    return out
-
-
-def eval_nonlocal_time_derivative(
-    integrand: np.ndarray,
-    qw: QuadratureWeights,
-    bc: BoundaryCondition,
-    extend: int = 0,
-) -> np.ndarray:
-    """Apply the quadrature band to cellwise integrand values.
-
-    Used for the time derivative of the nonlocal term, where the integrand is
-    the source-minus-flux-slope field; a first-order rule suffices, so there
-    are no end-interval slope corrections.
-    """
-    f = np.asarray(integrand, dtype=float)
-    fe = extend_array(f, extend + qw.n1, extend + qw.n2, bc)
-    return correlate_band(fe, qw.weights)
-
-
-def eval_nonlocal_space_derivative(
-    values: np.ndarray,
-    slopes: np.ndarray | None,
-    dw: DerivativeWeights,
-    bc: BoundaryCondition,
-    extend: int = 0,
-) -> np.ndarray:
-    """Space derivative of the sliding kernel average.
-
-    Differentiating under the integral gives boundary terms with the kernel
-    values at the support ends plus a band integral against -omega':
-
-        dR_j = -omega(eta1) u_{j-n1} + omega(eta2) u_{j+n2}
-               - [band of omega' applied to the reconstruction]
-    """
-    u = np.asarray(values, dtype=float)
-    n1, n2 = dw.n1, dw.n2
-    ue = extend_array(u, extend + n1, extend + n2, bc)
-    m = u.shape[-1] + 2 * extend
-    u_left = ue[..., :m]
-    u_right = ue[..., n1 + n2 :]
-    band = correlate_band(ue, dw.weights)
-    if slopes is not None:
-        s = np.asarray(slopes, dtype=float)
-        se = extend_array(s, extend + n1, extend + n2, bc)
-        band = band + 0.25 * dw.dx * (
-            dw.weights[0] * se[..., :m] - dw.weights[-1] * se[..., n1 + n2 :]
-        )
-    return -dw.boundary_left * u_left + dw.boundary_right * u_right - band
 
 
 # ---------------------------------------------------------------------------

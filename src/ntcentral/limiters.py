@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryCondition, extend_array
-
 
 def minmod(a, b):
     """Classic two-argument minmod: smaller-magnitude argument if signs agree, else 0."""
@@ -62,77 +60,3 @@ def slopes_of_extended(a_ext: np.ndarray, dx: float, clip: ClipConfig = NO_CLIP)
     fwd = a_ext[..., 2:] - a_ext[..., 1:-1]
     bwd = a_ext[..., 1:-1] - a_ext[..., :-2]
     return limited_difference(fwd, bwd, dx, clip)
-
-
-def cell_slopes(
-    values: np.ndarray,
-    dx: float,
-    bc: BoundaryCondition,
-    clip: ClipConfig = NO_CLIP,
-    extend: int = 0,
-) -> np.ndarray:
-    """Minmod slopes of cell averages, optionally on an extended index range."""
-    a = extend_array(np.asarray(values, dtype=float), extend + 1, extend + 1, bc)
-    return slopes_of_extended(a, dx, clip)
-
-
-def staggered_slopes(
-    staggered: np.ndarray,
-    dx: float,
-    bc: BoundaryCondition,
-    clip: ClipConfig = NO_CLIP,
-) -> np.ndarray:
-    """Minmod slopes of staggered (interface-centred) averages."""
-    a = extend_array(np.asarray(staggered, dtype=float), 1, 1, bc)
-    return slopes_of_extended(a, dx, clip)
-
-
-def flux_slopes_v1(
-    model,
-    values: np.ndarray,
-    nonlocal_field: np.ndarray,
-    dx: float,
-    bc: BoundaryCondition,
-    clip: ClipConfig = NO_CLIP,
-) -> np.ndarray:
-    """Limited slopes of the discrete flux, species by species.
-
-    The flux is evaluated cellwise from the state and the nonlocal field and
-    the minmod limiter is applied to its one-sided differences.  The ghost
-    flux values come from extending both inputs by ``bc``.
-    """
-    v = extend_array(np.asarray(values, dtype=float), 1, 1, bc)
-    r = extend_array(np.asarray(nonlocal_field, dtype=float), 1, 1, bc)
-    out = np.empty((v.shape[0], v.shape[1] - 2))
-    for k in range(v.shape[0]):
-        fk = model.flux[k](v[k], r)
-        out[k] = slopes_of_extended(fk, dx, clip)
-    return out
-
-
-def flux_slopes_v2(
-    model,
-    values: np.ndarray,
-    nonlocal_field: np.ndarray,
-    nonlocal_dx: np.ndarray,
-    dx: float,
-    bc: BoundaryCondition,
-) -> np.ndarray:
-    """Product-rule flux slopes for fluxes of the form F_k = g_k(rho) V_k(R).
-
-    sigma_k = minmod(dg_k) V_k(R) + g_k(rho) sum_l dV_k/dR_l * dR_l/dx,
-    using the limited difference of g and the quadrature-based space
-    derivative of the nonlocal field.  No clip is applied here.
-    """
-    if model.product_form is None:
-        raise ValueError(f"model {model.name!r} has no product-form flux split")
-    v = extend_array(np.asarray(values, dtype=float), 1, 1, bc)
-    r = np.asarray(nonlocal_field, dtype=float)
-    dr = np.asarray(nonlocal_dx, dtype=float)
-    out = np.empty((v.shape[0], v.shape[1] - 2))
-    for k in range(v.shape[0]):
-        g, V, grad_V = model.product_form[k]
-        gk = g(v[k])
-        dg = slopes_of_extended(gk, dx)
-        out[k] = dg * V(r) + g(v[k][1:-1]) * (grad_V(r) * dr).sum(axis=0)
-    return out

@@ -18,10 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import BoundaryCondition
 from .errors import ModelDefinitionError
 from .kernels import KernelSpec, builtin_kernel
-from .limiters import NO_CLIP, ClipConfig, cell_slopes
 
 #: Density floor used when dividing by a species value.
 DENSITY_FLOOR = 1e-12
@@ -117,21 +115,6 @@ class ModelDef:
         if self.source is None:
             return np.zeros_like(values)
         return self.source(values, R)
-
-
-def derived_field_evaluate(
-    hook: DerivedFieldHook,
-    values: np.ndarray,
-    source_minus_sigma: np.ndarray,
-    dx: float,
-    bc: BoundaryCondition,
-    clip: ClipConfig = NO_CLIP,
-):
-    """Cell values, limited slopes and time-derivative integrand of a derived field."""
-    u = hook.value(values)
-    su = cell_slopes(u, dx, bc, clip)
-    integrand = hook.time_integrand(values, source_minus_sigma)
-    return u, su, integrand
 
 
 def _lattice(lo: float, hi: float, n: int = 41) -> np.ndarray:

@@ -414,23 +414,3 @@ class Stepper:
         if dt == 0.0:
             return v.copy(), None
         return self._nt_step(v, dt, collect=True)
-
-
-def nt_step(model, grid, values, dt, bc, config: SchemeConfig | None = None):
-    """One central-scheme step without keeping a Stepper around."""
-    cfg = config if config is not None else SchemeConfig(scheme="nt")
-    if cfg.scheme != "nt":
-        raise ConfigurationError("nt_step requires scheme='nt'")
-    return Stepper(model, grid, bc, cfg).step(values, dt)
-
-
-def lxf1_step(model, grid, values, dt, bc, theta: float | None = None):
-    """One first-order Lax-Friedrichs step."""
-    cfg = SchemeConfig(scheme="lxf1", theta=theta)
-    return Stepper(model, grid, bc, cfg).step(values, dt)
-
-
-def lxf2_step(model, grid, values, dt, bc, theta: float | None = None):
-    """One second-order (MUSCL plus Heun) Lax-Friedrichs step."""
-    cfg = SchemeConfig(scheme="lxf2", theta=theta)
-    return Stepper(model, grid, bc, cfg).step(values, dt)

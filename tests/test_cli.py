@@ -213,6 +213,18 @@ def test_strict_cfl_aborts_with_numeric_exit(tmp_path, capsys):
     assert "CFL estimate exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["nonlocal-euler", "keyfitz-kranzer"])
+def test_strict_cfl_accepts_the_derived_time_step(tmp_path, capsys, model):
+    # without time_ratio the step comes from model.lip_flux, and the monitor
+    # checks that same bound, so a strict run must not reject its own step
+    doc = {"model": model, "T": 0.001, "schemes": [{"scheme": "nt", "slope_variant": "v1"}]}
+    cfg = write_config(tmp_path, doc)
+    code = main(["run", "--config", cfg, "--out", str(tmp_path), "--strict-cfl"])
+    assert code == 0, capsys.readouterr().err
+    monitor = open(tmp_path / f"{model}-nt-v1-monitor.csv").read().splitlines()
+    assert len(monitor) == 3  # header, t = 0 and the single step
+
+
 def test_exactly_one_config_source(tmp_path, capsys):
     cfg = write_config(tmp_path, tiny_doc())
     assert main(["run", "--config", cfg, "--preset", "table-arrhenius"]) == 2

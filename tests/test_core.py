@@ -12,7 +12,6 @@ from ntcentral.core import (
     SystemState,
     TimeController,
     extend_array,
-    ghost_value,
     init_cell_averages,
     max_stable_dt,
     total_mass,
@@ -134,13 +133,17 @@ def test_extend_array_closures():
 
 
 def test_ghost_value_mirrors_extend():
-    state = SystemState(np.array([[1.0, 2.0, 3.0, 4.0]]))
-    assert ghost_value(state, 0, -1, BoundaryCondition.PERIODIC) == 4.0
-    assert ghost_value(state, 0, 4, BoundaryCondition.PERIODIC) == 1.0
-    assert ghost_value(state, 0, -1, BoundaryCondition.CONSTANT) == 1.0
-    assert ghost_value(state, 0, 5, BoundaryCondition.CONSTANT) == 4.0
-    assert ghost_value(state, 0, -1, BoundaryCondition.ZERO) == 0.0
-    assert ghost_value(state, 0, 2, BoundaryCondition.ZERO) == 3.0
+    # cell j of the padded array sits at index j + left
+    a = np.array([[1.0, 2.0, 3.0, 4.0]])
+    per = extend_array(a, 1, 1, BoundaryCondition.PERIODIC)
+    assert per[0, -1 + 1] == 4.0
+    assert per[0, 4 + 1] == 1.0
+    con = extend_array(a, 1, 2, BoundaryCondition.CONSTANT)
+    assert con[0, -1 + 1] == 1.0
+    assert con[0, 5 + 1] == 4.0
+    zer = extend_array(a, 1, 1, BoundaryCondition.ZERO)
+    assert zer[0, -1 + 1] == 0.0
+    assert zer[0, 2 + 1] == 3.0
 
 
 def test_boundary_condition_parse():

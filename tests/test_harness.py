@@ -1,16 +1,19 @@
 """Experiment plumbing: profiles, restriction, caching, monitors, studies."""
 
+import dataclasses
 import glob
 import os
 
 import numpy as np
 import pytest
 
+from ntcentral.cli import load_preset, parse_config, preset_names
 from ntcentral.core import (
     CFL_LIMIT,
     BoundaryCondition,
     Grid,
     SystemState,
+    init_cell_averages,
     total_variation,
 )
 from ntcentral.errors import ConfigurationError, InputDataError
@@ -23,6 +26,7 @@ from ntcentral.harness import (
     convergence_study,
     entropy_residual,
     expression_profile,
+    flux_speed_estimate,
     l1_error,
     nonlocal_bounds,
     resolve_profiles,
@@ -143,6 +147,19 @@ def test_resolve_time_ratio_explicit_and_derived():
     assert 0.0 < lam
     # dt/dx * L <= CFL limit by construction, with L >= flux slope bound ~ e^0
     assert lam <= CFL_LIMIT / 0.1
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_derived_time_ratio_passes_the_cfl_monitor(preset):
+    # the monitor evaluates the bound that chose dt, so the initial data of
+    # every packaged experiment sits within the limit when dt/dx is derived
+    for exp in parse_config(load_preset(preset), preset).experiments:
+        for bc in BoundaryCondition:
+            e = dataclasses.replace(exp, time_ratio=None, bc=bc.value)
+            model = e.build_model()
+            v0 = init_cell_averages(e.profiles(), e.grid_at(min(e.levels))).values
+            ratio = resolve_time_ratio(e, model) * flux_speed_estimate(model, v0)
+            assert ratio <= CFL_LIMIT, (exp.name, bc, ratio / CFL_LIMIT)
 
 
 # -- restriction and norms -----------------------------------------------------

@@ -1,0 +1,69 @@
+"""Static checks of the package source: no unused imports, a resolvable __all__."""
+
+import ast
+import pathlib
+
+import pytest
+
+import ntcentral
+
+SOURCE_DIR = pathlib.Path(ntcentral.__file__).parent
+MODULES = sorted(p.name for p in SOURCE_DIR.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(tree):
+    """Names inside annotations, including the quoted ones."""
+    nodes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            nodes.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            nodes.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            nodes.append(node.annotation)
+    names = set()
+    for ann in nodes:
+        for sub in ast.walk(ann):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                quoted = ast.parse(sub.value, mode="eval")
+                names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
+
+
+def unused_imports(source: str) -> list[str]:
+    """Module-level imported names that the module never refers to."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= _annotation_names(tree)
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_detector_flags_and_spares():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "from .core import Grid, extend_array\n"
+        "def f(g: 'Grid') -> None:\n"
+        "    return np.zeros(3)\n"
+    )
+    assert unused_imports(source) == ["line 2: os", "line 4: extend_array"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_unused_imports(module):
+    source = (SOURCE_DIR / module).read_text()
+    assert unused_imports(source) == []
+
+
+def test_public_names_resolve():
+    missing = [name for name in ntcentral.__all__ if not hasattr(ntcentral, name)]
+    assert missing == []

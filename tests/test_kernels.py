@@ -1,23 +1,28 @@
-"""Kernel quadrature: weights, nonlocal fields and their derivatives."""
+"""Kernel quadrature: weights, nonlocal fields and their derivatives.
+
+The fields are evaluated by the stepper's own quadrature
+(``Stepper._nonlocal``, ``_nonlocal_dx`` and ``_nonlocal_dt``) on an
+``arrhenius`` model carrying the kernel under test, with the inputs padded by
+``extend_array`` as the stepper pads them.
+"""
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from ntcentral.core import BoundaryCondition, Grid, init_cell_averages
+from ntcentral.core import BoundaryCondition, Grid, extend_array, init_cell_averages
 from ntcentral.errors import ConfigurationError, KernelDefinitionError
 from ntcentral.kernels import (
     KernelSpec,
     build_derivative_weights,
     build_weights,
     builtin_kernel,
-    eval_nonlocal_field,
-    eval_nonlocal_space_derivative,
-    eval_nonlocal_time_derivative,
     kernel_integral,
     normalize_kernel,
 )
-from ntcentral.limiters import cell_slopes
+from ntcentral.limiters import slopes_of_extended
+from ntcentral.models import make_model
+from ntcentral.schemes import SchemeConfig, Stepper
 
 PER = BoundaryCondition.PERIODIC
 
@@ -99,13 +104,40 @@ def test_derivative_weights_need_closed_form_derivative():
         build_derivative_weights(spec, 0.25)
 
 
-def _convolution_setup(n, eta, kernel):
-    grid = Grid(-1.0, 1.0, n)
-    state = init_cell_averages(lambda x: np.sin(np.pi * x), grid)
-    u = state.values
-    s = cell_slopes(u, grid.dx, PER)
-    qw = build_weights(builtin_kernel(kernel, eta), grid.dx)
-    return grid, u, s, qw
+class Convolution:
+    """sin(pi x) on a periodic grid and the stepper's quadrature of it."""
+
+    def __init__(self, n, eta, kernel, margin=0):
+        self.grid = Grid(-1.0, 1.0, n)
+        self.u = init_cell_averages(lambda x: np.sin(np.pi * x), self.grid).values
+        model = make_model("arrhenius", eta=eta, kernel=kernel)
+        cfg = SchemeConfig(scheme="nt", slope_variant="v2")
+        self.stepper = Stepper(model, self.grid, PER, cfg)
+        self.margin = margin
+        self.pad = self.stepper.nmax + margin + 1
+        self.uP = extend_array(self.u, self.pad, self.pad, PER)
+        self.sP = slopes_of_extended(self.uP, self.grid.dx)  # margin pad - 1
+        cut = self.pad - 1
+        self.s = self.sP[..., cut:-cut]  # limited slopes of the cells
+
+    def field(self):
+        return self.stepper._nonlocal(
+            [self.uP[0]], [self.sP[0]], self.pad, self.pad - 1, self.margin
+        )
+
+    def space_derivative(self):
+        return self.stepper._nonlocal_dx(
+            [self.uP[0]], [self.sP[0]], self.pad, self.pad - 1, self.margin
+        )
+
+    def band_average(self, g):
+        """The field quadrature of ``g`` without slope corrections."""
+        gP = extend_array(g, self.pad, self.pad, PER)
+        return self.stepper._nonlocal([gP[0]], [None], self.pad, 0, self.margin)
+
+    def time_derivative(self, g):
+        gP = extend_array(g, self.pad, self.pad, PER)
+        return self.stepper._nonlocal_dt(gP, gP, self.pad, self.margin)
 
 
 def test_nonlocal_field_converges_to_analytic_convolution():
@@ -113,9 +145,9 @@ def test_nonlocal_field_converges_to_analytic_convolution():
     eta = 0.25
     errs = []
     for n in (64, 128, 256):
-        grid, u, s, qw = _convolution_setup(n, eta, "constant")
-        R = eval_nonlocal_field(u, s, qw, PER)
-        x = grid.centers
+        conv = Convolution(n, eta, "constant")
+        R = conv.field()
+        x = conv.grid.centers
         exact = (np.cos(np.pi * x) - np.cos(np.pi * (x + eta))) / (np.pi * eta)
         errs.append(np.abs(R[0] - exact).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -131,8 +163,9 @@ def test_nonlocal_field_dense_quadrature_cross_check():
     yq = np.linspace(0.0, eta, 40001)
     diffs = []
     for n in (80, 160):
-        grid, u, s, qw = _convolution_setup(n, eta, "linear")
-        R = eval_nonlocal_field(u, s, qw, PER)
+        conv = Convolution(n, eta, "linear")
+        grid, u, s = conv.grid, conv.u, conv.s
+        R = conv.field()
 
         def dense_at(j0):
             xq = grid.centers[j0] + yq
@@ -150,10 +183,10 @@ def test_nonlocal_field_dense_quadrature_cross_check():
 def test_time_derivative_band_matches_plain_average():
     # the time-derivative band is the field quadrature without slope
     # corrections, applied to an arbitrary cellwise integrand
-    grid, u, s, qw = _convolution_setup(64, 0.25, "constant")
-    g = np.cos(3.0 * grid.centers)[None, :]
-    via_td = eval_nonlocal_time_derivative(g, qw, PER)
-    via_field = eval_nonlocal_field(g, None, qw, PER)
+    conv = Convolution(64, 0.25, "constant")
+    g = np.cos(3.0 * conv.grid.centers)[None, :]
+    via_td = conv.time_derivative(g)
+    via_field = conv.band_average(g)
     np.testing.assert_allclose(via_td, via_field, atol=1e-15)
 
 
@@ -163,10 +196,9 @@ def test_space_derivative_constant_kernel_is_a_difference_quotient():
     eta = 0.25
     errs = []
     for n in (64, 128, 256):
-        grid, u, s, qw = _convolution_setup(n, eta, "constant")
-        dw = build_derivative_weights(builtin_kernel("constant", eta), grid.dx)
-        dR = eval_nonlocal_space_derivative(u, s, dw, PER)
-        x = grid.centers
+        conv = Convolution(n, eta, "constant")
+        dR = conv.space_derivative()
+        x = conv.grid.centers
         exact = (np.sin(np.pi * (x + eta)) - np.sin(np.pi * x)) / eta
         errs.append(np.abs(dR[0] - exact).max())
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -175,10 +207,10 @@ def test_space_derivative_constant_kernel_is_a_difference_quotient():
 
 def test_space_derivative_linear_kernel_against_quadrature():
     eta = 0.2
-    grid, u, s, _ = _convolution_setup(160, eta, "linear")
+    conv = Convolution(160, eta, "linear")
+    grid = conv.grid
     spec = builtin_kernel("linear", eta)
-    dw = build_derivative_weights(spec, grid.dx)
-    dR = eval_nonlocal_space_derivative(u, s, dw, PER)
+    dR = conv.space_derivative()
 
     def exact_at(x0):
         val, _ = integrate.quad(
@@ -193,9 +225,8 @@ def test_space_derivative_linear_kernel_against_quadrature():
 
 def test_extended_evaluation_matches_wrapped_interior():
     # asking for ghost cells of a periodic field must agree with rolling it
-    grid, u, s, qw = _convolution_setup(40, 0.25, "constant")
-    base = eval_nonlocal_field(u, s, qw, PER)
-    ext = eval_nonlocal_field(u, s, qw, PER, extend=3)
+    base = Convolution(40, 0.25, "constant").field()
+    ext = Convolution(40, 0.25, "constant", margin=3).field()
     assert ext.shape[-1] == 46
     np.testing.assert_allclose(ext[:, 3:-3], base, atol=1e-15)
     np.testing.assert_allclose(ext[:, :3], base[:, -3:], atol=1e-15)

@@ -3,16 +3,14 @@
 import numpy as np
 import pytest
 
-from ntcentral.core import BoundaryCondition
+from ntcentral.core import BoundaryCondition, extend_array
 from ntcentral.limiters import (
     NO_CLIP,
     ClipConfig,
-    cell_slopes,
     limited_difference,
     minmod,
     minmod3,
     slopes_of_extended,
-    staggered_slopes,
 )
 
 PER = BoundaryCondition.PERIODIC
@@ -80,7 +78,7 @@ def test_slopes_of_extended_drops_one_cell_per_side():
 
 def test_cell_slopes_periodic_monotone_data():
     vals = np.array([[0.0, 1.0, 2.0, 3.0]])
-    s = cell_slopes(vals, 1.0, PER)
+    s = slopes_of_extended(extend_array(vals, 1, 1, PER), 1.0)
     # wrap-around makes the end differences opposite-signed
     np.testing.assert_allclose(s, [[0.0, 1.0, 1.0, 0.0]])
 
@@ -88,8 +86,8 @@ def test_cell_slopes_periodic_monotone_data():
 def test_cell_slopes_extend_matches_roll():
     rng = np.random.default_rng(5)
     vals = rng.random((2, 16))
-    base = cell_slopes(vals, 0.5, PER)
-    ext = cell_slopes(vals, 0.5, PER, extend=2)
+    base = slopes_of_extended(extend_array(vals, 1, 1, PER), 0.5)
+    ext = slopes_of_extended(extend_array(vals, 3, 3, PER), 0.5)
     assert ext.shape == (2, 20)
     np.testing.assert_allclose(ext[:, 2:-2], base)
     np.testing.assert_allclose(ext[:, :2], base[:, -2:])
@@ -97,6 +95,6 @@ def test_cell_slopes_extend_matches_roll():
 
 def test_staggered_slopes_shape():
     a = np.array([[1.0, 2.0, 0.0, 1.0, 3.0]])
-    s = staggered_slopes(a, 1.0, PER)
+    s = slopes_of_extended(extend_array(a, 1, 1, PER), 1.0)
     assert s.shape == (1, 5)
     np.testing.assert_allclose(s[0, 1], 0.0)  # extremum cell

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from ntcentral.core import BoundaryCondition
+from ntcentral.core import BoundaryCondition, extend_array
 from ntcentral.errors import ModelDefinitionError
 from ntcentral.kernels import KernelSpec
+from ntcentral.limiters import slopes_of_extended
 from ntcentral.models import (
     MODEL_FACTORIES,
     DerivedFieldHook,
     ModelDef,
-    derived_field_evaluate,
     make_model,
 )
 
@@ -121,7 +121,9 @@ def test_derived_field_evaluate_pipeline():
     hook = model.nonlocal_sources[0]
     values = np.stack([np.full(8, 0.4), np.linspace(0.4, 1.2, 8)])
     sms = np.zeros((2, 8))
-    u, su, integrand = derived_field_evaluate(hook, values, sms, 0.1, PER)
+    u = hook.value(values)
+    su = slopes_of_extended(extend_array(u, 1, 1, PER), 0.1)
+    integrand = hook.time_integrand(values, sms)
     np.testing.assert_allclose(u, values[1] / 0.4 - 2.4)
     assert su.shape == (8,)
     np.testing.assert_array_equal(integrand, np.zeros(8))

@@ -6,13 +6,7 @@ import pytest
 from ntcentral.core import BoundaryCondition, Grid, SystemState, init_cell_averages, total_mass
 from ntcentral.errors import ConfigurationError
 from ntcentral.models import make_model
-from ntcentral.schemes import (
-    SchemeConfig,
-    Stepper,
-    lxf1_step,
-    lxf2_step,
-    nt_step,
-)
+from ntcentral.schemes import SchemeConfig, Stepper
 
 PER = BoundaryCondition.PERIODIC
 
@@ -162,25 +156,6 @@ def test_constant_state_is_a_fixed_point():
         stepper = Stepper(model, grid, PER, SchemeConfig(scheme=scheme))
         out = stepper.step(v, 0.2 * grid.dx)
         np.testing.assert_allclose(out, v, atol=1e-15)
-
-
-def test_module_level_wrappers_match_stepper(eight_cell_setup):
-    grid, model, u = eight_cell_setup
-    dt = 0.015
-    v = u[None, :]
-    np.testing.assert_array_equal(
-        nt_step(model, grid, v, dt, PER), Stepper(model, grid, PER).step(v, dt)
-    )
-    np.testing.assert_array_equal(
-        lxf1_step(model, grid, v, dt, PER),
-        Stepper(model, grid, PER, SchemeConfig(scheme="lxf1")).step(v, dt),
-    )
-    np.testing.assert_array_equal(
-        lxf2_step(model, grid, v, dt, PER),
-        Stepper(model, grid, PER, SchemeConfig(scheme="lxf2")).step(v, dt),
-    )
-    with pytest.raises(ConfigurationError):
-        nt_step(model, grid, v, dt, PER, SchemeConfig(scheme="lxf1"))
 
 
 def test_v2_requires_product_form_support():
