@@ -46,7 +46,13 @@ from .schemes import SchemeConfig, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
 # Bump when a solver change invalidates previously cached references.
-_CACHE_TAG = "ntc-2"
+_CACHE_TAG = "ntc-3"
+
+
+def _tagged_digest(doc) -> str:
+    """SHA-256 of the code tag and the canonical JSON of ``doc``."""
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256((_CACHE_TAG + text).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +289,7 @@ class Experiment:
         }
 
     def digest(self) -> str:
-        text = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256((_CACHE_TAG + text).encode()).hexdigest()
+        return _tagged_digest(self.canonical())
 
 
 # ---------------------------------------------------------------------------
@@ -576,8 +581,7 @@ def compute_reference(
         "reference": [exp.reference_level, spec.slope_variant],
         "time_ratio": lam,
     }
-    text = json.dumps(key_doc, sort_keys=True, separators=(",", ":"))
-    key = hashlib.sha256((_CACHE_TAG + text).encode()).hexdigest()
+    key = _tagged_digest(key_doc)
     path = os.path.join(cache_directory(), f"ref-{key}.npy")
     expected = (model.n_species, exp.cells_at(exp.reference_level))
     if use_cache and os.path.exists(path):

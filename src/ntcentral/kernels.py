@@ -13,16 +13,20 @@ with n1 = |eta1|/dx and n2 = eta2/dx.  The same weight band is reused for the
 time derivative of R (applied to cellwise integrand values, no slope
 corrections) and, together with the kernel derivative and its support
 boundary values, for the space derivative of R.
+
+Every band is applied by ``correlate_band``, which picks the direct sum or an
+FFT by a fixed work threshold (never a library heuristic) and caches the
+band's spectrum per transform length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 from scipy import integrate
-from scipy.signal import correlate
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import ConfigurationError, KernelDefinitionError
 
@@ -82,18 +86,34 @@ def normalize_kernel(spec: KernelSpec, tol: float = 1e-10) -> KernelSpec:
 
 
 @dataclass(eq=False)
-class QuadratureWeights:
-    """Discrete band replacing the convolution integral at one grid spacing.
+class Band:
+    """Weights of the sliding sum out[j] = sum_i u[j + i] * weights[i].
 
     ``weights[i]`` multiplies the cell at offset ``i - n1`` relative to the
-    evaluation cell; the first and last entries are the half-cell end weights
-    that also carry the +/- dx/4 slope corrections.
+    evaluation cell.  ``spectra`` caches conj(rfft(weights, nfft)) per
+    transform length ``nfft``, filled on first use by ``correlate_band``.
     """
 
     n1: int
     n2: int
     dx: float
     weights: np.ndarray
+    spectra: dict = field(default_factory=dict, init=False, repr=False)
+
+    def spectrum(self, nfft: int) -> np.ndarray:
+        s = self.spectra.get(nfft)
+        if s is None:
+            s = self.spectra[nfft] = np.conj(rfft(self.weights, nfft))
+        return s
+
+
+@dataclass(eq=False)
+class QuadratureWeights(Band):
+    """Discrete band replacing the convolution integral at one grid spacing.
+
+    The first and last weights are the half-cell end weights that also carry
+    the +/- dx/4 slope corrections.
+    """
 
     @property
     def left_weight(self) -> float:
@@ -150,13 +170,9 @@ def build_weights(spec: KernelSpec, dx: float) -> QuadratureWeights:
 
 
 @dataclass(eq=False)
-class DerivativeWeights:
-    """Band of kernel-derivative weights plus kernel values at the support ends."""
+class DerivativeWeights(Band):
+    """Band built from omega' plus the kernel values at the support ends."""
 
-    n1: int
-    n2: int
-    dx: float
-    weights: np.ndarray  # band built from omega'
     boundary_left: float  # omega at the left support end
     boundary_right: float  # omega at the right support end
 
@@ -178,10 +194,18 @@ def build_derivative_weights(spec: KernelSpec, dx: float) -> DerivativeWeights:
     )
 
 
-def correlate_band(u_ext: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # cross-correlation along the last axis, out[j] = sum_i u_ext[j + i] * w[i]
-    wb = np.reshape(w, (1,) * (u_ext.ndim - 1) + (-1,))
-    return correlate(u_ext, wb, mode="valid", method="auto")
+# outputs x taps at or below which the direct sum beats the cached-spectrum FFT
+DIRECT_MAX_WORK = 2**18
+
+
+def correlate_band(u_ext: np.ndarray, band: Band) -> np.ndarray:
+    """The valid part of out[j] = sum_i u_ext[j + i] * band.weights[i], 1-D."""
+    w = band.weights
+    n_out = u_ext.size - w.size + 1
+    if n_out * w.size <= DIRECT_MAX_WORK:
+        return np.correlate(u_ext, w, "valid")
+    nfft = next_fast_len(u_ext.size, real=True)
+    return irfft(rfft(u_ext, nfft) * band.spectrum(nfft), nfft)[:n_out]
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ class Stepper:
         dx = self.grid.dx
         for l, qw in enumerate(self.qw):
             ue = self._band_view(us[l], have_v, margin, qw.n1, qw.n2)
-            band = correlate_band(ue, qw.weights)
+            band = correlate_band(ue, qw)
             if sus[l] is not None:
                 se = self._band_view(sus[l], have_s, margin, qw.n1, qw.n2)
                 band = band + 0.25 * dx * (
@@ -224,7 +224,7 @@ class Stepper:
         dx = self.grid.dx
         for l, dw in enumerate(self.dw):
             ue = self._band_view(us[l], have_v, margin, dw.n1, dw.n2)
-            band = correlate_band(ue, dw.weights)
+            band = correlate_band(ue, dw)
             se = self._band_view(sus[l], have_s, margin, dw.n1, dw.n2)
             band = band + 0.25 * dx * (
                 dw.weights[0] * se[..., :n] - dw.weights[-1] * se[..., dw.n1 + dw.n2 :]
@@ -246,7 +246,7 @@ class Stepper:
             else:
                 integ = sms[src]
             ie = self._band_view(integ, have, margin, qw.n1, qw.n2)
-            out[l] = correlate_band(ie, qw.weights)
+            out[l] = correlate_band(ie, qw)
         return out
 
     def _flux(self, v: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -1,4 +1,8 @@
-"""Static checks of the package source: no unused imports, a resolvable __all__."""
+"""Static checks of the package source.
+
+No unused imports, a resolvable __all__, and no numerics chosen by a library
+heuristic (scipy.signal's direct/FFT ``method="auto"``).
+"""
 
 import ast
 import pathlib
@@ -62,6 +66,46 @@ def test_unused_import_detector_flags_and_spares():
 def test_module_has_no_unused_imports(module):
     source = (SOURCE_DIR / module).read_text()
     assert unused_imports(source) == []
+
+
+def library_heuristics(source: str) -> list[str]:
+    """scipy.signal imports and method="auto" keywords anywhere in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "method":
+            if isinstance(node.value, ast.Constant) and node.value.value == "auto":
+                found.append(f"line {node.value.lineno}: method='auto'")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            prefix = f"{node.module}." if isinstance(node, ast.ImportFrom) else ""
+            names = [prefix + a.name for a in node.names]
+            if any(n == "scipy.signal" or n.startswith("scipy.signal.") for n in names):
+                found.append(f"line {node.lineno}: scipy.signal import")
+    return found
+
+
+def test_library_heuristic_detector_flags_and_spares():
+    source = (
+        "import numpy as np\n"
+        "from scipy import integrate\n"
+        "from scipy.signal import correlate\n"
+        "from scipy import signal\n"
+        "import scipy.signal.windows\n"
+        "def f(u, w):\n"
+        "    np.sort(u, kind='stable')\n"
+        "    return correlate(u, w, mode='valid', method='auto')\n"
+    )
+    assert library_heuristics(source) == [
+        "line 3: scipy.signal import",
+        "line 4: scipy.signal import",
+        "line 5: scipy.signal import",
+        "line 8: method='auto'",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_no_library_heuristic(module):
+    source = (SOURCE_DIR / module).read_text()
+    assert library_heuristics(source) == []
 
 
 def test_public_names_resolve():

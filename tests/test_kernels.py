@@ -8,15 +8,19 @@ The fields are evaluated by the stepper's own quadrature
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, special
 
 from ntcentral.core import BoundaryCondition, Grid, extend_array, init_cell_averages
 from ntcentral.errors import ConfigurationError, KernelDefinitionError
 from ntcentral.kernels import (
+    DIRECT_MAX_WORK,
+    Band,
     KernelSpec,
     build_derivative_weights,
     build_weights,
     builtin_kernel,
+    correlate_band,
     kernel_integral,
     normalize_kernel,
 )
@@ -102,6 +106,36 @@ def test_derivative_weights_need_closed_form_derivative():
     spec = KernelSpec(omega=lambda x: np.ones_like(np.asarray(x)), support=(0.0, 1.0))
     with pytest.raises(KernelDefinitionError, match="omega_prime"):
         build_derivative_weights(spec, 0.25)
+
+
+def test_correlate_band_matches_plain_sum():
+    rng = np.random.default_rng(7)
+    sides = set()
+    for n_out in (40, 1280):
+        for taps in (5, 129, 321):
+            band = Band(n1=0, n2=taps - 1, dx=1.0, weights=rng.random(taps))
+            u = rng.random(n_out + taps - 1)
+            plain = sliding_window_view(u, taps) @ band.weights
+            direct = n_out * taps <= DIRECT_MAX_WORK
+            sides.add(direct)
+            out = correlate_band(u, band)
+            np.testing.assert_allclose(out, plain, rtol=1e-13, atol=0)
+            if direct:
+                assert band.spectra == {}
+                continue
+            # one spectrum per transform length, reused by the next call
+            (nfft, spectrum), = band.spectra.items()
+            np.testing.assert_allclose(correlate_band(u, band), plain, rtol=1e-13, atol=0)
+            assert list(band.spectra) == [nfft] and band.spectra[nfft] is spectrum
+            longer = rng.random(u.size + 1000)
+            np.testing.assert_allclose(
+                correlate_band(longer, band),
+                sliding_window_view(longer, taps) @ band.weights,
+                rtol=1e-13,
+                atol=0,
+            )
+            assert len(band.spectra) == 2 and band.spectra[nfft] is spectrum
+    assert sides == {True, False}
 
 
 class Convolution:
