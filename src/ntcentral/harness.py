@@ -46,7 +46,7 @@ from .schemes import SchemeConfig, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
 # Bump when a solver change invalidates previously cached references.
-_CACHE_TAG = "ntc-3"
+_CACHE_TAG = "ntc-4"
 
 
 def _tagged_digest(doc) -> str:
@@ -329,7 +329,11 @@ def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
 
     Explicit ``time_ratio`` wins; otherwise the CFL bound is evaluated with
     Lipschitz constants over the initial-data boxes, at the coarsest level so
-    every level of the family shares one ratio.
+    every level of the family shares one ratio.  Under the ``zero`` closure
+    the ghost cells feed the zero state in, and the scheme mixes it into the
+    data, so the boxes also hold the data scaled toward zero (s * v for
+    s = 0, 1/8, ..., 1): a derived field such as GARZ's velocity leaves the
+    data's range on that segment.
     """
     if exp.time_ratio is not None:
         return exp.time_ratio
@@ -343,6 +347,8 @@ def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
     level = min(exp.levels)
     grid = exp.grid_at(level)
     values = init_cell_averages(exp.profiles(), grid).values
+    if BoundaryCondition.parse(exp.bc) is BoundaryCondition.ZERO:
+        values = np.concatenate([s * values for s in np.linspace(0.0, 1.0, 9)], axis=1)
     sbox = state_bounds(model, values)
     nbox = nonlocal_bounds(model, values)
     lip_f = model.lip_flux(sbox, nbox)

@@ -16,7 +16,11 @@ boundary values, for the space derivative of R.
 
 Every band is applied by ``correlate_band``, which picks the direct sum or an
 FFT by a fixed work threshold (never a library heuristic) and caches the
-band's spectrum per transform length.
+band's spectrum per transform length.  On a periodic grid the input is the
+N cells of one period (``PeriodicCells``) and is read circularly: the FFT
+side is an N-point transform against the band wrapped modulo N, the direct
+side sums over the period wrap-extended by the band's reach.  No ghost cells
+of band width are needed on either side.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 from scipy import integrate
 from scipy.fft import irfft, next_fast_len, rfft
 
+from .core import BoundaryCondition, extend_array
 from .errors import ConfigurationError, KernelDefinitionError
 
 
@@ -91,7 +96,9 @@ class Band:
 
     ``weights[i]`` multiplies the cell at offset ``i - n1`` relative to the
     evaluation cell.  ``spectra`` caches conj(rfft(weights, nfft)) per
-    transform length ``nfft``, filled on first use by ``correlate_band``.
+    transform length ``nfft``, and ``wrapped_spectra`` the same for the band
+    wrapped modulo a period of ``n`` cells; both are filled on first use by
+    ``correlate_band``.
     """
 
     n1: int
@@ -99,11 +106,21 @@ class Band:
     dx: float
     weights: np.ndarray
     spectra: dict = field(default_factory=dict, init=False, repr=False)
+    wrapped_spectra: dict = field(default_factory=dict, init=False, repr=False)
 
     def spectrum(self, nfft: int) -> np.ndarray:
         s = self.spectra.get(nfft)
         if s is None:
             s = self.spectra[nfft] = np.conj(rfft(self.weights, nfft))
+        return s
+
+    def wrapped_spectrum(self, n: int) -> np.ndarray:
+        s = self.wrapped_spectra.get(n)
+        if s is None:
+            # offsets congruent modulo n read the same cell of the period
+            offsets = np.arange(-self.n1, self.n2 + 1) % n
+            wrapped = np.bincount(offsets, weights=self.weights, minlength=n)
+            s = self.wrapped_spectra[n] = np.conj(rfft(wrapped))
         return s
 
 
@@ -194,18 +211,56 @@ def build_derivative_weights(spec: KernelSpec, dx: float) -> DerivativeWeights:
     )
 
 
+class PeriodicCells:
+    """The cell values of one period, read circularly by ``correlate_band``.
+
+    The forward transform and the last wrap extension are kept, so bands
+    applied to the same cells share them.
+    """
+
+    __slots__ = ("values", "_transform", "_wrapped")
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        self._transform = None
+        self._wrapped = None
+
+    def transform(self) -> np.ndarray:
+        if self._transform is None:
+            self._transform = rfft(self.values)
+        return self._transform
+
+    def wrapped(self, left: int, right: int) -> np.ndarray:
+        """The cells wrap-extended by ``left`` and ``right`` ghost cells."""
+        if self._wrapped is None or self._wrapped[0] != (left, right):
+            ext = extend_array(self.values, left, right, BoundaryCondition.PERIODIC)
+            self._wrapped = ((left, right), ext)
+        return self._wrapped[1]
+
+
 # outputs x taps at or below which the direct sum beats the cached-spectrum FFT
 DIRECT_MAX_WORK = 2**18
 
 
-def correlate_band(u_ext: np.ndarray, band: Band) -> np.ndarray:
-    """The valid part of out[j] = sum_i u_ext[j + i] * band.weights[i], 1-D."""
+def correlate_band(u: "np.ndarray | PeriodicCells", band: Band) -> np.ndarray:
+    """Sliding sum of a band over 1-D cell values.
+
+    A plain array carries the band's ghost cells: the valid part of
+    out[j] = sum_i u[j + i] * band.weights[i] is returned.  ``PeriodicCells``
+    of period n give out[j] = sum_i u[(j - n1 + i) mod n] * band.weights[i]
+    for j = 0..n-1.
+    """
     w = band.weights
-    n_out = u_ext.size - w.size + 1
+    if isinstance(u, PeriodicCells):
+        n = u.values.size
+        if n * w.size <= DIRECT_MAX_WORK:
+            return np.correlate(u.wrapped(band.n1, band.n2), w, "valid")
+        return irfft(u.transform() * band.wrapped_spectrum(n), n)
+    n_out = u.size - w.size + 1
     if n_out * w.size <= DIRECT_MAX_WORK:
-        return np.correlate(u_ext, w, "valid")
-    nfft = next_fast_len(u_ext.size, real=True)
-    return irfft(rfft(u_ext, nfft) * band.spectrum(nfft), nfft)[:n_out]
+        return np.correlate(u, w, "valid")
+    nfft = next_fast_len(u.size, real=True)
+    return irfft(rfft(u, nfft) * band.spectrum(nfft), nfft)[:n_out]
 
 
 # ---------------------------------------------------------------------------

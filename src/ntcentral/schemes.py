@@ -6,9 +6,14 @@ for flux and source, a staggered full-step average, and a projection back to
 the original cells.  The nonlocal fields are frozen quadrature bands applied
 to the reconstruction, with their own predicted half-step values.
 
-All ghost handling happens once per step (or per stage): the incoming state
-is extended by the boundary condition with enough margin that every derived
-field downstream is produced by pure slicing.
+Ghost handling happens once per step (or per stage): the incoming state is
+extended by the boundary condition with enough margin for the local
+stencils, and every local field downstream is produced by pure slicing.  The
+nonlocal fields differ by closure.  Under the ``constant`` and ``zero``
+closures the state margin also covers the widest quadrature band, so the
+bands slide over ghost cells.  A periodic grid is a torus and carries no
+band-width margin: each quadrature reads its input on the N cells of one
+period circularly, and its output is wrap-extended to the stencil margin.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ import numpy as np
 from .core import BoundaryCondition, Grid, extend_array
 from .errors import ConfigurationError
 from .kernels import (
+    PeriodicCells,
     build_derivative_weights,
     build_weights,
     correlate_band,
@@ -161,7 +167,9 @@ class Stepper:
                     f"model {model.name!r} has no product_form for slope_variant='v2'"
                 )
             self.dw = tuple(build_derivative_weights(k, dx) for k in model.kernels)
-        self.nmax = max(1, max(max(q.n1, q.n2) for q in self.qw))
+        # ghost cells the quadrature bands reach; none on the torus
+        self.periodic = self.bc is BoundaryCondition.PERIODIC
+        self.nmax = 0 if self.periodic else max(1, max(max(q.n1, q.n2) for q in self.qw))
 
     # -- shared field construction -----------------------------------------
 
@@ -192,40 +200,65 @@ class Stepper:
         return us, sus
 
     @staticmethod
-    def _band_view(arr: np.ndarray, have: int, margin: int, n1: int, n2: int):
+    def _band_view(arr: np.ndarray, have: int, margin: int, band):
         """Slice an extended array to the window a band needs for ``margin``."""
-        lo = have - margin - n1
-        hi = arr.shape[-1] - (have - margin - n2)
-        if lo < 0 or have - margin - n2 < 0:
+        lo = have - margin - band.n1
+        hi = arr.shape[-1] - (have - margin - band.n2)
+        if lo < 0 or have - margin - band.n2 < 0:
             raise ValueError("insufficient ghost margin for quadrature band")
         return arr[..., lo:hi]
 
+    def _period(self, arr, have: int) -> PeriodicCells:
+        """The N cells of an array padded by ``have`` ghost cells each side."""
+        if isinstance(arr, PeriodicCells):
+            return arr
+        return PeriodicCells(arr[..., have : have + self.grid.cells])
+
+    def _band_input(self, arr, have: int, margin: int, band):
+        """What ``correlate_band`` reads for one band: the period on the torus."""
+        if self.periodic:
+            return self._period(arr, have)
+        return self._band_view(arr, have, margin, band)
+
+    def _window(self, arr, have: int, margin: int, band) -> np.ndarray:
+        """Cells j - n1 .. j + n2 of every output cell j, as one array."""
+        if self.periodic:
+            return self._period(arr, have).wrapped(band.n1, band.n2)
+        return self._band_view(arr, have, margin, band)
+
+    def _outputs(self, margin: int) -> int:
+        """Cells a quadrature computes: the period on the torus, else all."""
+        return self.grid.cells + (0 if self.periodic else 2 * margin)
+
+    def _to_margin(self, out: np.ndarray, margin: int) -> np.ndarray:
+        """Wrap-extend periodic quadrature outputs to the requested margin."""
+        return extend_array(out, margin, margin, self.bc) if self.periodic else out
+
     def _nonlocal(self, us, sus, have_v: int, have_s: int, margin: int) -> np.ndarray:
         """All nonlocal fields at the given margin, second-order end corrections."""
-        n = us[0].shape[-1] - 2 * have_v + 2 * margin
+        n = self._outputs(margin)
         out = np.empty((self.model.n_nonlocal, n))
         dx = self.grid.dx
         for l, qw in enumerate(self.qw):
-            ue = self._band_view(us[l], have_v, margin, qw.n1, qw.n2)
-            band = correlate_band(ue, qw)
+            band = correlate_band(self._band_input(us[l], have_v, margin, qw), qw)
             if sus[l] is not None:
-                se = self._band_view(sus[l], have_s, margin, qw.n1, qw.n2)
+                se = self._window(sus[l], have_s, margin, qw)
                 band = band + 0.25 * dx * (
                     qw.left_weight * se[..., :n]
                     - qw.right_weight * se[..., qw.n1 + qw.n2 :]
                 )
             out[l] = band
-        return out
+        return self._to_margin(out, margin)
 
     def _nonlocal_dx(self, us, sus, have_v: int, have_s: int, margin: int):
         """Space derivative of every nonlocal field at the given margin."""
-        n = us[0].shape[-1] - 2 * have_v + 2 * margin
+        n = self._outputs(margin)
         out = np.empty((self.model.n_nonlocal, n))
         dx = self.grid.dx
         for l, dw in enumerate(self.dw):
-            ue = self._band_view(us[l], have_v, margin, dw.n1, dw.n2)
-            band = correlate_band(ue, dw)
-            se = self._band_view(sus[l], have_s, margin, dw.n1, dw.n2)
+            band = correlate_band(self._band_input(us[l], have_v, margin, dw), dw)
+            ue = self._window(us[l], have_v, margin, dw)
+            se = self._window(sus[l], have_s, margin, dw)
             band = band + 0.25 * dx * (
                 dw.weights[0] * se[..., :n] - dw.weights[-1] * se[..., dw.n1 + dw.n2 :]
             )
@@ -234,20 +267,18 @@ class Stepper:
                 + dw.boundary_right * ue[..., dw.n1 + dw.n2 :]
                 - band
             )
-        return out
+        return self._to_margin(out, margin)
 
     def _nonlocal_dt(self, v_ms, sms, have: int, margin: int) -> np.ndarray:
         """Time derivative of every nonlocal field from cellwise integrands."""
-        n = v_ms.shape[-1] - 2 * have + 2 * margin
-        out = np.empty((self.model.n_nonlocal, n))
+        out = np.empty((self.model.n_nonlocal, self._outputs(margin)))
         for l, (src, qw) in enumerate(zip(self.model.nonlocal_sources, self.qw)):
             if isinstance(src, DerivedFieldHook):
                 integ = src.time_integrand(v_ms, sms)
             else:
                 integ = sms[src]
-            ie = self._band_view(integ, have, margin, qw.n1, qw.n2)
-            out[l] = correlate_band(ie, qw)
-        return out
+            out[l] = correlate_band(self._band_input(integ, have, margin, qw), qw)
+        return self._to_margin(out, margin)
 
     def _flux(self, v: np.ndarray, R: np.ndarray) -> np.ndarray:
         out = np.empty_like(v)
@@ -270,6 +301,9 @@ class Stepper:
         vP = extend_array(v, PV, PV, self.bc)
         sP = slopes_of_extended(vP, dx, cfg.clip)  # margin PV - 1
         us, sus = self._source_arrays(vP, sP, cfg.clip)
+        if self.periodic:  # R and its space derivative share transforms and wraps
+            us = [self._period(u, PV) for u in us]
+            sus = [self._period(s, PV - 1) for s in sus]
 
         R_mr = self._nonlocal(us, sus, PV, PV - 1, MR)
         v_mr = _crop(vP, PV, MR)

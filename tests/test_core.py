@@ -132,6 +132,26 @@ def test_extend_array_closures():
     assert extend_array(a, 0, 0, BoundaryCondition.ZERO) is a
 
 
+@pytest.mark.parametrize("shape", [(7,), (3, 7), (1500,), (2, 1500)])
+def test_extend_array_matches_np_pad(shape):
+    # byte for byte, for margins from none to more than twice the period
+    a = np.random.default_rng(shape[-1]).random(shape)
+    n = shape[-1]
+    modes = {
+        BoundaryCondition.PERIODIC: dict(mode="wrap"),
+        BoundaryCondition.CONSTANT: dict(mode="edge"),
+        BoundaryCondition.ZERO: dict(mode="constant", constant_values=0.0),
+    }
+    margins = (0, 1, n - 1, n, 2 * n + 3)
+    for bc, kwargs in modes.items():
+        for left in margins:
+            for right in margins:
+                want = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(left, right)], **kwargs)
+                got = extend_array(a, left, right, bc)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (bc, left, right)
+
+
 def test_ghost_value_mirrors_extend():
     # cell j of the padded array sits at index j + left
     a = np.array([[1.0, 2.0, 3.0, 4.0]])

@@ -38,6 +38,7 @@ from ntcentral.harness import (
     state_bounds,
 )
 from ntcentral.models import make_model
+from ntcentral.schemes import Stepper
 
 
 def small_experiment(**kw):
@@ -152,14 +153,21 @@ def test_resolve_time_ratio_explicit_and_derived():
 @pytest.mark.parametrize("preset", preset_names())
 def test_derived_time_ratio_passes_the_cfl_monitor(preset):
     # the monitor evaluates the bound that chose dt, so the initial data of
-    # every packaged experiment sits within the limit when dt/dx is derived
+    # every packaged experiment, and the state one step later (which has
+    # seen the ghost cells), sit within the limit when dt/dx is derived
     for exp in parse_config(load_preset(preset), preset).experiments:
         for bc in BoundaryCondition:
             e = dataclasses.replace(exp, time_ratio=None, bc=bc.value)
             model = e.build_model()
-            v0 = init_cell_averages(e.profiles(), e.grid_at(min(e.levels))).values
-            ratio = resolve_time_ratio(e, model) * flux_speed_estimate(model, v0)
+            grid = e.grid_at(min(e.levels))
+            v0 = init_cell_averages(e.profiles(), grid).values
+            lam = resolve_time_ratio(e, model)
+            ratio = lam * flux_speed_estimate(model, v0)
             assert ratio <= CFL_LIMIT, (exp.name, bc, ratio / CFL_LIMIT)
+            for spec in e.schemes:
+                v1 = Stepper(model, grid, bc, spec.config(e.clip)).step(v0, lam * grid.dx)
+                ratio = lam * flux_speed_estimate(model, v1)
+                assert ratio <= CFL_LIMIT, (exp.name, bc, spec.name, ratio / CFL_LIMIT)
 
 
 # -- restriction and norms -----------------------------------------------------

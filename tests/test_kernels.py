@@ -17,6 +17,7 @@ from ntcentral.kernels import (
     DIRECT_MAX_WORK,
     Band,
     KernelSpec,
+    PeriodicCells,
     build_derivative_weights,
     build_weights,
     builtin_kernel,
@@ -138,6 +139,55 @@ def test_correlate_band_matches_plain_sum():
     assert sides == {True, False}
 
 
+def _wrapped_plain_sum(u, band):
+    padded = np.pad(u, (band.n1, band.n2), mode="wrap")
+    return sliding_window_view(padded, band.weights.size) @ band.weights
+
+
+@pytest.mark.parametrize(
+    "cells, n1, n2",
+    [(16, 5, 40), (16, 0, 16), (600, 700, 300), (600, 0, 1200)],
+)
+def test_circular_band_wider_than_the_period(cells, n1, n2):
+    # the band reaches around the period more than once; each tap reads the
+    # cell its offset lands on modulo the period
+    rng = np.random.default_rng(cells + n1 + n2)
+    band = Band(n1=n1, n2=n2, dx=1.0, weights=rng.random(n1 + n2 + 1))
+    u = rng.random(cells)
+    direct = cells * band.weights.size <= DIRECT_MAX_WORK
+    out = correlate_band(PeriodicCells(u), band)
+    np.testing.assert_allclose(out, _wrapped_plain_sum(u, band), rtol=1e-13, atol=0)
+    assert list(band.wrapped_spectra) == ([] if direct else [cells])
+
+
+def test_periodic_cells_share_one_forward_transform():
+    rng = np.random.default_rng(11)
+    cells = PeriodicCells(rng.random(2048))
+    bands = [Band(n1=0, n2=200, dx=1.0, weights=rng.random(201)) for _ in range(2)]
+    assert bands[0].n2 * cells.values.size > DIRECT_MAX_WORK
+    outs = [correlate_band(cells, bands[0])]
+    first = cells._transform
+    outs.append(correlate_band(cells, bands[1]))
+    assert first is not None and cells._transform is first
+    for band, out in zip(bands, outs):
+        np.testing.assert_allclose(out, _wrapped_plain_sum(cells.values, band), rtol=1e-13)
+        assert list(band.wrapped_spectra) == [2048]
+
+
+def test_stepper_quadrature_with_a_kernel_longer_than_the_domain():
+    # eta = 2.5 on [-1, 1]: the constant kernel averages over more than one
+    # period, on the direct sum (16 cells) and on the FFT (512 cells)
+    for n in (16, 512):
+        grid = Grid(-1.0, 1.0, n)
+        model = make_model("arrhenius", eta=2.5, kernel="constant")
+        stepper = Stepper(model, grid, PER)
+        qw = stepper.qw[0]
+        assert qw.n2 > n and (n * qw.weights.size <= DIRECT_MAX_WORK) == (n == 16)
+        u = np.random.default_rng(n).random((1, n))
+        R = stepper._nonlocal([u[0]], [None], 0, 0, 0)
+        np.testing.assert_allclose(R[0], _wrapped_plain_sum(u[0], qw), rtol=1e-13)
+
+
 class Convolution:
     """sin(pi x) on a periodic grid and the stepper's quadrature of it."""
 
@@ -152,7 +202,7 @@ class Convolution:
         self.uP = extend_array(self.u, self.pad, self.pad, PER)
         self.sP = slopes_of_extended(self.uP, self.grid.dx)  # margin pad - 1
         cut = self.pad - 1
-        self.s = self.sP[..., cut:-cut]  # limited slopes of the cells
+        self.s = self.sP[..., cut : cut + n]  # limited slopes of the cells
 
     def field(self):
         return self.stepper._nonlocal(

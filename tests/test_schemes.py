@@ -224,3 +224,76 @@ def test_sup_norm_growth_is_controlled_under_refinement():
     for g in growth:
         assert g <= np.exp(0.5 * T)
     assert abs(growth[1] - 1.0) <= abs(growth[0] - 1.0) + 0.01
+
+
+# -- the torus path against the margin path ------------------------------------
+
+MODELS = ("keyfitz-kranzer", "arrhenius", "multilane", "nonlocal-euler", "garz")
+CONFIGS = {
+    "nt-v1": SchemeConfig(scheme="nt", slope_variant="v1"),
+    "nt-v2": SchemeConfig(scheme="nt", slope_variant="v2"),
+    "lxf1": SchemeConfig(scheme="lxf1"),
+    "lxf2": SchemeConfig(scheme="lxf2"),
+}
+# 80 cells keep every band (eta = 0.25, at most 21 taps) on the direct sum,
+# 2560 cells (up to 321 taps) put them on the FFT
+SIZES = (80, 2560)
+
+
+def _profiles(model_name, shape):
+    """Per-species initial profiles of a model, built on one shape s(x)."""
+    return {
+        "keyfitz-kranzer": [lambda x: -0.3 * shape(x), lambda x: 0.2 * shape(x)],
+        "arrhenius": [lambda x: 0.6 * shape(x)],
+        "multilane": [lambda x: 0.5 * shape(x), lambda x: 0.3 * shape(x)],
+        "nonlocal-euler": [lambda x: 0.5 * shape(x), lambda x: 0.4 * shape(x)],
+        "garz": [lambda x: 0.3 * shape(x), lambda x: 0.3 * shape(x) * (0.5 + 0.2 * x)],
+    }[model_name]
+
+
+def _compact_bump(x):
+    # smooth, and zero for |x| >= 0.3: on [-1, 1] that leaves 0.7 of zeros at
+    # each end, more than the band width 0.25 plus the stencil width
+    return np.where(np.abs(x) < 0.3, np.cos(np.pi * x / 0.6) ** 2, 0.0)
+
+
+def _periodic_wave(x):
+    return 0.6 + 0.3 * np.sin(np.pi * x) + 0.1 * np.cos(3 * np.pi * x)
+
+
+def _runs(model_name):
+    model = make_model(model_name, eta=0.25)
+    for name, cfg in CONFIGS.items():
+        if name == "nt-v2" and not model.supports_v2:
+            continue
+        yield name, model, cfg
+
+
+@pytest.mark.parametrize("cells", SIZES)
+@pytest.mark.parametrize("model_name", MODELS)
+def test_periodic_and_zero_closures_agree_on_compact_data(model_name, cells):
+    # data that vanishes near both ends sees zeros through either closure, so
+    # the torus quadrature and the band-width ghost margin must agree
+    grid = Grid(-1.0, 1.0, cells)
+    v = init_cell_averages(_profiles(model_name, _compact_bump), grid).values
+    for name, model, cfg in _runs(model_name):
+        per = Stepper(model, grid, "periodic", cfg).step(v, 0.1 * grid.dx)
+        zero = Stepper(model, grid, "zero", cfg).step(v, 0.1 * grid.dx)
+        scale = np.abs(zero).max()
+        assert np.abs(per - zero).max() <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize("cells", SIZES)
+@pytest.mark.parametrize("model_name", MODELS)
+def test_periodic_step_commutes_with_a_shift(model_name, cells):
+    grid = Grid(-1.0, 1.0, cells)
+    v = init_cell_averages(_profiles(model_name, _periodic_wave), grid).values
+    for name, model, cfg in _runs(model_name):
+        stepper = Stepper(model, grid, PER, cfg)
+        assert stepper.nmax == 0
+        base = stepper.step(v, 0.1 * grid.dx)
+        scale = np.abs(base).max()
+        for k in (1, cells // 3):
+            shifted = stepper.step(np.roll(v, k, axis=-1), 0.1 * grid.dx)
+            diff = np.abs(shifted - np.roll(base, k, axis=-1)).max()
+            assert diff <= 1e-13 * scale, (name, k)
