@@ -140,6 +140,17 @@ _PRESET_SCHEMA = {
 }
 
 
+def _validator(schema: dict):
+    """A validator for ``schema``, built once: the schema is checked here only."""
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+_SINGLE_VALIDATOR = _validator(_SINGLE_SCHEMA)
+_PRESET_VALIDATOR = _validator(_PRESET_SCHEMA)
+
+
 @dataclass
 class RunConfig:
     """Validated, default-filled description of what to execute."""
@@ -241,13 +252,11 @@ def parse_config(doc, source: str = "<config>") -> RunConfig:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{source}: not valid JSON: {exc}") from None
-    schema = _PRESET_SCHEMA if "experiments" in doc else _SINGLE_SCHEMA
-    try:
-        jsonschema.validate(doc, schema)
-    except jsonschema.ValidationError as exc:
-        raise ConfigurationError(
-            f"{source}: {_schema_path(exc)}: {exc.message}"
-        ) from None
+    validator = _PRESET_VALIDATOR if "experiments" in doc else _SINGLE_VALIDATOR
+    # the error jsonschema.validate would raise, without checking the schema again
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is not None:
+        raise ConfigurationError(f"{source}: {_schema_path(error)}: {error.message}")
 
     if "experiments" in doc:
         exp_docs = doc["experiments"]

@@ -46,7 +46,7 @@ from .schemes import SchemeConfig, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
 # Bump when a solver change invalidates previously cached references.
-_CACHE_TAG = "ntc-4"
+_CACHE_TAG = "ntc-5"
 
 
 def _tagged_digest(doc) -> str:
@@ -297,17 +297,26 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
+def _box(rows: np.ndarray, widen: float) -> np.ndarray:
+    """[lo, hi] of every row, each side moved out by ``widen`` times the width."""
+    box = np.empty((rows.shape[0], 2))
+    rows.min(axis=1, out=box[:, 0])
+    rows.max(axis=1, out=box[:, 1])
+    if widen:
+        pad = widen * (box[:, 1] - box[:, 0])
+        box[:, 0] -= pad
+        box[:, 1] += pad
+    return box
+
+
 def state_bounds(model: ModelDef, values: np.ndarray, widen: float = 0.1) -> np.ndarray:
     """Per-species [lo, hi] box around the data, widened and range-clamped."""
-    lo = values.min(axis=1)
-    hi = values.max(axis=1)
-    pad = widen * (hi - lo)
-    lo, hi = lo - pad, hi + pad
+    box = _box(values, widen)
     if model.rho_min is not None:
-        lo = np.maximum(lo, model.rho_min)
+        np.maximum(box[:, 0], model.rho_min, out=box[:, 0])
     if model.rho_max is not None:
-        hi = np.minimum(hi, model.rho_max)
-    return np.stack([lo, hi], axis=1)
+        np.minimum(box[:, 1], model.rho_max, out=box[:, 1])
+    return box
 
 
 def nonlocal_bounds(model: ModelDef, values: np.ndarray, widen: float = 0.1) -> np.ndarray:
@@ -317,11 +326,7 @@ def nonlocal_bounds(model: ModelDef, values: np.ndarray, widen: float = 0.1) -> 
     integrand, so the data box of the convolved quantities bounds the
     nonlocal fields of the run.
     """
-    u = model.convolved_values(values)
-    lo = u.min(axis=1)
-    hi = u.max(axis=1)
-    pad = widen * (hi - lo)
-    return np.stack([lo - pad, hi + pad], axis=1)
+    return _box(model.convolved_values(values), widen)
 
 
 def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:

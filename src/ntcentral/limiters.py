@@ -8,10 +8,19 @@ import numpy as np
 
 
 def minmod(a, b):
-    """Classic two-argument minmod: smaller-magnitude argument if signs agree, else 0."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return np.where(a * b > 0.0, np.where(np.abs(a) < np.abs(b), a, b), 0.0)
+    """Classic two-argument minmod: smaller-magnitude argument if signs agree, else 0.
+
+    Written as two clamps, max(min(a, b), 0) + min(max(a, b), 0): when the
+    signs agree one clamp keeps the smaller magnitude and the other gives
+    +0, and when they differ both give 0.
+    """
+    lo = np.minimum(a, b, dtype=float)
+    hi = np.maximum(a, b, dtype=float)
+    if lo.ndim == 0:
+        return np.maximum(lo, 0.0) + np.minimum(hi, 0.0)
+    np.maximum(lo, 0.0, out=lo)
+    np.minimum(hi, 0.0, out=hi)
+    return np.add(lo, hi, out=lo)
 
 
 def minmod3(a, b, c):
@@ -57,6 +66,5 @@ def limited_difference(fwd, bwd, dx: float, clip: ClipConfig = NO_CLIP):
 
 def slopes_of_extended(a_ext: np.ndarray, dx: float, clip: ClipConfig = NO_CLIP):
     """Limited slopes of an already ghost-extended array; loses one entry per side."""
-    fwd = a_ext[..., 2:] - a_ext[..., 1:-1]
-    bwd = a_ext[..., 1:-1] - a_ext[..., :-2]
-    return limited_difference(fwd, bwd, dx, clip)
+    d = a_ext[..., 1:] - a_ext[..., :-1]
+    return limited_difference(d[..., 1:], d[..., :-1], dx, clip)

@@ -121,8 +121,8 @@ def _lattice(lo: float, hi: float, n: int = 41) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _absmax(box_row) -> float:
-    return float(np.max(np.abs(box_row)))
+def _absmax(lo: float, hi: float) -> float:
+    return max(abs(lo), abs(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def make_keyfitz_kranzer(eta: float = 1.0) -> ModelDef:
         w = 1.0 - a**2 - b**2
         l_rho = np.max(np.abs(w**3))
         grad_sum = 6.0 * (np.abs(a) + np.abs(b)) * w**2
-        l_r = max(_absmax(sbox[0]), _absmax(sbox[1])) * np.max(grad_sum)
+        l_r = max(_absmax(*sbox[0]), _absmax(*sbox[1])) * np.max(grad_sum)
         return float(max(l_rho, l_r))
 
     return ModelDef(
@@ -193,11 +193,16 @@ def make_arrhenius(eta: float = 0.2, kernel: str = "constant") -> ModelDef:
         return -np.exp(-R[0])[None, :]
 
     def lip_flux(sbox, nbox):
-        r = _lattice(*sbox[0], 201)
+        # exact maxima over [lo, hi]: |1 - 2r| is convex, so it peaks at an
+        # end; r (1 - r) peaks at r = 1/2, or at an end if 1/2 lies outside
+        lo, hi = sbox[0].tolist()
         vmax = float(np.exp(-min(nbox[0])))
-        l_rho = np.max(np.abs(1.0 - 2.0 * r)) * vmax
-        l_r = np.max(np.abs(r * (1.0 - r))) * vmax
-        return float(max(l_rho, l_r))
+        l_rho = max(abs(1.0 - 2.0 * lo), abs(1.0 - 2.0 * hi)) * vmax
+        if lo <= 0.5 <= hi:
+            l_r = 0.25 * vmax
+        else:
+            l_r = max(abs(lo * (1.0 - lo)), abs(hi * (1.0 - hi))) * vmax
+        return max(l_rho, l_r)
 
     return ModelDef(
         name="arrhenius",
@@ -245,9 +250,9 @@ def make_multilane(eta: float = 0.5) -> ModelDef:
         return (lambda r: r, V, grad_V)
 
     def lip_flux(sbox, nbox):
-        rmax = max(_absmax(nbox[0]), _absmax(nbox[1]))
+        rmax = max(_absmax(*nbox[0]), _absmax(*nbox[1]))
         v_abs = max(abs(1.0 - lo**2) for lo in (0.0, rmax))
-        pmax = max(_absmax(sbox[0]), _absmax(sbox[1]))
+        pmax = max(_absmax(*sbox[0]), _absmax(*sbox[1]))
         return float(max(v_abs, 2.0 * rmax * pmax))
 
     def lip_source(sbox, nbox):
@@ -309,11 +314,11 @@ def make_nonlocal_euler(eta: float = 0.05) -> ModelDef:
     )
 
     def lip_flux(sbox, nbox):
-        return float(max(_absmax(nbox[0]), _absmax(sbox[0]), _absmax(sbox[1])))
+        return float(max(_absmax(*nbox[0]), _absmax(*sbox[0]), _absmax(*sbox[1])))
 
     def lip_source(sbox, nbox):
         span = (nbox[0][1] - nbox[0][0]) + (sbox[1][1] - sbox[1][0])
-        return float(max(span, _absmax(sbox[0])))
+        return float(max(span, _absmax(*sbox[0])))
 
     return ModelDef(
         name="nonlocal-euler",
@@ -360,7 +365,7 @@ def make_garz(eta: float = 0.1, kernel: str = "linear") -> ModelDef:
         return q * R[0]
 
     def lip_flux(sbox, nbox):
-        return float(max(_absmax(nbox[0]), _absmax(sbox[0]), _absmax(sbox[1])))
+        return float(max(_absmax(*nbox[0]), _absmax(*sbox[0]), _absmax(*sbox[1])))
 
     return ModelDef(
         name="garz",

@@ -6,6 +6,16 @@ for flux and source, a staggered full-step average, and a projection back to
 the original cells.  The nonlocal fields are frozen quadrature bands applied
 to the reconstruction, with their own predicted half-step values.
 
+The projection reads only the staggered averages A and their limited slopes
+A' (the non-staggered central form of Jiang, Levy, Lin, Osher and Tadmor,
+1998):
+
+    u_j = (A_{j+1/2} + A_{j-1/2}) / 2 - (dx / 8) (A'_{j+1/2} - A'_{j-1/2})
+
+Expanded in the cell values, slopes, half-step fluxes and sources the same
+update has many more terms, which telescope to this; the round-off moved
+when this form came in, and the reference cache tag became ``ntc-5``.
+
 Ghost handling happens once per step (or per stage): the incoming state is
 extended by the boundary condition with enough margin for the local
 stencils, and every local field downstream is produced by pure slicing.  The
@@ -87,48 +97,43 @@ def staggered_predictor(
     cells: np.ndarray,
     slopes: np.ndarray,
     flux_half: np.ndarray,
-    source_half: np.ndarray,
+    source_half: np.ndarray | None,
     dt: float,
     dx: float,
 ) -> np.ndarray:
     """Staggered full-step averages at the interfaces between adjacent cells.
 
     Input arrays share the last-axis length M; the result has length M - 1,
-    entry i sitting on the interface between cells i and i + 1.
+    entry i sitting on the interface between cells i and i + 1.  A
+    ``source_half`` of None stands for a model without source terms.
     """
     lam = dt / dx
-    return (
+    out = (
         0.5 * (cells[..., :-1] + cells[..., 1:])
         + (dx / 8.0) * (slopes[..., :-1] - slopes[..., 1:])
         - lam * (flux_half[..., 1:] - flux_half[..., :-1])
-        + 0.5 * dt * (source_half[..., 1:] + source_half[..., :-1])
     )
+    if source_half is not None:
+        out += 0.5 * dt * (source_half[..., 1:] + source_half[..., :-1])
+    return out
 
 
 def nonstaggered_projection(
-    cells: np.ndarray,
-    slopes: np.ndarray,
-    stag_slopes: np.ndarray,
-    flux_half: np.ndarray,
-    source_half: np.ndarray,
-    dt: float,
-    dx: float,
+    stag: np.ndarray, stag_slopes: np.ndarray, dx: float
 ) -> np.ndarray:
     """Project the staggered solution back onto the original cells.
 
-    Cellwise arrays have length M (one ghost cell each side of the output
-    range); ``stag_slopes`` has length M - 1 with entry i on the interface
-    between cells i and i + 1.  The result has length M - 2.
+    ``stag`` and ``stag_slopes`` hold the staggered averages A and their
+    limited slopes A' on M consecutive interfaces; the result has length
+    M - 1, entry j on the cell between interfaces j and j + 1:
+
+        u_j = (A_{j+1/2} + A_{j-1/2}) / 2 - (dx / 8) (A'_{j+1/2} - A'_{j-1/2})
+
+    the cell average of the piecewise-linear reconstruction on the
+    staggered cells, whose halves cover the cell.
     """
-    lam = dt / dx
-    return (
-        0.25 * (cells[..., :-2] + 2.0 * cells[..., 1:-1] + cells[..., 2:])
-        - (dx / 16.0) * (slopes[..., 2:] - slopes[..., :-2])
-        - (dx / 8.0) * (stag_slopes[..., 1:] - stag_slopes[..., :-1])
-        - 0.5 * lam * (flux_half[..., 2:] - flux_half[..., :-2])
-        + 0.25
-        * dt
-        * (source_half[..., 2:] + 2.0 * source_half[..., 1:-1] + source_half[..., :-2])
+    return 0.5 * (stag[..., 1:] + stag[..., :-1]) - (dx / 8.0) * (
+        stag_slopes[..., 1:] - stag_slopes[..., :-1]
     )
 
 
@@ -313,25 +318,29 @@ class Stepper:
         if cfg.slope_variant == "v2":
             dR_ms = self._nonlocal_dx(us, sus, PV, PV - 1, MS)
             sigma = np.empty_like(v_ms)
+            factors = {}  # species sharing (V, grad_V) share V(R) and its derivative
             for k in range(model.n_species):
                 g, V, grad_V = model.product_form[k]
-                dg = slopes_of_extended(g(v_mr[k]), dx)
-                sigma[k] = dg * V(R_ms) + g(v_ms[k]) * (grad_V(R_ms) * dR_ms).sum(
-                    axis=0
-                )
+                if (V, grad_V) not in factors:
+                    factors[V, grad_V] = (V(R_ms), (grad_V(R_ms) * dR_ms).sum(axis=0))
+                V_ms, dV_ms = factors[V, grad_V]
+                g_mr = g(v_mr[k])
+                dg = slopes_of_extended(g_mr, dx)
+                sigma[k] = dg * V_ms + _crop(g_mr, MR, MS) * dV_ms
         else:
             F_mr = self._flux(v_mr, R_mr)
             sigma = slopes_of_extended(F_mr, dx, cfg.clip)
 
-        S_ms = model.eval_source(v_ms, R_ms)
-        sms = S_ms - sigma
+        sourced = model.source is not None
+        S_ms = model.source(v_ms, R_ms) if sourced else None
+        sms = (S_ms if sourced else 0.0) - sigma
 
         # predict cell averages and nonlocal fields at the half step
         Rt = self._nonlocal_dt(v_ms, sms, MS, MH)
         v_h = half_step(_crop(v_ms, MS, MH), _crop(sms, MS, MH), dt)
         R_h = _crop(R_mr, MR, MH) + 0.5 * dt * Rt
         F_h = self._flux(v_h, R_h)
-        S_h = model.eval_source(v_h, R_h)
+        S_h = model.source(v_h, R_h) if sourced else None
 
         # staggered averages and their limited slopes
         c3 = _crop(vP, PV, MH)
@@ -339,17 +348,12 @@ class Stepper:
         A = staggered_predictor(c3, s3, F_h, S_h, dt, dx)
         ss = slopes_of_extended(A, dx, cfg.clip)  # interfaces j+1/2, j in [-2, J+1)
 
-        new = nonstaggered_projection(
-            _crop(c3, MH, 1),
-            _crop(s3, MH, 1),
-            ss[..., 1 : J + 2],
-            _crop(F_h, MH, 1),
-            _crop(S_h, MH, 1),
-            dt,
-            dx,
-        )
+        # interfaces j-1/2, j in [0, J]: A from index 2, ss from index 1
+        new = nonstaggered_projection(A[..., 2 : J + 3], ss[..., 1 : J + 2], dx)
         if not collect:
             return new, None
+        if not sourced:
+            S_ms, S_h = np.zeros_like(v_ms), np.zeros_like(v_h)
         fields = {
             "margin": MH,
             "values": c3,

@@ -250,3 +250,29 @@ def test_duplicate_experiment_labels_rejected():
     }
     with pytest.raises(ConfigurationError, match="distinct labels"):
         parse_config(doc, "dup")
+
+
+def test_bad_preset_message_is_the_best_match():
+    # the message names the error jsonschema.best_match ranks first, as
+    # jsonschema.validate raises it; each case has more than one error, and in
+    # the last one the first error found is not the best match
+    cases = [
+        (
+            {"T": "long", "schemes": [{"scheme": "weno"}]},
+            "$.experiments[0].T: 'long' is not of type 'number'",
+        ),
+        (
+            {"bc": "reflective"},
+            "$.experiments[0].bc: 'reflective' is not one of ['periodic', 'constant', 'zero']",
+        ),
+        (
+            {"domain": ["a", 1.0, 2.0]},
+            "$.experiments[0].domain: ['a', 1.0, 2.0] is too long",
+        ),
+    ]
+    for change, message in cases:
+        doc = load_preset("fig-garz")
+        doc["experiments"][0].update(change)
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(doc, "fig-garz.json")
+        assert str(err.value) == f"fig-garz.json: {message}"

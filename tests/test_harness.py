@@ -170,6 +170,54 @@ def test_derived_time_ratio_passes_the_cfl_monitor(preset):
                 assert ratio <= CFL_LIMIT, (exp.name, bc, spec.name, ratio / CFL_LIMIT)
 
 
+MODEL_NAMES = ("keyfitz-kranzer", "arrhenius", "multilane", "nonlocal-euler", "garz")
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_cfl_monitor_is_the_bound_on_the_unwidened_boxes(name, rng):
+    # random data, part of it outside [rho_min, rho_max], so the clamps act
+    model = make_model(name)
+    for cells in (1, 7, 160):
+        for spread in (1e-9, 0.3, 1.0):
+            v = 0.5 + spread * rng.uniform(-1.0, 1.0, (model.n_species, cells))
+            bound = model.lip_flux(
+                state_bounds(model, v, widen=0.0), nonlocal_bounds(model, v, widen=0.0)
+            )
+            assert flux_speed_estimate(model, v) == bound, (cells, spread)
+
+
+def lattice_lip_flux_arrhenius(sbox, nbox):
+    """Arrhenius' flux bound as the maximum over a 201-point lattice of sbox[0]."""
+    r = np.linspace(*sbox[0], 201)
+    vmax = float(np.exp(-min(nbox[0])))
+    l_rho = np.max(np.abs(1.0 - 2.0 * r)) * vmax
+    l_r = np.max(np.abs(r * (1.0 - r))) * vmax
+    return float(max(l_rho, l_r))
+
+
+def test_arrhenius_flux_bound_covers_the_lattice_maximum(rng):
+    # the exact maximum over the box is at least the lattice's and at most the
+    # lattice's plus vmax h^2 / 4, h the lattice step: r (1 - r) drops by
+    # (r - 1/2)^2 from its peak, and a lattice point lies within h / 2 of it
+    model = make_model("arrhenius")
+    for width in (1.0, 0.1, 1e-4, 1e-7, 1e-9, 1e-12, 1e-15, 0.0):
+        for _ in range(400):
+            # boxes anywhere in [0, 1], and boxes around 1/2 where r (1 - r) is flat
+            mid = rng.uniform(0.0, 1.0) if rng.random() < 0.5 else 0.5 + width * rng.normal()
+            lo = max(mid - width * rng.random(), 0.0)
+            hi = max(lo, min(mid + width * rng.random(), 1.0))
+            sbox = np.array([[lo, hi]])
+            nbox = np.array([[rng.uniform(-1.0, 1.0), 1.0]])
+            bound = model.lip_flux(sbox, nbox)
+            lattice = lattice_lip_flux_arrhenius(sbox, nbox)
+            vmax = np.exp(-nbox[0, 0])
+            slack = vmax * ((hi - lo) / 200) ** 2 / 4
+            assert lattice * (1 - 1e-15) <= bound <= lattice * (1 + 1e-15) + slack, (
+                width,
+                sbox,
+            )
+
+
 # -- restriction and norms -----------------------------------------------------
 
 

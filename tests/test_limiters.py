@@ -98,3 +98,34 @@ def test_staggered_slopes_shape():
     s = slopes_of_extended(extend_array(a, 1, 1, PER), 1.0)
     assert s.shape == (1, 5)
     np.testing.assert_allclose(s[0, 1], 0.0)  # extremum cell
+
+
+def test_minmod_signed_zeros_give_positive_zero():
+    for a, b in [(0.0, -0.0), (-0.0, -0.0), (-0.0, 2.0), (-3.0, -0.0), (0.0, 0.0)]:
+        m = minmod(np.array([a]), np.array([b]))
+        assert m[0] == 0.0 and not np.signbit(m[0]), (a, b)
+        assert minmod(a, b) == 0.0 and not np.signbit(minmod(a, b)), (a, b)
+
+
+def test_minmod_keeps_arguments_whose_product_underflows():
+    # a * b is 0 in floating point here, but the signs agree
+    a = np.array([1e-170, -1e-170])
+    np.testing.assert_array_equal(minmod(a, a * np.array([2.0, 3.0])), a)
+    assert minmod(1e-170, 3e-170) == 1e-170
+
+
+def test_minmod_equal_magnitudes():
+    a = np.array([2.5, -2.5, 2.5, -2.5])
+    b = np.array([2.5, -2.5, -2.5, 2.5])
+    np.testing.assert_array_equal(minmod(a, b), [2.5, -2.5, 0.0, 0.0])
+
+
+def test_minmod_scalar_and_broadcast_inputs():
+    assert np.ndim(minmod(1.0, 2.0)) == 0
+    assert minmod(-4, -7) == -4.0
+    np.testing.assert_array_equal(minmod(np.array([1.0, -2.0, 3.0]), 2.0), [1.0, 0.0, 2.0])
+    # the arguments are not written to
+    a, b = np.array([1.0, -1.0]), np.array([0.5, -3.0])
+    minmod(a, b)
+    np.testing.assert_array_equal(a, [1.0, -1.0])
+    np.testing.assert_array_equal(b, [0.5, -3.0])
