@@ -18,6 +18,7 @@ from importlib import resources
 
 import jsonschema
 
+from .core import BoundaryCondition
 from .errors import ConfigurationError, NumericsError, SolverError
 from .harness import (
     CONVERGENCE_CSV_HEADER,
@@ -27,16 +28,17 @@ from .harness import (
     _atomic_write,
     compute_reference,
     convergence_study,
+    csv_table,
     resolve_profiles,
     resolve_time_ratio,
     restrict_values,
     run_simulation,
     snapshot_columns,
-    snapshot_csv,
 )
 from .kernels import build_weights
 from .limiters import NO_CLIP, ClipConfig
 from .models import MODEL_FACTORIES, make_model
+from .schemes import SCHEMES, SLOPE_VARIANTS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -55,8 +57,8 @@ _SCHEME_SCHEMA = {
     "additionalProperties": False,
     "required": ["scheme"],
     "properties": {
-        "scheme": {"enum": ["nt", "lxf1", "lxf2"]},
-        "slope_variant": {"enum": ["v1", "v2"]},
+        "scheme": {"enum": list(SCHEMES)},
+        "slope_variant": {"enum": list(SLOPE_VARIANTS)},
         "theta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
         "label": {"type": "string", "minLength": 1},
     },
@@ -81,7 +83,7 @@ _EXPERIMENT_PROPERTIES = {
         "minItems": 2,
         "maxItems": 2,
     },
-    "bc": {"enum": ["periodic", "constant", "zero"]},
+    "bc": {"enum": [b.value for b in BoundaryCondition]},
     "base_dx": {"type": "number", "exclusiveMinimum": 0},
     "level": {"type": "integer", "minimum": 0},
     "levels": {
@@ -90,7 +92,7 @@ _EXPERIMENT_PROPERTIES = {
         "minItems": 1,
     },
     "reference_level": {"type": "integer", "minimum": 1},
-    "reference_variant": {"enum": ["v1", "v2"]},
+    "reference_variant": {"enum": list(SLOPE_VARIANTS)},
     "time_ratio": {"type": "number", "exclusiveMinimum": 0},
     "schemes": {"type": "array", "items": _SCHEME_SCHEMA, "minItems": 1},
     "clip": {
@@ -306,29 +308,15 @@ def load_preset(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
-def _monitor_csv(species, log: MonitorLog) -> str:
-    header = ["t"]
-    for sp in species:
-        header += [f"mass:{sp}", f"min:{sp}", f"max:{sp}", f"tv:{sp}"]
-    lines = [",".join(header)]
-    times, mass, vmin, vmax, tv = log.times, log.mass, log.vmin, log.vmax, log.tv
-    for i in range(log.n_records):
-        row = [_fmt(times[i])]
-        for k in range(len(species)):
-            row += [_fmt(mass[i, k]), _fmt(vmin[i, k]), _fmt(vmax[i, k]), _fmt(tv[i, k])]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
-def _table_csv(columns: "list[tuple[str, object]]", n_rows: int) -> str:
-    lines = [",".join(name for name, _ in columns)]
-    for i in range(n_rows):
-        lines.append(",".join(_fmt(col[i]) for _, col in columns))
-    return "\n".join(lines) + "\n"
+def _monitor_columns(species, log: MonitorLog):
+    """(header, columns) of a monitor table: time, then four per species."""
+    header, columns = ["t"], [log.times]
+    series = (("mass", log.mass), ("min", log.vmin), ("max", log.vmax), ("tv", log.tv))
+    for k, sp in enumerate(species):
+        for name, values in series:
+            header.append(f"{name}:{sp}")
+            columns.append(values[:, k])
+    return header, columns
 
 
 def _out_path(cfg: RunConfig, *parts: str) -> str:
@@ -348,7 +336,7 @@ def _emit(path: str, text: str, verbose: bool):
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(cfg: RunConfig, strict_cfl: bool = False, threads: int | None = None) -> int:
+def cmd_run(cfg: RunConfig, strict_cfl: bool = False) -> int:
     for exp in cfg.experiments:
         model = exp.build_model()
         lam = resolve_time_ratio(exp, model)
@@ -360,12 +348,12 @@ def cmd_run(cfg: RunConfig, strict_cfl: bool = False, threads: int | None = None
             )
             _emit(
                 _out_path(cfg, cfg.name, exp.name, spec.name),
-                snapshot_csv(model, grid, state.values),
+                csv_table(*snapshot_columns(model, grid, state.values)),
                 cfg.verbose,
             )
             _emit(
                 _out_path(cfg, cfg.name, exp.name, spec.name, "monitor"),
-                _monitor_csv(model.species, log),
+                csv_table(*_monitor_columns(model.species, log)),
                 cfg.verbose,
             )
     return EXIT_OK
@@ -386,31 +374,29 @@ def cmd_converge(
     return EXIT_OK
 
 
-def cmd_compare(
-    cfg: RunConfig, strict_cfl: bool = False, threads: int | None = None
-) -> int:
+def cmd_compare(cfg: RunConfig, strict_cfl: bool = False) -> int:
     for exp in cfg.experiments:
         model = exp.build_model()
         lam = resolve_time_ratio(exp, model)
         level = exp.levels[0]
         grid = exp.grid_at(level)
-        columns: list[tuple[str, object]] = [("x", grid.centers)]
+        names, columns = ["x"], [grid.centers]
         for spec in exp.schemes:
             state, _ = run_simulation(
                 exp, level, spec, strict_cfl=strict_cfl, record=False, time_ratio=lam
             )
             header, cols = snapshot_columns(model, grid, state.values)
-            columns += [
-                (f"{spec.name}:{h}", c) for h, c in zip(header[1:], cols[1:])
-            ]
+            names += [f"{spec.name}:{h}" for h in header[1:]]
+            columns += cols[1:]
         reference = compute_reference(exp, lam)
         factor = 2 ** (exp.reference_level - level)
         ref_coarse = restrict_values(reference, factor)
         header, cols = snapshot_columns(model, grid, ref_coarse)
-        columns += [(f"reference:{h}", c) for h, c in zip(header[1:], cols[1:])]
+        names += [f"reference:{h}" for h in header[1:]]
+        columns += cols[1:]
         _emit(
             _out_path(cfg, cfg.name, exp.name),
-            _table_csv(columns, grid.cells),
+            csv_table(names, columns),
             cfg.verbose,
         )
     return EXIT_OK
@@ -454,8 +440,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: config or '.')")
         p.add_argument("--strict-cfl", action="store_true",
                        help="abort when the runtime CFL estimate is exceeded")
-        p.add_argument("--threads", type=int, default=None,
-                       help="parallel (scheme, level) runs in studies")
+        if name == "converge":
+            p.add_argument("--threads", type=int, default=None,
+                           help="parallel (scheme, level) runs, at least 1")
     sub.add_parser("list-models", help="list the model zoo")
     sub.add_parser("list-presets", help="list packaged presets")
     return parser
@@ -492,10 +479,10 @@ def main(argv=None) -> int:
         if args.command == "list-presets":
             return cmd_list_presets()
         cfg = _load_config(args)
-        handler = {"run": cmd_run, "converge": cmd_converge, "compare": cmd_compare}[
-            args.command
-        ]
-        return handler(cfg, strict_cfl=args.strict_cfl, threads=args.threads)
+        if args.command == "converge":
+            return cmd_converge(cfg, args.strict_cfl, args.threads)
+        handler = cmd_run if args.command == "run" else cmd_compare
+        return handler(cfg, args.strict_cfl)
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

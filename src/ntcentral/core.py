@@ -1,4 +1,4 @@
-"""Grids, states, boundary handling, time-step control and basic diagnostics.
+"""Grids, states, boundary handling, the CFL step size and basic diagnostics.
 
 All solution data lives in plain ``(n_species, n_cells)`` float64 arrays of
 cell averages.  Boundary conditions are realised by padding those arrays with
@@ -24,6 +24,9 @@ from .errors import ConfigurationError, InputDataError, ModelDefinitionError
 #: predictor/projection stepper.  The first-order schemes run under the same
 #: bound so that scheme comparisons share one time step.
 CFL_LIMIT = (math.sqrt(2.0) - 1.0) / 2.0
+#: The positivity result's split of that bound into a flux part KAPPA and a
+#: source part TAU, fixed by the analysis: KAPPA + TAU = CFL_LIMIT.
+KAPPA = TAU = CFL_LIMIT / 2.0
 
 # Fixed 5-point Gauss-Legendre rule per cell for initial-data projection.
 # Order 10 keeps the initialisation error far below the scheme error; for
@@ -116,53 +119,21 @@ class SystemState:
         return SystemState(self.values.copy(), self.time)
 
 
-@dataclass(frozen=True)
-class TimeController:
-    """Fixed-ratio time stepping under a hyperbolic CFL bound.
-
-    In the default flux-only mode the step is
-    ``dt = safety * cfl_limit * dx / L_F``.  In positivity mode the limit is
-    split between flux and source contributions,
-    ``dt = safety * min(kappa * dx / L_F, 2 * tau / L_S)`` with
-    ``kappa + tau <= cfl_limit``, which keeps nonnegative data nonnegative
-    for models whose sources vanish at the vacuum state.
-    """
-
-    t_final: float
-    cfl_limit: float = CFL_LIMIT
-    safety: float = 1.0
-    positivity: bool = False
-    kappa: float = CFL_LIMIT / 2.0
-    tau: float = CFL_LIMIT / 2.0
-
-    def __post_init__(self):
-        if self.t_final < 0.0:
-            raise ConfigurationError(f"t_final must be >= 0, got {self.t_final}")
-        if not (0.0 < self.safety <= 1.0):
-            raise ConfigurationError(
-                f"CFL safety factor must lie in (0, 1], got {self.safety}"
-            )
-        if not (0.0 < self.cfl_limit):
-            raise ConfigurationError("cfl_limit must be positive")
-        if self.positivity:
-            if self.kappa <= 0.0 or self.tau < 0.0:
-                raise ConfigurationError("positivity mode needs kappa > 0, tau >= 0")
-            if self.kappa + self.tau > self.cfl_limit * (1.0 + 1e-12):
-                raise ConfigurationError(
-                    f"kappa + tau = {self.kappa + self.tau} exceeds the CFL "
-                    f"limit {self.cfl_limit}"
-                )
-
-
 def max_stable_dt(
-    controller: TimeController,
-    grid: Grid,
+    dx: float,
     lip_flux: float,
     lip_source: float | None = None,
-    t_now: float = 0.0,
+    positivity: bool = False,
+    safety: float = 1.0,
 ) -> float:
-    """Largest admissible time step at ``t_now``, clamped to land on t_final.
+    """Largest admissible time step on a grid of spacing ``dx``.
 
+    In the default flux-only mode the step is
+    ``dt = safety * CFL_LIMIT * dx / L_F``.  In positivity mode the limit is
+    split between flux and source contributions,
+    ``dt = safety * min(KAPPA * dx / L_F, 2 * TAU / L_S)``, which keeps
+    nonnegative data nonnegative for models whose sources vanish at the
+    vacuum state.
     ``lip_flux``/``lip_source`` are Lipschitz bounds of the flux and source
     over the admissible state box of the run.
     """
@@ -170,17 +141,13 @@ def max_stable_dt(
         raise ModelDefinitionError(
             f"flux Lipschitz bound must be positive and finite, got {lip_flux}"
         )
-    if controller.positivity:
-        dt = controller.kappa * grid.dx / lip_flux
+    if positivity:
+        dt = KAPPA * dx / lip_flux
         if lip_source:
-            dt = min(dt, 2.0 * controller.tau / lip_source)
+            dt = min(dt, 2.0 * TAU / lip_source)
     else:
-        dt = controller.cfl_limit * grid.dx / lip_flux
-    dt *= controller.safety
-    remaining = controller.t_final - t_now
-    if remaining <= 0.0:
-        return 0.0
-    return min(dt, remaining)
+        dt = CFL_LIMIT * dx / lip_flux
+    return dt * safety
 
 
 # extended lengths up to which a periodic extension by index beats slicing

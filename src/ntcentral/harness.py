@@ -27,7 +27,6 @@ from .core import (
     BoundaryCondition,
     Grid,
     SystemState,
-    TimeController,
     init_cell_averages,
     max_stable_dt,
     total_mass,
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .limiters import NO_CLIP, ClipConfig
 from .models import ModelDef, make_model
-from .schemes import SchemeConfig, Stepper
+from .schemes import SchemeSpec, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
 # Bump when a solver change invalidates previously cached references.
@@ -161,51 +160,14 @@ def resolve_profiles(spec):
 
 
 @dataclass(frozen=True)
-class SchemeSpec:
-    """Serializable selection of one scheme column in a study."""
-
-    scheme: str = "nt"
-    slope_variant: str = "v1"
-    theta: float | None = None
-    label: str | None = None
-
-    def __post_init__(self):
-        # constructing a SchemeConfig validates every field
-        self.config()
-
-    def config(self, clip: ClipConfig = NO_CLIP) -> SchemeConfig:
-        return SchemeConfig(
-            scheme=self.scheme,
-            slope_variant=self.slope_variant,
-            theta=self.theta,
-            clip=clip,
-        )
-
-    @property
-    def name(self) -> str:
-        if self.label:
-            return self.label
-        if self.scheme == "nt":
-            return f"nt-{self.slope_variant}"
-        return self.scheme
-
-    def canonical(self) -> dict:
-        d = {"scheme": self.scheme}
-        if self.scheme == "nt":
-            d["slope_variant"] = self.slope_variant
-        if self.theta is not None:
-            d["theta"] = self.theta
-        return d
-
-
-@dataclass(frozen=True)
 class Experiment:
     """One benchmark: model, data, domain, schemes, and refinement ladder.
 
     ``base_dx`` is the level-0 spacing; level ``n`` uses ``base_dx * 2**-n``.
     ``time_ratio`` fixes ``dt/dx`` for the whole family; when ``None`` it is
-    derived once from the CFL bound with the Lipschitz constant taken over a
-    slightly widened box around the initial data.
+    derived once from the CFL bound, scaled by ``safety`` in (0, 1], with the
+    Lipschitz constant taken over a slightly widened box around the initial
+    data.
     """
 
     model: str
@@ -244,6 +206,10 @@ class Experiment:
         if self.time_ratio is not None and self.time_ratio <= 0.0:
             raise ConfigurationError(
                 f"time_ratio must be positive, got {self.time_ratio}"
+            )
+        if not (0.0 < self.safety <= 1.0):
+            raise ConfigurationError(
+                f"CFL safety factor must lie in (0, 1], got {self.safety}"
             )
         BoundaryCondition.parse(self.bc)
         if not self.schemes:
@@ -358,13 +324,7 @@ def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
     nbox = nonlocal_bounds(model, values)
     lip_f = model.lip_flux(sbox, nbox)
     lip_s = model.lip_source(sbox, nbox) if model.lip_source is not None else None
-    controller = TimeController(
-        t_final=exp.t_final,
-        safety=exp.safety,
-        positivity=exp.positivity,
-    )
-    # leave the final-time clamp out of the ratio: pass t_now far from t_final
-    dt = max_stable_dt(controller, grid, lip_f, lip_s, t_now=-math.inf)
+    dt = max_stable_dt(grid.dx, lip_f, lip_s, exp.positivity, exp.safety)
     return dt / grid.dx
 
 
@@ -398,9 +358,8 @@ class MonitorLog:
         self._vmin: list[np.ndarray] = []
         self._vmax: list[np.ndarray] = []
         self._tv: list[np.ndarray] = []
-        self._entropy: list[float] = []
 
-    def record(self, t: float, values: np.ndarray, entropy: float | None = None):
+    def record(self, t: float, values: np.ndarray):
         if self._times and not t > self._times[-1]:
             raise InputDataError(
                 f"monitor timestamps must increase: {t} after {self._times[-1]}"
@@ -411,8 +370,6 @@ class MonitorLog:
         self._vmin.append(values.min(axis=1))
         self._vmax.append(values.max(axis=1))
         self._tv.append(total_variation(state, self.bc))
-        if entropy is not None:
-            self._entropy.append(float(entropy))
 
     @property
     def n_records(self) -> int:
@@ -437,10 +394,6 @@ class MonitorLog:
     @property
     def tv(self) -> np.ndarray:
         return np.asarray(self._tv)
-
-    @property
-    def entropy(self) -> np.ndarray:
-        return np.asarray(self._entropy)
 
     def relative_mass_drift(self) -> float:
         """Worst relative change of any species mass over the record."""
@@ -485,7 +438,7 @@ def run_simulation(
         )
     grid = exp.grid_at(level)
     spec = scheme if scheme is not None else exp.schemes[0]
-    stepper = Stepper(model, grid, exp.bc, spec.config(exp.clip))
+    stepper = Stepper(model, grid, exp.bc, spec, exp.clip)
     lam = time_ratio if time_ratio is not None else resolve_time_ratio(exp, model)
 
     limit = CFL_LIMIT  # the stability bound itself, not the safety-scaled target
@@ -684,6 +637,8 @@ def convergence_study(
     """
     if len(exp.levels) < 2:
         raise ConfigurationError("a convergence study needs at least two levels")
+    if threads is not None and threads < 1:
+        raise ConfigurationError(f"threads must be at least 1, got {threads}")
     model = exp.build_model()
     lam = resolve_time_ratio(exp, model)
     reference = compute_reference(exp, lam, use_cache)
@@ -758,11 +713,14 @@ def snapshot_columns(model: ModelDef, grid: Grid, values: np.ndarray):
     return header, columns
 
 
-def snapshot_csv(model: ModelDef, grid: Grid, values: np.ndarray) -> str:
-    header, columns = snapshot_columns(model, grid, values)
+def csv_table(header, columns) -> str:
+    """CSV text of equal-length float columns, each value as ``repr(float)``.
+
+    The shortest round-trip form makes repeated runs byte-identical.
+    """
     lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(repr(float(v)) for v in row))
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    lines += map(",".join, zip(*cells))
     return "\n".join(lines) + "\n"
 
 
@@ -793,8 +751,7 @@ def entropy_residual(
         raise ConfigurationError(
             "the discrete entropy residual is only defined for scalar models"
         )
-    cfg = SchemeConfig(scheme="nt", slope_variant=slope_variant, clip=clip)
-    stepper = Stepper(model, grid, bc, cfg)
+    stepper = Stepper(model, grid, bc, SchemeSpec("nt", slope_variant), clip)
     flux0 = model.flux[0]
     dx = grid.dx
     dt0 = time_ratio * dx

@@ -47,7 +47,6 @@ class KernelSpec:
     omega: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     omega_prime: Callable[[np.ndarray], np.ndarray] | None = None
-    claims_unit_integral: bool = False
     name: str = "custom"
     normalization: float = 1.0  # factor already applied by normalize_kernel
 
@@ -85,7 +84,6 @@ def normalize_kernel(spec: KernelSpec, tol: float = 1e-10) -> KernelSpec:
         spec,
         omega=lambda x, _f=omega, _s=scale: _s * np.asarray(_f(x), dtype=float),
         omega_prime=new_prime,
-        claims_unit_integral=True,
         normalization=spec.normalization * scale,
     )
 
@@ -274,7 +272,6 @@ def _constant(eta: float) -> KernelSpec:
         omega=lambda x: np.full_like(np.asarray(x, dtype=float), 1.0 / eta),
         omega_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         support=(0.0, eta),
-        claims_unit_integral=True,
         name="constant",
     )
 
@@ -284,7 +281,6 @@ def _linear(eta: float) -> KernelSpec:
         omega=lambda x: (2.0 / eta) * (1.0 - np.asarray(x, dtype=float) / eta),
         omega_prime=lambda x: np.full_like(np.asarray(x, dtype=float), -2.0 / eta**2),
         support=(0.0, eta),
-        claims_unit_integral=True,
         name="linear",
     )
 
@@ -294,7 +290,6 @@ def _concave(eta: float) -> KernelSpec:
         omega=lambda x: 3.0 * (eta**2 - np.asarray(x, dtype=float) ** 2) / (2.0 * eta**3),
         omega_prime=lambda x: -3.0 * np.asarray(x, dtype=float) / eta**3,
         support=(0.0, eta),
-        claims_unit_integral=True,
         name="concave",
     )
 
@@ -304,7 +299,6 @@ def _symmetric_parabola(eta: float) -> KernelSpec:
         omega=lambda x: 3.0 * (eta**2 - np.asarray(x, dtype=float) ** 2) / (4.0 * eta**3),
         omega_prime=lambda x: -3.0 * np.asarray(x, dtype=float) / (2.0 * eta**3),
         support=(-eta, eta),
-        claims_unit_integral=True,
         name="symmetric-parabola",
     )
 

@@ -60,7 +60,6 @@ class ModelDef:
     lip_source: Callable | None = None
     rho_min: float | None = None
     rho_max: float | None = None
-    supports_v2: bool = True
     default_theta: float = 1.0
     #: extra cellwise outputs written next to the species in snapshots
     snapshot_fields: dict = field(default_factory=dict)
@@ -96,6 +95,11 @@ class ModelDef:
     @property
     def n_nonlocal(self) -> int:
         return len(self.kernels)
+
+    @property
+    def supports_v2(self) -> bool:
+        """Whether the product-rule slope variant v2 can run on this model."""
+        return self.product_form is not None
 
     def convolved_values(self, values: np.ndarray) -> np.ndarray:
         """Cellwise values of every convolved quantity, shape (m, n).
@@ -375,7 +379,6 @@ def make_garz(eta: float = 0.1, kernel: str = "linear") -> ModelDef:
         flux=(flux_rho, flux_q),
         lip_flux=lip_flux,
         rho_min=0.0,
-        supports_v2=False,
         snapshot_fields={
             "w": lambda values: values[1] / np.maximum(values[0], DENSITY_FLOOR)
         },

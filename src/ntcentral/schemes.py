@@ -1,5 +1,8 @@
 """Time steppers: second-order central scheme and Lax-Friedrichs baselines.
 
+A :class:`SchemeSpec` names the stepper (``nt``, ``lxf1`` or ``lxf2``) and
+its settings; ``Stepper(model, grid, bc, spec, clip)`` runs it on one grid.
+
 The central scheme advances cell averages without Riemann solvers in four
 moves: limited piecewise-linear reconstruction, a half-step Taylor predictor
 for flux and source, a staggered full-step average, and a projection back to
@@ -48,19 +51,21 @@ SLOPE_VARIANTS = ("v1", "v2")
 
 
 @dataclass(frozen=True)
-class SchemeConfig:
+class SchemeSpec:
     """Which stepper to run and how its slopes and diffusion are set.
 
     ``theta`` scales the numerical diffusion of the Lax-Friedrichs fluxes;
     ``None`` defers to the model default.  ``slope_variant`` selects between
     limiting the flux differences directly (v1) and the product-rule form
-    that differentiates the nonlocal factor exactly (v2).
+    that differentiates the nonlocal factor exactly (v2).  ``label`` names
+    the scheme's column in a study; by default it is ``nt-v1``, ``nt-v2``,
+    ``lxf1`` or ``lxf2``.
     """
 
     scheme: str = "nt"
     slope_variant: str = "v1"
     theta: float | None = None
-    clip: ClipConfig = NO_CLIP
+    label: str | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -76,6 +81,14 @@ class SchemeConfig:
             raise ConfigurationError(
                 f"theta must lie in (0, 1], got {self.theta}"
             )
+
+    @property
+    def name(self) -> str:
+        if self.label:
+            return self.label
+        if self.scheme == "nt":
+            return f"nt-{self.slope_variant}"
+        return self.scheme
 
 
 def _crop(a: np.ndarray, have: int, need: int) -> np.ndarray:
@@ -142,6 +155,8 @@ class Stepper:
 
     Builds the quadrature bands once at construction; ``step`` maps an
     (n_species, n_cells) array of cell averages over one time step.
+    ``scheme`` defaults to ``SchemeSpec()`` (nt-v1); ``clip`` sets the slope
+    limiter's clipping for every limited slope of the step.
     """
 
     def __init__(
@@ -149,27 +164,25 @@ class Stepper:
         model: ModelDef,
         grid: Grid,
         bc: "str | BoundaryCondition",
-        config: SchemeConfig | None = None,
+        scheme: SchemeSpec | None = None,
+        clip: ClipConfig = NO_CLIP,
     ):
         self.model = model
         self.grid = grid
         self.bc = BoundaryCondition.parse(bc)
-        self.config = config if config is not None else SchemeConfig()
+        self.spec = scheme if scheme is not None else SchemeSpec()
+        self.clip = clip
         self.theta = (
-            self.config.theta if self.config.theta is not None else model.default_theta
+            self.spec.theta if self.spec.theta is not None else model.default_theta
         )
         dx = grid.dx
         self.qw = tuple(build_weights(k, dx) for k in model.kernels)
         self.dw = None
-        if self.config.scheme == "nt" and self.config.slope_variant == "v2":
+        if self.spec.scheme == "nt" and self.spec.slope_variant == "v2":
             if not model.supports_v2:
                 raise ConfigurationError(
                     f"model {model.name!r} does not provide a product-form flux "
                     "split; use slope_variant='v1'"
-                )
-            if model.product_form is None:
-                raise ConfigurationError(
-                    f"model {model.name!r} has no product_form for slope_variant='v2'"
                 )
             self.dw = tuple(build_derivative_weights(k, dx) for k in model.kernels)
         # ghost cells the quadrature bands reach; none on the torus
@@ -294,7 +307,7 @@ class Stepper:
     # -- central scheme -----------------------------------------------------
 
     def _nt_step(self, v: np.ndarray, dt: float, collect: bool):
-        model, cfg = self.model, self.config
+        model, clip = self.model, self.clip
         dx = self.grid.dx
         nm = self.nmax
         PV = 5 + 2 * nm  # state pad
@@ -304,8 +317,8 @@ class Stepper:
         J = v.shape[-1]
 
         vP = extend_array(v, PV, PV, self.bc)
-        sP = slopes_of_extended(vP, dx, cfg.clip)  # margin PV - 1
-        us, sus = self._source_arrays(vP, sP, cfg.clip)
+        sP = slopes_of_extended(vP, dx, clip)  # margin PV - 1
+        us, sus = self._source_arrays(vP, sP, clip)
         if self.periodic:  # R and its space derivative share transforms and wraps
             us = [self._period(u, PV) for u in us]
             sus = [self._period(s, PV - 1) for s in sus]
@@ -315,7 +328,7 @@ class Stepper:
         v_ms = _crop(vP, PV, MS)
         R_ms = _crop(R_mr, MR, MS)
 
-        if cfg.slope_variant == "v2":
+        if self.spec.slope_variant == "v2":
             dR_ms = self._nonlocal_dx(us, sus, PV, PV - 1, MS)
             sigma = np.empty_like(v_ms)
             factors = {}  # species sharing (V, grad_V) share V(R) and its derivative
@@ -329,7 +342,7 @@ class Stepper:
                 sigma[k] = dg * V_ms + _crop(g_mr, MR, MS) * dV_ms
         else:
             F_mr = self._flux(v_mr, R_mr)
-            sigma = slopes_of_extended(F_mr, dx, cfg.clip)
+            sigma = slopes_of_extended(F_mr, dx, clip)
 
         sourced = model.source is not None
         S_ms = model.source(v_ms, R_ms) if sourced else None
@@ -346,7 +359,7 @@ class Stepper:
         c3 = _crop(vP, PV, MH)
         s3 = _crop(sP, PV - 1, MH)
         A = staggered_predictor(c3, s3, F_h, S_h, dt, dx)
-        ss = slopes_of_extended(A, dx, cfg.clip)  # interfaces j+1/2, j in [-2, J+1)
+        ss = slopes_of_extended(A, dx, clip)  # interfaces j+1/2, j in [-2, J+1)
 
         # interfaces j-1/2, j in [0, J]: A from index 2, ss from index 1
         new = nonstaggered_projection(A[..., 2 : J + 3], ss[..., 1 : J + 2], dx)
@@ -390,14 +403,14 @@ class Stepper:
         return v - lam * (H[..., 1:] - H[..., :-1]) + dt * S0
 
     def _lxf2_rhs(self, v: np.ndarray, lam: float) -> np.ndarray:
-        model, cfg = self.model, self.config
+        model, clip = self.model, self.clip
         dx = self.grid.dx
         nm = self.nmax
         PV = 2 + nm
 
         vP = extend_array(v, PV, PV, self.bc)
-        sP = slopes_of_extended(vP, dx, cfg.clip)
-        us, sus = self._source_arrays(vP, sP, cfg.clip)
+        sP = slopes_of_extended(vP, dx, clip)
+        us, sus = self._source_arrays(vP, sP, clip)
         R1 = self._nonlocal(us, sus, PV, PV - 1, 1)
         v1 = _crop(vP, PV, 1)
         s1 = _crop(sP, PV - 1, 1)
@@ -428,10 +441,10 @@ class Stepper:
             raise ConfigurationError(f"dt must be nonnegative, got {dt}")
         if dt == 0.0:
             return v.copy()
-        if self.config.scheme == "nt":
+        if self.spec.scheme == "nt":
             new, _ = self._nt_step(v, dt, collect=False)
             return new
-        if self.config.scheme == "lxf1":
+        if self.spec.scheme == "lxf1":
             return self._lxf1_step(v, dt)
         return self._lxf2_step(v, dt)
 
@@ -442,7 +455,7 @@ class Stepper:
         arrays (each with the ghost margin recorded under ``"margin"``) for
         diagnostics such as the discrete entropy residual.
         """
-        if self.config.scheme != "nt":
+        if self.spec.scheme != "nt":
             raise ConfigurationError(
                 "intermediate fields are only defined for the central scheme"
             )

@@ -26,7 +26,7 @@ from ntcentral.harness import (
 from ntcentral.kernels import build_weights, builtin_kernel
 from ntcentral.limiters import minmod
 from ntcentral.models import make_model
-from ntcentral.schemes import SchemeConfig, Stepper
+from ntcentral.schemes import Stepper
 
 RATE_TOL = 0.15
 ERR_FACTOR = 2.0
@@ -215,9 +215,9 @@ def _check_constant_states(problems):
             tol = max(tol, 4.0 * consts[0] * abs(consts[1]) * defect * dt)
         values = np.repeat(np.asarray(consts)[:, None], grid.cells, axis=1)
         for config in (
-            SchemeConfig("nt", "v1"),
-            SchemeConfig("lxf1"),
-            SchemeConfig("lxf2"),
+            SchemeSpec("nt", "v1"),
+            SchemeSpec("lxf1"),
+            SchemeSpec("lxf2"),
         ):
             stepper = Stepper(model, grid, "periodic", config)
             out = stepper.step(values, dt=dt)

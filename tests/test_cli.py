@@ -157,6 +157,24 @@ def test_converge_threads_match_serial(tmp_path):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_converge_rejects_threads_below_one(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, tiny_doc(levels=[0, 1], reference_level=3))
+    argv = ["converge", "--config", cfg, "--out", str(tmp_path), "--threads", threads]
+    assert main(argv) == 2
+    assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "arrhenius.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_threads_is_a_converge_option_only(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, tiny_doc())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path), "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 # -- compare ----------------------------------------------------------------------------
 
 

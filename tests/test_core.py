@@ -7,10 +7,11 @@ import pytest
 
 from ntcentral.core import (
     CFL_LIMIT,
+    KAPPA,
+    TAU,
     BoundaryCondition,
     Grid,
     SystemState,
-    TimeController,
     extend_array,
     init_cell_averages,
     max_stable_dt,
@@ -18,6 +19,7 @@ from ntcentral.core import (
     total_variation,
 )
 from ntcentral.errors import ConfigurationError, InputDataError
+from ntcentral.harness import Experiment
 
 
 def test_grid_geometry():
@@ -84,41 +86,32 @@ def test_cfl_limit_value():
 
 
 def test_max_stable_dt_flux_only():
-    tc = TimeController(t_final=10.0)
-    g = Grid(0.0, 1.0, 10)
-    dt = max_stable_dt(tc, g, lip_flux=1.0)
+    dt = max_stable_dt(0.1, lip_flux=1.0)
     assert dt == pytest.approx(0.020710678, abs=1e-9)
+    assert max_stable_dt(0.1, 1.0, safety=0.5) == 0.5 * dt
 
 
 def test_max_stable_dt_positivity_split():
-    tc = TimeController(
-        t_final=10.0, positivity=True, kappa=CFL_LIMIT / 2, tau=CFL_LIMIT / 2
-    )
-    g = Grid(0.0, 1.0, 10)
+    assert KAPPA == TAU == CFL_LIMIT / 2
     # flux-limited branch
-    dt = max_stable_dt(tc, g, lip_flux=1.0, lip_source=0.01)
+    dt = max_stable_dt(0.1, lip_flux=1.0, lip_source=0.01, positivity=True)
     assert dt == pytest.approx(0.5 * CFL_LIMIT * 0.1)
     # source-limited branch: 2 tau / L_S < kappa dx / L_F
-    dt = max_stable_dt(tc, g, lip_flux=1.0, lip_source=100.0)
+    dt = max_stable_dt(0.1, lip_flux=1.0, lip_source=100.0, positivity=True)
     assert dt == pytest.approx(2.0 * (CFL_LIMIT / 2) / 100.0)
 
 
-def test_max_stable_dt_clamps_to_final_time():
-    tc = TimeController(t_final=1.0)
-    g = Grid(0.0, 1.0, 10)
-    assert max_stable_dt(tc, g, 1.0, t_now=0.999) == pytest.approx(0.001)
-    assert max_stable_dt(tc, g, 1.0, t_now=1.0) == 0.0
-
-
 def test_controller_validation():
-    with pytest.raises(ConfigurationError):
-        TimeController(t_final=-1.0)
-    with pytest.raises(ConfigurationError):
-        TimeController(t_final=1.0, safety=0.0)
-    with pytest.raises(ConfigurationError):
-        TimeController(t_final=1.0, safety=1.5)
-    with pytest.raises(ConfigurationError):
-        TimeController(t_final=1.0, positivity=True, kappa=0.15, tau=0.15)
+    def experiment(**kw):
+        return Experiment(model="arrhenius", initial_data="arrhenius-sine", **kw)
+
+    with pytest.raises(ConfigurationError, match="t_final"):
+        experiment(t_final=-1.0)
+    # safety is checked at construction, also when a time_ratio leaves it unused
+    for safety in (0.0, 1.5):
+        for time_ratio in (None, 0.1):
+            with pytest.raises(ConfigurationError, match=r"must lie in \(0, 1\]"):
+                experiment(t_final=1.0, safety=safety, time_ratio=time_ratio)
 
 
 def test_extend_array_closures():

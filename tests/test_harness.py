@@ -24,6 +24,7 @@ from ntcentral.harness import (
     SchemeSpec,
     compute_reference,
     convergence_study,
+    csv_table,
     entropy_residual,
     expression_profile,
     flux_speed_estimate,
@@ -34,7 +35,7 @@ from ntcentral.harness import (
     restrict_to_coarse,
     restrict_values,
     run_simulation,
-    snapshot_csv,
+    snapshot_columns,
     state_bounds,
 )
 from ntcentral.models import make_model
@@ -150,6 +151,34 @@ def test_resolve_time_ratio_explicit_and_derived():
     assert lam <= CFL_LIMIT / 0.1
 
 
+@pytest.mark.parametrize("positivity", [False, True])
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_derived_time_ratio_is_the_cfl_formula(bc, positivity):
+    # multilane has a source, so positivity mode takes the split min(...)
+    exp = Experiment(
+        model="multilane",
+        t_final=0.1,
+        initial_data="multilane-sine",
+        bc=bc,
+        levels=(1, 2),
+        reference_level=3,
+        positivity=positivity,
+        safety=0.9,
+    )
+    model = exp.build_model()
+    grid = exp.grid_at(1)
+    values = init_cell_averages(exp.profiles(), grid).values
+    if bc == "zero":
+        values = np.concatenate([s * values for s in np.linspace(0.0, 1.0, 9)], axis=1)
+    sbox, nbox = state_bounds(model, values), nonlocal_bounds(model, values)
+    lip_f, lip_s = model.lip_flux(sbox, nbox), model.lip_source(sbox, nbox)
+    if positivity:
+        dt = min((CFL_LIMIT / 2) * grid.dx / lip_f, 2 * (CFL_LIMIT / 2) / lip_s)
+    else:
+        dt = CFL_LIMIT * grid.dx / lip_f
+    assert resolve_time_ratio(exp) == dt * 0.9 / grid.dx
+
+
 @pytest.mark.parametrize("preset", preset_names())
 def test_derived_time_ratio_passes_the_cfl_monitor(preset):
     # the monitor evaluates the bound that chose dt, so the initial data of
@@ -165,7 +194,7 @@ def test_derived_time_ratio_passes_the_cfl_monitor(preset):
             ratio = lam * flux_speed_estimate(model, v0)
             assert ratio <= CFL_LIMIT, (exp.name, bc, ratio / CFL_LIMIT)
             for spec in e.schemes:
-                v1 = Stepper(model, grid, bc, spec.config(e.clip)).step(v0, lam * grid.dx)
+                v1 = Stepper(model, grid, bc, spec, e.clip).step(v0, lam * grid.dx)
                 ratio = lam * flux_speed_estimate(model, v1)
                 assert ratio <= CFL_LIMIT, (exp.name, bc, spec.name, ratio / CFL_LIMIT)
 
@@ -353,7 +382,7 @@ def test_snapshot_csv_includes_derived_columns():
     model = make_model("garz")
     grid = Grid(-0.5, 1.0, 6)
     values = np.stack([np.full(6, 0.5), np.linspace(0.5, 1.0, 6)])
-    text = snapshot_csv(model, grid, values)
+    text = csv_table(*snapshot_columns(model, grid, values))
     lines = text.strip().splitlines()
     assert lines[0] == "x,rho,q,w"
     assert len(lines) == 7

@@ -1,8 +1,9 @@
 """Static checks of the package source.
 
-No unused imports, a resolvable __all__, no numerics chosen by a library
-heuristic (scipy.signal's direct/FFT ``method="auto"``), and every layer the
-benchmark's tracer times still reached through its module attribute.
+No unused imports or parameters, a resolvable __all__, no numerics chosen
+by a library heuristic (scipy.signal's direct/FFT ``method="auto"``), and
+every layer the benchmark's tracer times still reached through its module
+attribute.
 """
 
 import ast
@@ -69,6 +70,67 @@ def test_unused_import_detector_flags_and_spares():
 def test_module_has_no_unused_imports(module):
     source = (SOURCE_DIR / module).read_text()
     assert unused_imports(source) == []
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters of module-level functions and methods that go unread.
+
+    ``self`` and ``cls`` are spared, and so are functions nested in another
+    function: callbacks such as a model's ``flux_u(u, R)`` have their
+    signature set by the caller's contract.
+    """
+    tree = ast.parse(source)
+    functions = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef):
+            functions += [
+                (f"{node.name}.{f.name}", f)
+                for f in node.body
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+    found = []
+    for name, fn in functions:
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs
+        params += [p for p in (a.vararg, a.kwarg) if p is not None]
+        used = {
+            n.id for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name)
+        }
+        found += [
+            f"{name}: {p.arg}"
+            for p in params
+            if p.arg not in used and p.arg not in ("self", "cls")
+        ]
+    return found
+
+
+def test_unused_parameter_detector_flags_and_spares():
+    source = (
+        "def f(a, b, *args, c=1, **kw):\n"
+        "    def g(u, R):\n"
+        "        return a\n"
+        "    return g, c\n"
+        "class K:\n"
+        "    def m(self, x, y):\n"
+        "        return [x for _ in ()]\n"
+        "    @classmethod\n"
+        "    def n(cls, z):\n"
+        "        return lambda: z\n"
+    )
+    assert unused_parameters(source) == [
+        "f: b",
+        "f: args",
+        "f: kw",
+        "K.m: y",
+    ]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_has_no_unused_parameters(module):
+    source = (SOURCE_DIR / module).read_text()
+    assert unused_parameters(source) == []
 
 
 def library_heuristics(source: str) -> list[str]:

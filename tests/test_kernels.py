@@ -27,7 +27,7 @@ from ntcentral.kernels import (
 )
 from ntcentral.limiters import slopes_of_extended
 from ntcentral.models import make_model
-from ntcentral.schemes import SchemeConfig, Stepper
+from ntcentral.schemes import SchemeSpec, Stepper
 
 PER = BoundaryCondition.PERIODIC
 
@@ -195,7 +195,7 @@ class Convolution:
         self.grid = Grid(-1.0, 1.0, n)
         self.u = init_cell_averages(lambda x: np.sin(np.pi * x), self.grid).values
         model = make_model("arrhenius", eta=eta, kernel=kernel)
-        cfg = SchemeConfig(scheme="nt", slope_variant="v2")
+        cfg = SchemeSpec(scheme="nt", slope_variant="v2")
         self.stepper = Stepper(model, self.grid, PER, cfg)
         self.margin = margin
         self.pad = self.stepper.nmax + margin + 1

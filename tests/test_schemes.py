@@ -6,7 +6,7 @@ import pytest
 from ntcentral.core import BoundaryCondition, Grid, SystemState, init_cell_averages, total_mass
 from ntcentral.errors import ConfigurationError
 from ntcentral.models import make_model
-from ntcentral.schemes import SchemeConfig, Stepper
+from ntcentral.schemes import SchemeSpec, Stepper
 
 PER = BoundaryCondition.PERIODIC
 
@@ -76,7 +76,7 @@ def eight_cell_setup():
 def test_nt_step_matches_loop_oracle(eight_cell_setup):
     grid, model, u = eight_cell_setup
     dt = 0.02
-    stepper = Stepper(model, grid, PER, SchemeConfig(scheme="nt", slope_variant="v1"))
+    stepper = Stepper(model, grid, PER, SchemeSpec(scheme="nt", slope_variant="v1"))
     got = stepper.step(u[None, :], dt)
 
     def flux(r, R):
@@ -117,7 +117,7 @@ def test_periodic_mass_conservation(scheme):
     grid = Grid(-1.0, 1.0, 80)
     model = make_model("arrhenius", eta=0.2)
     state = init_cell_averages(lambda x: 0.5 + 0.4 * np.sin(np.pi * x), grid)
-    stepper = Stepper(model, grid, PER, SchemeConfig(scheme=scheme))
+    stepper = Stepper(model, grid, PER, SchemeSpec(scheme=scheme))
     v = state.values
     m0 = total_mass(state, grid)
     for _ in range(25):
@@ -136,7 +136,7 @@ def test_multilane_exchange_conserves_combined_mass():
         ],
         grid,
     )
-    stepper = Stepper(model, grid, PER, SchemeConfig(scheme="nt", slope_variant="v2"))
+    stepper = Stepper(model, grid, PER, SchemeSpec(scheme="nt", slope_variant="v2"))
     v = state.values
     m0 = total_mass(state, grid).sum()
     per_species0 = total_mass(state, grid)
@@ -153,7 +153,7 @@ def test_constant_state_is_a_fixed_point():
     model = make_model("arrhenius", eta=0.2)
     v = np.full((1, 40), 0.4)
     for scheme in ("nt", "lxf1", "lxf2"):
-        stepper = Stepper(model, grid, PER, SchemeConfig(scheme=scheme))
+        stepper = Stepper(model, grid, PER, SchemeSpec(scheme=scheme))
         out = stepper.step(v, 0.2 * grid.dx)
         np.testing.assert_allclose(out, v, atol=1e-15)
 
@@ -162,7 +162,7 @@ def test_v2_requires_product_form_support():
     grid = Grid(-0.5, 1.0, 300)
     model = make_model("garz")
     with pytest.raises(ConfigurationError, match="v1"):
-        Stepper(model, grid, "constant", SchemeConfig(scheme="nt", slope_variant="v2"))
+        Stepper(model, grid, "constant", SchemeSpec(scheme="nt", slope_variant="v2"))
 
 
 def test_theta_resolution():
@@ -171,19 +171,19 @@ def test_theta_resolution():
     assert Stepper(kk, grid, PER).theta == pytest.approx(1.0 / 3.0)
     arr = make_model("arrhenius")
     assert Stepper(arr, grid, PER).theta == 1.0
-    cfg = SchemeConfig(scheme="lxf2", theta=0.5)
+    cfg = SchemeSpec(scheme="lxf2", theta=0.5)
     assert Stepper(arr, grid, PER, cfg).theta == 0.5
 
 
 def test_scheme_config_validation():
     with pytest.raises(ConfigurationError, match="unknown scheme"):
-        SchemeConfig(scheme="weno")
+        SchemeSpec(scheme="weno")
     with pytest.raises(ConfigurationError, match="slope variant"):
-        SchemeConfig(slope_variant="v3")
+        SchemeSpec(slope_variant="v3")
     with pytest.raises(ConfigurationError, match="theta"):
-        SchemeConfig(theta=1.5)
+        SchemeSpec(theta=1.5)
     with pytest.raises(ConfigurationError, match="theta"):
-        SchemeConfig(theta=0.0)
+        SchemeSpec(theta=0.0)
 
 
 def test_step_with_fields_returns_consistent_margins(eight_cell_setup):
@@ -200,7 +200,7 @@ def test_step_with_fields_returns_consistent_margins(eight_cell_setup):
     assert fields["staggered_slopes"].shape[-1] == J + 2 * m - 3
     assert fields["half_flux"].shape[-1] == J + 2 * m
     with pytest.raises(ConfigurationError):
-        Stepper(model, grid, PER, SchemeConfig(scheme="lxf1")).step_with_fields(
+        Stepper(model, grid, PER, SchemeSpec(scheme="lxf1")).step_with_fields(
             u[None, :], dt
         )
 
@@ -230,10 +230,10 @@ def test_sup_norm_growth_is_controlled_under_refinement():
 
 MODELS = ("keyfitz-kranzer", "arrhenius", "multilane", "nonlocal-euler", "garz")
 CONFIGS = {
-    "nt-v1": SchemeConfig(scheme="nt", slope_variant="v1"),
-    "nt-v2": SchemeConfig(scheme="nt", slope_variant="v2"),
-    "lxf1": SchemeConfig(scheme="lxf1"),
-    "lxf2": SchemeConfig(scheme="lxf2"),
+    "nt-v1": SchemeSpec(scheme="nt", slope_variant="v1"),
+    "nt-v2": SchemeSpec(scheme="nt", slope_variant="v2"),
+    "lxf1": SchemeSpec(scheme="lxf1"),
+    "lxf2": SchemeSpec(scheme="lxf2"),
 }
 # 80 cells keep every band (eta = 0.25, at most 21 taps) on the direct sum,
 # 2560 cells (up to 321 taps) put them on the FFT
@@ -331,7 +331,7 @@ def _nt_runs(model_name):
     for variant in ("v1", "v2"):
         if variant == "v2" and not model.supports_v2:
             continue
-        yield variant, model, SchemeConfig(scheme="nt", slope_variant=variant)
+        yield variant, model, SchemeSpec(scheme="nt", slope_variant=variant)
 
 
 @pytest.mark.parametrize("bc", ["periodic", "constant"])
