@@ -208,37 +208,38 @@ def _experiment_from_doc(doc: dict, source: str) -> Experiment:
             schemes = schemes + (SchemeSpec("nt", "v2"),)
 
     clip = NO_CLIP
-    if "clip" in doc:
-        c = doc["clip"]
-        clip = ClipConfig(
-            enabled=c.get("enabled", True),
-            C=c.get("C", 1.0),
-            delta=c.get("delta", 0.5),
-        )
+    if "clip" in doc:  # a clip block turns clipping on unless it says otherwise
+        clip = ClipConfig(**{"enabled": True, **doc["clip"]})
 
     if "levels" in doc:
         levels = tuple(doc["levels"])
     else:
         levels = (doc.get("level", 0),)
 
+    # keys the document sets go to the Experiment field of the same name;
+    # Experiment states the default of each
+    keys = ("domain", "bc", "base_dx", "reference_level", "reference_variant",
+            "time_ratio", "positivity", "safety")
+    given = {key: doc[key] for key in keys if key in doc}
+    if "domain" in doc:
+        given["domain"] = tuple(doc["domain"])
+    if "label" in doc:
+        given["name"] = doc["label"]
     exp = Experiment(
         model=doc["model"],
         model_params=params,
         t_final=doc["T"],
         initial_data=data,
-        domain=tuple(doc.get("domain", (-1.0, 1.0))),
-        bc=doc.get("bc", "periodic"),
         schemes=schemes,
-        base_dx=doc.get("base_dx", 0.05),
         levels=levels,
-        reference_level=doc.get("reference_level", 9),
-        reference_variant=doc.get("reference_variant"),
-        time_ratio=doc.get("time_ratio"),
         clip=clip,
-        positivity=doc.get("positivity", False),
-        safety=doc.get("safety", 1.0),
-        name=doc.get("label", ""),
+        **given,
     )
+    if exp.reference_variant == "v2" and not model.supports_v2:
+        raise ConfigurationError(
+            f"{source}: reference_variant 'v2' needs grad_V in every flux; "
+            f"model {model.name!r} runs with 'v1' only"
+        )
     # surface the kernel/grid integer-ratio requirement at parse time
     coarse_dx = exp.grid_at(min(exp.levels)).dx
     for kernel in model.kernels:

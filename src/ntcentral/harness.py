@@ -211,6 +211,8 @@ class Experiment:
             raise ConfigurationError(
                 f"CFL safety factor must lie in (0, 1], got {self.safety}"
             )
+        if self.reference_variant is not None:  # SchemeSpec's check and message
+            SchemeSpec(slope_variant=self.reference_variant)
         BoundaryCondition.parse(self.bc)
         if not self.schemes:
             raise ConfigurationError("an experiment needs at least one scheme")
@@ -408,10 +410,19 @@ class MonitorLog:
 # ---------------------------------------------------------------------------
 
 
-def _step_count(t_final: float, dt0: float) -> int:
-    if t_final == 0.0:
-        return 0
-    return max(1, math.ceil(t_final / dt0 - 1e-12))
+def _time_steps(t_final: float, dt0: float):
+    """Yield ``(dt, t after the step)`` for every step from 0 to ``t_final``.
+
+    Every step takes ``dt0`` except the last, which is clamped to land
+    exactly on ``t_final``.
+    """
+    n_steps = 0 if t_final == 0.0 else max(1, math.ceil(t_final / dt0 - 1e-12))
+    t = 0.0
+    for i in range(n_steps):
+        last = i == n_steps - 1
+        dt = t_final - t if last else dt0
+        t = t_final if last else t + dt0
+        yield dt, t
 
 
 def run_simulation(
@@ -447,15 +458,9 @@ def run_simulation(
     if record:
         monitor.record(0.0, v)
 
-    dt0 = lam * grid.dx
-    n_steps = _step_count(exp.t_final, dt0)
-    t = 0.0
     warned = False
-    for i in range(n_steps):
-        last = i == n_steps - 1
-        dt = exp.t_final - t if last else dt0
+    for i, (dt, t) in enumerate(_time_steps(exp.t_final, lam * grid.dx)):
         v = stepper.step(v, dt)
-        t = exp.t_final if last else t + dt0
         if not np.isfinite(v).all():
             raise NumericsError(
                 f"non-finite state after step {i + 1} (t={t:.6g})", step=i + 1
@@ -752,21 +757,16 @@ def entropy_residual(
             "the discrete entropy residual is only defined for scalar models"
         )
     stepper = Stepper(model, grid, bc, SchemeSpec("nt", slope_variant), clip)
-    flux0 = model.flux[0]
+    g, V, _ = model.flux[0]
     dx = grid.dx
-    dt0 = time_ratio * dx
-    n_steps = _step_count(t_final, dt0)
     J = grid.cells
     z = float(zeta)
 
     v = np.array(values, dtype=float)
     if v.ndim == 1:
         v = v[None, :]
-    residuals = np.empty(n_steps)
-    t = 0.0
-    for i in range(n_steps):
-        last = i == n_steps - 1
-        dt = t_final - t if last else dt0
+    residuals = []
+    for dt, _ in _time_steps(t_final, time_ratio * dx):
         lam = dt / dx
         new, f = stepper.step_with_fields(v, dt)
 
@@ -776,18 +776,18 @@ def entropy_residual(
         Rh = f["half_R"]
         Sh = f["half_source"][0]
         ss = f["staggered_slopes"][0]  # interface j+1/2 at index j+2
-        Fz = flux0(z + h, Rh)
+        Fz = g(z + h) * V(Rh)
 
         # numerical entropy flux on interfaces j+1/2, j = -1 .. J-1
         uL, uR = c[2 : J + 3], c[3 : J + 4]
         hL, hR = h[2 : J + 3], h[3 : J + 4]
-        RhL, RhR = Rh[:, 2 : J + 3], Rh[:, 3 : J + 4]
+        VL, VR = V(Rh[:, 2 : J + 3]), V(Rh[:, 3 : J + 4])
         sLR = s[2 : J + 3] + s[3 : J + 4]
         ssI = ss[1 : J + 2]
 
         def entropy_flux(a, b):
             return (0.25 * (a - b) + dx / 16.0 * sLR + dx / 8.0 * ssI) / lam + 0.5 * (
-                flux0(a + hL, RhL) + flux0(b + hR, RhR)
+                g(a + hL) * VL + g(b + hR) * VR
             )
 
         F = entropy_flux(np.maximum(uL, z), np.maximum(uR, z)) - entropy_flux(
@@ -806,7 +806,6 @@ def entropy_residual(
             + np.sign(new[0] - z) * bracket
             + lam * (F[1:] - F[:-1])
         )
-        residuals[i] = max(0.0, float(lhs.max()))
+        residuals.append(max(0.0, float(lhs.max())))
         v = new
-        t = t_final if last else t + dt0
-    return residuals
+    return np.array(residuals)

@@ -93,15 +93,15 @@ class Band:
     """Weights of the sliding sum out[j] = sum_i u[j + i] * weights[i].
 
     ``weights[i]`` multiplies the cell at offset ``i - n1`` relative to the
-    evaluation cell.  ``spectra`` caches conj(rfft(weights, nfft)) per
-    transform length ``nfft``, and ``wrapped_spectra`` the same for the band
-    wrapped modulo a period of ``n`` cells; both are filled on first use by
-    ``correlate_band``.
+    evaluation cell.  The first and last weights belong to the half-cell end
+    intervals, which also see the +/- dx/4 slope corrections.  ``spectra``
+    caches conj(rfft(weights, nfft)) per transform length ``nfft``, and
+    ``wrapped_spectra`` the same for the band wrapped modulo a period of
+    ``n`` cells; both are filled on first use by ``correlate_band``.
     """
 
     n1: int
     n2: int
-    dx: float
     weights: np.ndarray
     spectra: dict = field(default_factory=dict, init=False, repr=False)
     wrapped_spectra: dict = field(default_factory=dict, init=False, repr=False)
@@ -120,26 +120,6 @@ class Band:
             wrapped = np.bincount(offsets, weights=self.weights, minlength=n)
             s = self.wrapped_spectra[n] = np.conj(rfft(wrapped))
         return s
-
-
-@dataclass(eq=False)
-class QuadratureWeights(Band):
-    """Discrete band replacing the convolution integral at one grid spacing.
-
-    The first and last weights are the half-cell end weights that also carry
-    the +/- dx/4 slope corrections.
-    """
-
-    @property
-    def left_weight(self) -> float:
-        return float(self.weights[0])
-
-    @property
-    def right_weight(self) -> float:
-        return float(self.weights[-1])
-
-    def total(self) -> float:
-        return float(self.weights.sum())
 
 
 def _band_counts(spec: KernelSpec, dx: float, tol: float = 1e-9) -> tuple[int, int]:
@@ -166,7 +146,7 @@ def _band(fn, n1: int, n2: int, dx: float) -> np.ndarray:
     return w
 
 
-def build_weights(spec: KernelSpec, dx: float) -> QuadratureWeights:
+def build_weights(spec: KernelSpec, dx: float) -> Band:
     """Build the quadrature band for one kernel at one grid spacing."""
     if dx <= 0.0:
         raise ConfigurationError(f"dx must be positive, got {dx}")
@@ -181,7 +161,7 @@ def build_weights(spec: KernelSpec, dx: float) -> QuadratureWeights:
             f"kernel {spec.name!r} produced negative quadrature weights; "
             "kernels must be nonnegative on their support"
         )
-    return QuadratureWeights(n1=n1, n2=n2, dx=dx, weights=w)
+    return Band(n1=n1, n2=n2, weights=w)
 
 
 @dataclass(eq=False)
@@ -205,7 +185,7 @@ def build_derivative_weights(spec: KernelSpec, dx: float) -> DerivativeWeights:
     bl = float(spec.omega(np.asarray(eta1, dtype=float)))
     br = float(spec.omega(np.asarray(eta2, dtype=float)))
     return DerivativeWeights(
-        n1=n1, n2=n2, dx=dx, weights=w, boundary_left=bl, boundary_right=br
+        n1=n1, n2=n2, weights=w, boundary_left=bl, boundary_right=br
     )
 
 

@@ -5,10 +5,13 @@ averages of a species or of a derived quantity):
 
     d_t rho^k + d_x F_k(rho^k, R) = S_k(rho, R)
 
-Each definition carries vectorised flux/source callables, the kernel and
-source of every nonlocal term, optional product-form flux splits
-F_k = g_k(rho) * V_k(R) for the product-rule slope variant, and Lipschitz
-bounds over a state box used for time-step control.
+Each definition gives every flux once, in the product form
+F_k = g_k(rho^k) * V_k(R) of the paper, as a triple ``(g, V, grad_V)``.
+``grad_V`` (the gradient of V in R) feeds the product-rule slope variant
+v2; it is ``None`` where V is not differentiable, and such a model runs
+with v1 only.  A definition also carries the source, the kernel and
+convolved quantity of every nonlocal term, and Lipschitz bounds over a
+state box used for time-step control.
 """
 
 from __future__ import annotations
@@ -48,12 +51,11 @@ class ModelDef:
     kernels: tuple[KernelSpec, ...]
     #: per nonlocal term: species index to convolve, or a DerivedFieldHook
     nonlocal_sources: tuple
-    #: per species: (rho_k, R) -> F_k with R of shape (m, n)
+    #: per species: (g, V, grad_V) with F_k = g(rho_k) * V(R), R of shape
+    #: (m, n); grad_V(R) has R's shape, or is None where V is not smooth
     flux: tuple
     #: (values, R) -> (N, n) source array, or None for conservation laws
     source: Callable | None = None
-    #: per species: (g, V, grad_V) with F_k = g(rho_k) * V(R), or None
-    product_form: tuple | None = None
     #: (species_box (N,2), nonlocal_box (m,2)) -> Lipschitz bound of the flux
     lip_flux: Callable | None = None
     #: same signature for the source; None when source is None
@@ -83,10 +85,6 @@ class ModelDef:
                     f"{self.name}: nonlocal source {src!r} is neither a species "
                     "index nor a derived-field hook"
                 )
-        if self.product_form is not None and len(self.product_form) != n:
-            raise ModelDefinitionError(
-                f"{self.name}: product form must cover every species"
-            )
 
     @property
     def n_species(self) -> int:
@@ -99,7 +97,7 @@ class ModelDef:
     @property
     def supports_v2(self) -> bool:
         """Whether the product-rule slope variant v2 can run on this model."""
-        return self.product_form is not None
+        return all(grad_V is not None for _, _, grad_V in self.flux)
 
     def convolved_values(self, values: np.ndarray) -> np.ndarray:
         """Cellwise values of every convolved quantity, shape (m, n).
@@ -115,6 +113,16 @@ class ModelDef:
                 out[l] = values[src]
         return out
 
+    def eval_flux(self, values: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """Every species' flux g_k(values[k]) * V_k(R), each distinct V once."""
+        out = np.empty_like(values)
+        speeds = {}
+        for k, (g, V, _) in enumerate(self.flux):
+            if V not in speeds:
+                speeds[V] = V(R)
+            out[k] = g(values[k]) * speeds[V]
+        return out
+
     def eval_source(self, values: np.ndarray, R: np.ndarray) -> np.ndarray:
         if self.source is None:
             return np.zeros_like(values)
@@ -127,6 +135,14 @@ def _lattice(lo: float, hi: float, n: int = 41) -> np.ndarray:
 
 def _absmax(lo: float, hi: float) -> float:
     return max(abs(lo), abs(hi))
+
+
+def _identity(rho):
+    return rho
+
+
+def _first(R):
+    return R[0]
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +161,7 @@ def make_keyfitz_kranzer(eta: float = 1.0) -> ModelDef:
         w = 1.0 - R[0] ** 2 - R[1] ** 2
         return np.stack([-6.0 * R[0] * w**2, -6.0 * R[1] * w**2])
 
-    def flux0(rho, R):
-        return rho * speed(R)
-
-    product = tuple(
-        (lambda r: r, speed, grad_speed) for _ in range(2)
-    )
+    flux = (_identity, speed, grad_speed)
 
     def lip_flux(sbox, nbox):
         a = _lattice(*nbox[0])[:, None]
@@ -166,8 +177,7 @@ def make_keyfitz_kranzer(eta: float = 1.0) -> ModelDef:
         species=("rho1", "rho2"),
         kernels=(kernel, kernel),
         nonlocal_sources=(0, 1),
-        flux=(flux0, flux0),
-        product_form=product,
+        flux=(flux, flux),
         lip_flux=lip_flux,
         default_theta=1.0 / 3.0,
     )
@@ -183,9 +193,6 @@ def make_arrhenius(eta: float = 0.2, kernel: str = "constant") -> ModelDef:
         raise ModelDefinitionError(
             "arrhenius model needs a forward-looking kernel (support in [0, eta])"
         )
-
-    def flux0(rho, R):
-        return rho * (1.0 - rho) * np.exp(-R[0])
 
     def g(rho):
         return rho * (1.0 - rho)
@@ -213,8 +220,7 @@ def make_arrhenius(eta: float = 0.2, kernel: str = "constant") -> ModelDef:
         species=("rho",),
         kernels=(kspec,),
         nonlocal_sources=(0,),
-        flux=(flux0,),
-        product_form=((g, V, grad_V),),
+        flux=((g, V, grad_V),),
         lip_flux=lip_flux,
         rho_min=0.0,
         rho_max=1.0,
@@ -228,12 +234,6 @@ def make_arrhenius(eta: float = 0.2, kernel: str = "constant") -> ModelDef:
 def make_multilane(eta: float = 0.5) -> ModelDef:
     kernel = builtin_kernel("linear", eta)
 
-    def flux_k(k):
-        def fk(rho, R):
-            return rho * (1.0 - R[k] ** 2)
-
-        return fk
-
     def exchange(values, R):
         rho1, rho2 = values
         v1 = 1.0 - R[0] ** 2
@@ -242,7 +242,7 @@ def make_multilane(eta: float = 0.5) -> ModelDef:
         s = (v2 - v1) * np.where(toward2, rho1 * (1.0 - rho2), rho2 * (1.0 - rho1))
         return np.stack([-s, s])
 
-    def product_k(k):
+    def lane_flux(k):
         def V(R):
             return 1.0 - R[k] ** 2
 
@@ -251,7 +251,7 @@ def make_multilane(eta: float = 0.5) -> ModelDef:
             out[k] = -2.0 * R[k]
             return out
 
-        return (lambda r: r, V, grad_V)
+        return (_identity, V, grad_V)
 
     def lip_flux(sbox, nbox):
         rmax = max(_absmax(*nbox[0]), _absmax(*nbox[1]))
@@ -277,9 +277,8 @@ def make_multilane(eta: float = 0.5) -> ModelDef:
         species=("rho1", "rho2"),
         kernels=(kernel, kernel),
         nonlocal_sources=(0, 1),
-        flux=(flux_k(0), flux_k(1)),
+        flux=(lane_flux(0), lane_flux(1)),
         source=exchange,
-        product_form=(product_k(0), product_k(1)),
         lip_flux=lip_flux,
         lip_source=lip_source,
         rho_min=0.0,
@@ -296,25 +295,16 @@ def make_multilane(eta: float = 0.5) -> ModelDef:
 def make_nonlocal_euler(eta: float = 0.05) -> ModelDef:
     kernel = builtin_kernel("symmetric-parabola", eta)
 
-    def flux_rho(rho, R):
-        return rho * R[0]
-
-    def flux_u(u, R):
-        return 0.5 * u**2
-
     def relax(values, R):
         rho, u = values
         out = np.zeros_like(values)
         out[1] = rho * (R[0] - u)
         return out
 
-    product = (
-        (lambda r: r, lambda R: R[0], lambda R: np.ones_like(R)),
-        (
-            lambda u: 0.5 * u**2,
-            lambda R: np.ones_like(R[0]),
-            lambda R: np.zeros_like(R),
-        ),
+    # u^2 / 2 as u^2 times the constant V = 1/2: one product, as for rho R
+    flux = (
+        (_identity, _first, np.ones_like),
+        (lambda u: u**2, lambda R: 0.5, np.zeros_like),
     )
 
     def lip_flux(sbox, nbox):
@@ -329,9 +319,8 @@ def make_nonlocal_euler(eta: float = 0.05) -> ModelDef:
         species=("rho", "u"),
         kernels=(kernel,),
         nonlocal_sources=(1,),
-        flux=(flux_rho, flux_u),
+        flux=flux,
         source=relax,
-        product_form=product,
         lip_flux=lip_flux,
         lip_source=lip_source,
     )
@@ -362,12 +351,6 @@ def make_garz(eta: float = 0.1, kernel: str = "linear") -> ModelDef:
         time_integrand=integrand,
     )
 
-    def flux_rho(rho, R):
-        return rho * R[0]
-
-    def flux_q(q, R):
-        return q * R[0]
-
     def lip_flux(sbox, nbox):
         return float(max(_absmax(*nbox[0]), _absmax(*sbox[0]), _absmax(*sbox[1])))
 
@@ -376,7 +359,8 @@ def make_garz(eta: float = 0.1, kernel: str = "linear") -> ModelDef:
         species=("rho", "q"),
         kernels=(kspec,),
         nonlocal_sources=(hook,),
-        flux=(flux_rho, flux_q),
+        # R averages a derived, non-smooth velocity: no grad_V, so v1 only
+        flux=((_identity, _first, None), (_identity, _first, None)),
         lip_flux=lip_flux,
         rho_min=0.0,
         snapshot_fields={

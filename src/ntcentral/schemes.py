@@ -181,8 +181,8 @@ class Stepper:
         if self.spec.scheme == "nt" and self.spec.slope_variant == "v2":
             if not model.supports_v2:
                 raise ConfigurationError(
-                    f"model {model.name!r} does not provide a product-form flux "
-                    "split; use slope_variant='v1'"
+                    f"model {model.name!r} gives no grad_V for its flux; "
+                    "use slope_variant='v1'"
                 )
             self.dw = tuple(build_derivative_weights(k, dx) for k in model.kernels)
         # ghost cells the quadrature bands reach; none on the torus
@@ -191,30 +191,34 @@ class Stepper:
 
     # -- shared field construction -----------------------------------------
 
-    def _check_state(self, values: np.ndarray) -> np.ndarray:
+    def _check_step(self, values: np.ndarray, dt: float) -> np.ndarray:
         v = np.asarray(values, dtype=float)
         if v.shape != (self.model.n_species, self.grid.cells):
             raise ConfigurationError(
                 f"state shape {v.shape} does not match "
                 f"({self.model.n_species}, {self.grid.cells})"
             )
+        if dt < 0.0:
+            raise ConfigurationError(f"dt must be nonnegative, got {dt}")
         return v
 
-    def _source_arrays(self, vP: np.ndarray, sP: np.ndarray | None, clip: ClipConfig):
-        """Cell values (and slopes) of every convolved quantity at full margin."""
+    def _convolved(self, vP: np.ndarray) -> list:
+        """Cell values of every convolved quantity; a species is a view of vP."""
+        return [
+            s.value(vP) if isinstance(s, DerivedFieldHook) else vP[s]
+            for s in self.model.nonlocal_sources
+        ]
+
+    def _source_arrays(self, vP: np.ndarray, sP: np.ndarray, clip: ClipConfig):
+        """Cell values and slopes of every convolved quantity at full margin."""
         us, sus = [], []
         for src in self.model.nonlocal_sources:
             if isinstance(src, DerivedFieldHook):
-                u = src.value(vP)
+                us.append(src.value(vP))
+                sus.append(slopes_of_extended(us[-1], self.grid.dx, clip))
             else:
-                u = vP[src]
-            us.append(u)
-            if sP is None:
-                sus.append(None)
-            elif not isinstance(src, DerivedFieldHook):
+                us.append(vP[src])
                 sus.append(sP[src])
-            else:
-                sus.append(slopes_of_extended(u, self.grid.dx, clip))
         return us, sus
 
     @staticmethod
@@ -240,9 +244,8 @@ class Stepper:
 
     def _window(self, arr, have: int, margin: int, band) -> np.ndarray:
         """Cells j - n1 .. j + n2 of every output cell j, as one array."""
-        if self.periodic:
-            return self._period(arr, have).wrapped(band.n1, band.n2)
-        return self._band_view(arr, have, margin, band)
+        u = self._band_input(arr, have, margin, band)
+        return u.wrapped(band.n1, band.n2) if self.periodic else u
 
     def _outputs(self, margin: int) -> int:
         """Cells a quadrature computes: the period on the torus, else all."""
@@ -252,57 +255,56 @@ class Stepper:
         """Wrap-extend periodic quadrature outputs to the requested margin."""
         return extend_array(out, margin, margin, self.bc) if self.periodic else out
 
-    def _nonlocal(self, us, sus, have_v: int, have_s: int, margin: int) -> np.ndarray:
-        """All nonlocal fields at the given margin, second-order end corrections."""
+    def _apply_bands(self, bands, us, sus, have_v: int, have_s: int, margin: int):
+        """Each band applied to its field, for the cells a quadrature computes.
+
+        With slopes ``sus``, the half-cell end intervals see the
+        reconstruction: output j gains 0.25 dx (w[0] s[j - n1] - w[-1] s[j + n2]).
+        """
         n = self._outputs(margin)
-        out = np.empty((self.model.n_nonlocal, n))
+        out = np.empty((len(bands), n))
         dx = self.grid.dx
-        for l, qw in enumerate(self.qw):
-            band = correlate_band(self._band_input(us[l], have_v, margin, qw), qw)
-            if sus[l] is not None:
-                se = self._window(sus[l], have_s, margin, qw)
-                band = band + 0.25 * dx * (
-                    qw.left_weight * se[..., :n]
-                    - qw.right_weight * se[..., qw.n1 + qw.n2 :]
+        for l, band in enumerate(bands):
+            out[l] = correlate_band(self._band_input(us[l], have_v, margin, band), band)
+            if sus is not None:
+                se = self._window(sus[l], have_s, margin, band)
+                w = band.weights
+                out[l] += 0.25 * dx * (
+                    w[0] * se[..., :n] - w[-1] * se[..., band.n1 + band.n2 :]
                 )
-            out[l] = band
+        return out
+
+    def _nonlocal(self, us, sus, have_v: int, have_s: int, margin: int) -> np.ndarray:
+        """All nonlocal fields at the given margin; slopes ``sus`` or None."""
+        out = self._apply_bands(self.qw, us, sus, have_v, have_s, margin)
         return self._to_margin(out, margin)
 
     def _nonlocal_dx(self, us, sus, have_v: int, have_s: int, margin: int):
         """Space derivative of every nonlocal field at the given margin."""
         n = self._outputs(margin)
-        out = np.empty((self.model.n_nonlocal, n))
-        dx = self.grid.dx
+        out = self._apply_bands(self.dw, us, sus, have_v, have_s, margin)
         for l, dw in enumerate(self.dw):
-            band = correlate_band(self._band_input(us[l], have_v, margin, dw), dw)
             ue = self._window(us[l], have_v, margin, dw)
-            se = self._window(sus[l], have_s, margin, dw)
-            band = band + 0.25 * dx * (
-                dw.weights[0] * se[..., :n] - dw.weights[-1] * se[..., dw.n1 + dw.n2 :]
-            )
             out[l] = (
                 -dw.boundary_left * ue[..., :n]
                 + dw.boundary_right * ue[..., dw.n1 + dw.n2 :]
-                - band
+                - out[l]
             )
         return self._to_margin(out, margin)
 
     def _nonlocal_dt(self, v_ms, sms, have: int, margin: int) -> np.ndarray:
         """Time derivative of every nonlocal field from cellwise integrands."""
-        out = np.empty((self.model.n_nonlocal, self._outputs(margin)))
-        for l, (src, qw) in enumerate(zip(self.model.nonlocal_sources, self.qw)):
-            if isinstance(src, DerivedFieldHook):
-                integ = src.time_integrand(v_ms, sms)
-            else:
-                integ = sms[src]
-            out[l] = correlate_band(self._band_input(integ, have, margin, qw), qw)
-        return self._to_margin(out, margin)
+        integrands = [
+            src.time_integrand(v_ms, sms)
+            if isinstance(src, DerivedFieldHook)
+            else sms[src]
+            for src in self.model.nonlocal_sources
+        ]
+        return self._nonlocal(integrands, None, have, 0, margin)
 
-    def _flux(self, v: np.ndarray, R: np.ndarray) -> np.ndarray:
-        out = np.empty_like(v)
-        for k in range(self.model.n_species):
-            out[k] = self.model.flux[k](v[k], R)
-        return out
+    def _lxf_flux(self, FL, FR, uL, uR, lam: float) -> np.ndarray:
+        """Lax-Friedrichs flux 0.5 (F_L + F_R) - theta / (2 lam) (u_R - u_L)."""
+        return 0.5 * (FL + FR) - (self.theta / (2.0 * lam)) * (uR - uL)
 
     # -- central scheme -----------------------------------------------------
 
@@ -332,8 +334,7 @@ class Stepper:
             dR_ms = self._nonlocal_dx(us, sus, PV, PV - 1, MS)
             sigma = np.empty_like(v_ms)
             factors = {}  # species sharing (V, grad_V) share V(R) and its derivative
-            for k in range(model.n_species):
-                g, V, grad_V = model.product_form[k]
+            for k, (g, V, grad_V) in enumerate(model.flux):
                 if (V, grad_V) not in factors:
                     factors[V, grad_V] = (V(R_ms), (grad_V(R_ms) * dR_ms).sum(axis=0))
                 V_ms, dV_ms = factors[V, grad_V]
@@ -341,7 +342,7 @@ class Stepper:
                 dg = slopes_of_extended(g_mr, dx)
                 sigma[k] = dg * V_ms + _crop(g_mr, MR, MS) * dV_ms
         else:
-            F_mr = self._flux(v_mr, R_mr)
+            F_mr = model.eval_flux(v_mr, R_mr)
             sigma = slopes_of_extended(F_mr, dx, clip)
 
         sourced = model.source is not None
@@ -352,7 +353,7 @@ class Stepper:
         Rt = self._nonlocal_dt(v_ms, sms, MS, MH)
         v_h = half_step(_crop(v_ms, MS, MH), _crop(sms, MS, MH), dt)
         R_h = _crop(R_mr, MR, MH) + 0.5 * dt * Rt
-        F_h = self._flux(v_h, R_h)
+        F_h = model.eval_flux(v_h, R_h)
         S_h = model.source(v_h, R_h) if sourced else None
 
         # staggered averages and their limited slopes
@@ -392,13 +393,10 @@ class Stepper:
         PV = 1 + nm
 
         vP = extend_array(v, PV, PV, self.bc)
-        us, _ = self._source_arrays(vP, None, NO_CLIP)
-        R1 = self._nonlocal(us, [None] * model.n_nonlocal, PV, 0, 1)
+        R1 = self._nonlocal(self._convolved(vP), None, PV, 0, 1)
         v1 = _crop(vP, PV, 1)
-        F1 = self._flux(v1, R1)
-        H = 0.5 * (F1[..., :-1] + F1[..., 1:]) - (self.theta / (2.0 * lam)) * (
-            v1[..., 1:] - v1[..., :-1]
-        )
+        F1 = model.eval_flux(v1, R1)
+        H = self._lxf_flux(F1[..., :-1], F1[..., 1:], v1[..., :-1], v1[..., 1:], lam)
         S0 = model.eval_source(v, _crop(R1, 1, 0))
         return v - lam * (H[..., 1:] - H[..., :-1]) + dt * S0
 
@@ -417,10 +415,9 @@ class Stepper:
 
         left = v1 + 0.5 * dx * s1  # cell right-interface values
         right = v1 - 0.5 * dx * s1  # cell left-interface values
-        FL = self._flux(left, R1)[..., :-1]
-        FR = self._flux(right, R1)[..., 1:]
-        jump = right[..., 1:] - left[..., :-1]
-        H = 0.5 * (FL + FR) - (self.theta / (2.0 * lam)) * jump
+        FL = model.eval_flux(left, R1)[..., :-1]
+        FR = model.eval_flux(right, R1)[..., 1:]
+        H = self._lxf_flux(FL, FR, left[..., :-1], right[..., 1:], lam)
 
         S1 = model.eval_source(v1, R1)
         S_sm = 0.25 * (S1[..., :-2] + 2.0 * S1[..., 1:-1] + S1[..., 2:])
@@ -436,9 +433,7 @@ class Stepper:
 
     def step(self, values: np.ndarray, dt: float) -> np.ndarray:
         """Advance cell averages by one time step of size ``dt``."""
-        v = self._check_state(values)
-        if dt < 0.0:
-            raise ConfigurationError(f"dt must be nonnegative, got {dt}")
+        v = self._check_step(values, dt)
         if dt == 0.0:
             return v.copy()
         if self.spec.scheme == "nt":
@@ -459,9 +454,7 @@ class Stepper:
             raise ConfigurationError(
                 "intermediate fields are only defined for the central scheme"
             )
-        v = self._check_state(values)
-        if dt < 0.0:
-            raise ConfigurationError(f"dt must be nonnegative, got {dt}")
+        v = self._check_step(values, dt)
         if dt == 0.0:
             return v.copy(), None
         return self._nt_step(v, dt, collect=True)

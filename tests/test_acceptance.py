@@ -211,7 +211,8 @@ def _check_constant_states(problems):
         if name == "nonlocal-euler":
             # the relaxation source sees the quadrature residue of the
             # curved kernel, so the fixed point is exact only up to it
-            defect = abs(build_weights(model.kernels[0], grid.dx).total() - 1.0)
+            weights = build_weights(model.kernels[0], grid.dx).weights
+            defect = abs(weights.sum() - 1.0)
             tol = max(tol, 4.0 * consts[0] * abs(consts[1]) * defect * dt)
         values = np.repeat(np.asarray(consts)[:, None], grid.cells, axis=1)
         for config in (
@@ -247,13 +248,13 @@ def _check_kernel_weight_sums(problems):
     for name in ("constant", "linear"):
         for dx in (0.05, 0.025):
             w = build_weights(builtin_kernel(name, eta), dx)
-            if abs(w.total() - 1.0) > 1e-13:
-                problems.append(f"{name} kernel weights at dx={dx}: {w.total()!r}")
+            if abs(w.weights.sum() - 1.0) > 1e-13:
+                problems.append(f"{name} kernel weights at dx={dx}: {w.weights.sum()!r}")
     for name in ("concave", "symmetric-parabola", "backward-power52"):
         defects = []
         for dx in (0.05, 0.025, 0.0125):
             w = build_weights(builtin_kernel(name, eta), dx)
-            defects.append(abs(w.total() - 1.0))
+            defects.append(abs(w.weights.sum() - 1.0))
         # two halvings of dx must shrink the defect at least 4x4 = 16-ish;
         # steep kernels converge faster, which is fine
         ratio = defects[0] / defects[2]

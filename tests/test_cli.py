@@ -9,7 +9,8 @@ import pytest
 from ntcentral.cli import load_preset, main, parse_config, preset_names
 from ntcentral.core import init_cell_averages
 from ntcentral.errors import ConfigurationError
-from ntcentral.harness import CACHE_ENV, resolve_profiles
+from ntcentral.harness import CACHE_ENV, Experiment, resolve_profiles
+from ntcentral.limiters import ClipConfig
 
 
 @pytest.fixture(autouse=True)
@@ -100,6 +101,25 @@ def test_garz_snapshot_carries_derived_column(tmp_path):
     assert lines[0] == "x,rho,q,w"
     x, rho, q, w = (float(tok) for tok in lines[5].split(","))
     assert w == pytest.approx(q / rho)
+
+
+def test_unset_keys_take_the_experiment_and_clip_defaults():
+    exp = parse_config(tiny_doc()).experiments[0]
+    default = Experiment(model="arrhenius", t_final=0.02, initial_data="arrhenius-sine")
+    for name in ("domain", "bc", "base_dx", "reference_level", "reference_variant",
+                 "positivity", "safety", "name", "clip"):
+        assert getattr(exp, name) == getattr(default, name), name
+    clip = parse_config(tiny_doc(clip={"C": 2.0})).experiments[0].clip
+    assert clip == ClipConfig(enabled=True, C=2.0, delta=0.5)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_v2_reference_on_a_v1_only_model_is_a_config_error(tmp_path, capsys, command):
+    doc = {"model": "garz", "T": 0.001, "time_ratio": 0.05, "reference_variant": "v2"}
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "reference_variant 'v2'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_run_reruns_are_byte_identical(tmp_path):

@@ -1,0 +1,78 @@
+"""Numerics fingerprint: SHA-256 of three steps of every scheme.
+
+Each (model, boundary condition) pair is run for three steps of every
+scheme it supports, at 80 cells (every band by the direct sum) and at 2560
+cells (every band by the FFT).  The digest covers the bytes of each state.
+A change that moves any result by one ulp changes a digest, and then the
+cached references (keyed by ``harness._CACHE_TAG``) may be stale too: so
+the digests and the tag are pinned side by side, and neither can move
+without the other.  The digests hold for IEEE double arithmetic with
+numpy 2.4 and scipy 1.17 (pocketfft); another FFT build may round
+differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ntcentral import harness
+from ntcentral.core import BoundaryCondition, Grid, init_cell_averages
+from ntcentral.harness import INITIAL_DATA
+from ntcentral.models import MODEL_FACTORIES, make_model
+from ntcentral.schemes import SchemeSpec, Stepper
+
+CACHE_TAG = "ntc-5"
+DIGESTS = {
+    ("arrhenius", "periodic"): "5a48724863ed1cecfae873b2dad911f28f5dbda1f67b348d228c888c5a4be6b5",
+    ("arrhenius", "constant"): "25ce6d6466b2fcbd041addd7dbdeb33550c7f7506ca3fdb87d99e7f6ae9e5050",
+    ("arrhenius", "zero"): "831a447fda385687dc9d1b0451a81c65ee0b76e3412eff79842265469a1c780d",
+    ("garz", "periodic"): "9537c8827199b8be20e6b0f350b05662b00bd5bc67629a18a9ee1568058c3b02",
+    ("garz", "constant"): "1bae8f8db7457738378b5e9e695f4b6121fc4cd5acd9939f3f85bf9b22f87acf",
+    ("garz", "zero"): "d696183dee94e582d1122c6ae67c4e7769c06c18506c10d284dbe2d03e76101f",
+    ("keyfitz-kranzer", "periodic"): "8e32b1d20e705bde365f8b5b002d44578a991b038cc2ed88b31dfefd24fdb28f",
+    ("keyfitz-kranzer", "constant"): "d735cd3a78e325e6cefbb4c40a4af3cac34c428069ccfdb1e9bad1eb75ce1507",
+    ("keyfitz-kranzer", "zero"): "98ebdf6ad78d02c7626019e7ddf3d23ec34e308705e9597662d748b361661704",
+    ("multilane", "periodic"): "867a47317b60cf14ae18b26c515195dfcde118d53eaa21b02a37bb9f6d660087",
+    ("multilane", "constant"): "317b9bfd5624bbed7f9e3ecc9223e567919d50963abf62462ef17eecc8e62f6f",
+    ("multilane", "zero"): "91585b11beb9bbb2927f1b537edfb49878667659281234d69d19a99a3a4cddf0",
+    ("nonlocal-euler", "periodic"): "c9e9c00f2e8612913fe867335aabddadaeedaed0c0af3ccb80fc3936d5ad88fe",
+    ("nonlocal-euler", "constant"): "8933f922f822b84df1d08307188d6941ae432ac46f30117101d3d9a56cae0bed",
+    ("nonlocal-euler", "zero"): "6167263dc9342e4351403a7644b353a21043eecc6bb1c7edecd66388b020695c",
+}
+
+DATA = {
+    "keyfitz-kranzer": "kk-sine",
+    "arrhenius": "arrhenius-sine",
+    "multilane": "multilane-sine",
+    "nonlocal-euler": "euler-sine",
+    "garz": "garz-sine",
+}
+CELLS = (80, 2560)
+STEPS = 3
+TIME_RATIO = 0.1
+
+
+def fingerprint(name: str, bc: str) -> str:
+    model = make_model(name)
+    specs = [SchemeSpec("nt", "v1"), SchemeSpec("lxf1"), SchemeSpec("lxf2")]
+    if model.supports_v2:
+        specs.append(SchemeSpec("nt", "v2"))
+    digest = hashlib.sha256()
+    for cells in CELLS:
+        grid = Grid(-1.0, 1.0, cells)
+        v0 = init_cell_averages(INITIAL_DATA[DATA[name]], grid).values
+        for spec in specs:
+            stepper = Stepper(model, grid, bc, spec)
+            v = v0
+            for _ in range(STEPS):
+                v = stepper.step(v, TIME_RATIO * grid.dx)
+            digest.update(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("bc", [b.value for b in BoundaryCondition])
+@pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+def test_numerics_fingerprint(name, bc):
+    assert harness._CACHE_TAG == CACHE_TAG
+    assert fingerprint(name, bc) == DIGESTS[name, bc]

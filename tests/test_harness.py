@@ -103,6 +103,12 @@ def test_experiment_validation():
         small_experiment(base_dx=0.3).cells_at(0)
 
 
+def test_reference_variant_is_checked_at_construction():
+    with pytest.raises(ConfigurationError, match="unknown slope variant 'v3'"):
+        small_experiment(reference_variant="v3")
+    assert small_experiment(reference_variant="v1").reference_variant == "v1"
+
+
 def test_experiment_grids_and_digest():
     exp = small_experiment()
     assert exp.cells_at(0) == 40

@@ -76,7 +76,7 @@ def unused_parameters(source: str) -> list[str]:
     """Parameters of module-level functions and methods that go unread.
 
     ``self`` and ``cls`` are spared, and so are functions nested in another
-    function: callbacks such as a model's ``flux_u(u, R)`` have their
+    function: callbacks such as a model's ``lip_flux(sbox, nbox)`` have their
     signature set by the caller's contract.
     """
     tree = ast.parse(source)

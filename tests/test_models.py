@@ -1,4 +1,4 @@
-"""Model zoo consistency: shapes, product forms, sources, validation."""
+"""Model zoo consistency: shapes, flux triples, sources, validation."""
 
 import numpy as np
 import pytest
@@ -31,10 +31,9 @@ def test_factory_shapes_and_bounds(name):
     conv = model.convolved_values(values)
     assert conv.shape == (model.n_nonlocal, values.shape[1])
     R = conv.copy()  # cellwise stand-in for the kernel average
-    for k in range(model.n_species):
-        fk = model.flux[k](values[k], R)
-        assert fk.shape == (values.shape[1],)
-        assert np.all(np.isfinite(fk))
+    F = model.eval_flux(values, R)
+    assert F.shape == values.shape
+    assert np.all(np.isfinite(F))
     src = model.eval_source(values, R)
     assert src.shape == values.shape
     sbox = np.stack([values.min(axis=1), values.max(axis=1)], axis=1)
@@ -45,22 +44,32 @@ def test_factory_shapes_and_bounds(name):
         assert model.lip_source(sbox, nbox) >= 0.0
 
 
-@pytest.mark.parametrize(
-    "name", [n for n in sorted(MODEL_FACTORIES) if make_model(n).product_form]
-)
-def test_product_form_reproduces_flux(name):
+@pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+def test_eval_flux_is_g_times_v_with_each_v_once(name):
     model = make_model(name)
     values = _sample_values(model, seed=11)
     R = model.convolved_values(values)
-    for k in range(model.n_species):
-        g, V, _ = model.product_form[k]
-        np.testing.assert_allclose(
-            g(values[k]) * V(R), model.flux[k](values[k], R), rtol=1e-13
-        )
+    calls = []
+
+    def counted(V):
+        def V_counted(R):
+            calls.append(V)
+            return V(R)
+
+        return V_counted
+
+    counters = {V: counted(V) for _, V, _ in model.flux}
+    model.flux = tuple((g, counters[V], dV) for g, V, dV in model.flux)
+    F = model.eval_flux(values, R)
+    # Keyfitz-Kranzer's species share one speed, GARZ's one velocity average
+    shared = name in ("keyfitz-kranzer", "garz")
+    assert len(calls) == len(set(calls)) == (1 if shared else model.n_species)
+    for k, (g, V, _) in enumerate(model.flux):
+        np.testing.assert_array_equal(F[k], g(values[k]) * V(R))
 
 
 @pytest.mark.parametrize(
-    "name", [n for n in sorted(MODEL_FACTORIES) if make_model(n).product_form]
+    "name", [n for n in sorted(MODEL_FACTORIES) if make_model(n).supports_v2]
 )
 def test_product_form_gradient_matches_finite_differences(name):
     model = make_model(name)
@@ -68,7 +77,7 @@ def test_product_form_gradient_matches_finite_differences(name):
     R = model.convolved_values(values)
     eps = 1e-6
     for k in range(model.n_species):
-        _, V, grad_V = model.product_form[k]
+        _, V, grad_V = model.flux[k]
         grad = grad_V(R)
         assert grad.shape == R.shape
         for l in range(model.n_nonlocal):
@@ -149,13 +158,14 @@ def test_make_model_error_paths():
 
 def test_modeldef_cross_validation():
     k = KernelSpec(omega=lambda x: np.ones_like(np.asarray(x)), support=(0.0, 1.0))
+    flux = (lambda r: r, lambda R: R[0], None)
     with pytest.raises(ModelDefinitionError, match="flux entries"):
         ModelDef(
             name="broken",
             species=("a", "b"),
             kernels=(k,),
             nonlocal_sources=(0,),
-            flux=(lambda r, R: r,),
+            flux=(flux,),
         )
     with pytest.raises(ModelDefinitionError, match="neither a species index"):
         ModelDef(
@@ -163,5 +173,9 @@ def test_modeldef_cross_validation():
             species=("a",),
             kernels=(k,),
             nonlocal_sources=(2,),
-            flux=(lambda r, R: r,),
+            flux=(flux,),
         )
+    model = ModelDef(
+        name="v1-only", species=("a",), kernels=(k,), nonlocal_sources=(0,), flux=(flux,)
+    )
+    assert not model.supports_v2
