@@ -40,7 +40,7 @@ from .errors import (
     NumericsError,
 )
 from .limiters import NO_CLIP, ClipConfig
-from .models import ModelDef, make_model
+from .models import DerivedFieldHook, ModelDef, make_model
 from .schemes import SchemeSpec, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
@@ -277,14 +277,18 @@ def _box(rows: np.ndarray, widen: float) -> np.ndarray:
     return box
 
 
-def state_bounds(model: ModelDef, values: np.ndarray, widen: float = 0.1) -> np.ndarray:
-    """Per-species [lo, hi] box around the data, widened and range-clamped."""
-    box = _box(values, widen)
+def _clamped(model: ModelDef, box: np.ndarray) -> np.ndarray:
+    """``box`` clamped in place to the model's admissible range."""
     if model.rho_min is not None:
         np.maximum(box[:, 0], model.rho_min, out=box[:, 0])
     if model.rho_max is not None:
         np.minimum(box[:, 1], model.rho_max, out=box[:, 1])
     return box
+
+
+def state_bounds(model: ModelDef, values: np.ndarray, widen: float = 0.1) -> np.ndarray:
+    """Per-species [lo, hi] box around the data, widened and range-clamped."""
+    return _clamped(model, _box(values, widen))
 
 
 def nonlocal_bounds(model: ModelDef, values: np.ndarray, widen: float = 0.1) -> np.ndarray:
@@ -330,18 +334,30 @@ def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
     return dt / grid.dx
 
 
-def flux_speed_estimate(model: ModelDef, values: np.ndarray) -> float:
+def flux_speed_estimate(
+    model: ModelDef, values: np.ndarray, box: np.ndarray | None = None
+) -> float:
     """Flux Lipschitz bound over the box of the current state.
 
     The same ``model.lip_flux`` that sets the time step in
     :func:`resolve_time_ratio`, evaluated on the unwidened state and
     nonlocal boxes of ``values``, so the per-step CFL monitor checks the
-    quantity the time step was chosen for.
+    quantity the time step was chosen for.  ``box`` is the per-species
+    [min, max] of ``values`` when the caller has already taken it (as
+    :func:`run_simulation` does once per step); it is read, never changed.
+    A species' nonlocal box is its row of that box, so only a derived field
+    takes a range of its own.
     """
-    return model.lip_flux(
-        state_bounds(model, values, widen=0.0),
-        nonlocal_bounds(model, values, widen=0.0),
-    )
+    if box is None:
+        box = _box(values, 0.0)
+    nbox = np.empty((model.n_nonlocal, 2))
+    for l, src in enumerate(model.nonlocal_sources):
+        if isinstance(src, DerivedFieldHook):
+            u = src.value(values)
+            nbox[l] = u.min(), u.max()
+        else:
+            nbox[l] = box[src]
+    return model.lip_flux(_clamped(model, box.copy()), nbox)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +377,25 @@ class MonitorLog:
         self._vmax: list[np.ndarray] = []
         self._tv: list[np.ndarray] = []
 
-    def record(self, t: float, values: np.ndarray):
+    def record(self, t: float, values: np.ndarray, box: np.ndarray | None = None):
+        """Append the state at time ``t``.
+
+        ``box`` is the per-species [min, max] of ``values`` (shape (N, 2))
+        when the caller has already taken it, as :func:`run_simulation` does
+        once per step; the log keeps copies of its columns as ``vmin`` and
+        ``vmax``.
+        """
         if self._times and not t > self._times[-1]:
             raise InputDataError(
                 f"monitor timestamps must increase: {t} after {self._times[-1]}"
             )
+        if box is None:
+            box = _box(values, 0.0)
         state = SystemState(values, t)
         self._times.append(float(t))
         self._mass.append(total_mass(state, self.grid))
-        self._vmin.append(values.min(axis=1))
-        self._vmax.append(values.max(axis=1))
+        self._vmin.append(box[:, 0].copy())
+        self._vmax.append(box[:, 1].copy())
         self._tv.append(total_variation(state, self.bc))
 
     @property
@@ -436,9 +461,11 @@ def run_simulation(
     """Advance one (scheme, level) pair from t=0 to t_final.
 
     Returns ``(SystemState, MonitorLog)``; the log is empty when ``record``
-    is off.  Non-finite states abort with the step index; the per-step CFL
-    monitor (:func:`flux_speed_estimate`) warns once per run, or raises in
-    strict mode.
+    is off.  Each new state's per-species [min, max] box is taken once and
+    read three times: a non-finite state aborts with the step index (NaN
+    propagates through min and max, and an infinity is a min or a max), the
+    per-step CFL monitor (:func:`flux_speed_estimate`) warns once per run or
+    raises in strict mode, and the log records it as ``vmin``/``vmax``.
     """
     model = exp.build_model()
     profiles = exp.profiles()
@@ -461,11 +488,12 @@ def run_simulation(
     warned = False
     for i, (dt, t) in enumerate(_time_steps(exp.t_final, lam * grid.dx)):
         v = stepper.step(v, dt)
-        if not np.isfinite(v).all():
+        box = _box(v, 0.0)
+        if not np.isfinite(box).all():
             raise NumericsError(
                 f"non-finite state after step {i + 1} (t={t:.6g})", step=i + 1
             )
-        speed = flux_speed_estimate(model, v)
+        speed = flux_speed_estimate(model, v, box)
         if lam * speed > limit * (1.0 + 1e-9):
             message = (
                 f"CFL estimate exceeded at step {i + 1}: dt/dx * L = "
@@ -477,7 +505,7 @@ def run_simulation(
                 warnings.warn(message, RuntimeWarning, stacklevel=2)
                 warned = True
         if record:
-            monitor.record(t, v)
+            monitor.record(t, v, box)
     return SystemState(v, exp.t_final), monitor
 
 

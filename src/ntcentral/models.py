@@ -114,7 +114,11 @@ class ModelDef:
         return out
 
     def eval_flux(self, values: np.ndarray, R: np.ndarray) -> np.ndarray:
-        """Every species' flux g_k(values[k]) * V_k(R), each distinct V once."""
+        """Every species' flux g_k(values[k]) * V_k(R), each distinct V once.
+
+        ``values[k]`` may stack several states on the same cells, shape
+        (..., n), all taking the one V(R).
+        """
         out = np.empty_like(values)
         speeds = {}
         for k, (g, V, _) in enumerate(self.flux):
@@ -129,12 +133,22 @@ class ModelDef:
         return self.source(values, R)
 
 
-def _lattice(lo: float, hi: float, n: int = 41) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
 def _absmax(lo: float, hi: float) -> float:
     return max(abs(lo), abs(hi))
+
+
+def _square_range(lo: float, hi: float) -> tuple[float, float]:
+    """Exact [min, max] of r * r over r in [lo, hi] (numpy's ``R ** 2``)."""
+    lo2, hi2 = lo * lo, hi * hi
+    if lo <= 0.0 <= hi:
+        return 0.0, max(lo2, hi2)
+    return min(lo2, hi2), max(lo2, hi2)
+
+
+def _product_absmax(a: tuple, b: tuple) -> float:
+    """Exact max of |x (1 - y)| over the box a x b, given as two [lo, hi]:
+    a bilinear form peaks at a corner."""
+    return max(abs(x * (1.0 - y)) for x in a for y in b)
 
 
 def _identity(rho):
@@ -164,13 +178,15 @@ def make_keyfitz_kranzer(eta: float = 1.0) -> ModelDef:
     flux = (_identity, speed, grad_speed)
 
     def lip_flux(sbox, nbox):
-        a = _lattice(*nbox[0])[:, None]
-        b = _lattice(*nbox[1])[None, :]
-        w = 1.0 - a**2 - b**2
-        l_rho = np.max(np.abs(w**3))
-        grad_sum = 6.0 * (np.abs(a) + np.abs(b)) * w**2
-        l_r = max(_absmax(*sbox[0]), _absmax(*sbox[1])) * np.max(grad_sum)
-        return float(max(l_rho, l_r))
+        # interval bounds: w = 1 - a^2 - b^2 has the exact range below, so
+        # max|w|^3 = max(|w_lo|, |w_hi|)^3, and (|a| + |b|) w^2 is at most
+        # (max|a| + max|b|) max w^2
+        (a, b), (p1, p2) = nbox.tolist(), sbox.tolist()
+        a2_lo, a2_hi = _square_range(*a)
+        b2_lo, b2_hi = _square_range(*b)
+        w_abs = _absmax(1.0 - a2_hi - b2_hi, 1.0 - a2_lo - b2_lo)
+        grad_sum = 6.0 * (_absmax(*a) + _absmax(*b)) * (w_abs * w_abs)
+        return max(w_abs**3, max(_absmax(*p1), _absmax(*p2)) * grad_sum)
 
     return ModelDef(
         name="keyfitz-kranzer",
@@ -205,14 +221,12 @@ def make_arrhenius(eta: float = 0.2, kernel: str = "constant") -> ModelDef:
 
     def lip_flux(sbox, nbox):
         # exact maxima over [lo, hi]: |1 - 2r| is convex, so it peaks at an
-        # end; r (1 - r) peaks at r = 1/2, or at an end if 1/2 lies outside
+        # end; |r (1 - r)| peaks at an end or at r = 1/2, where it is 1/4
         lo, hi = sbox[0].tolist()
-        vmax = float(np.exp(-min(nbox[0])))
+        vmax = float(np.exp(-min(nbox[0].tolist())))
         l_rho = max(abs(1.0 - 2.0 * lo), abs(1.0 - 2.0 * hi)) * vmax
-        if lo <= 0.5 <= hi:
-            l_r = 0.25 * vmax
-        else:
-            l_r = max(abs(lo * (1.0 - lo)), abs(hi * (1.0 - hi))) * vmax
+        peak = 0.25 if lo <= 0.5 <= hi else 0.0
+        l_r = max(peak, abs(lo * (1.0 - lo)), abs(hi * (1.0 - hi))) * vmax
         return max(l_rho, l_r)
 
     return ModelDef(
@@ -254,23 +268,31 @@ def make_multilane(eta: float = 0.5) -> ModelDef:
         return (_identity, V, grad_V)
 
     def lip_flux(sbox, nbox):
-        rmax = max(_absmax(*nbox[0]), _absmax(*nbox[1]))
-        v_abs = max(abs(1.0 - lo**2) for lo in (0.0, rmax))
-        pmax = max(_absmax(*sbox[0]), _absmax(*sbox[1]))
-        return float(max(v_abs, 2.0 * rmax * pmax))
+        (r1, r2), (p1, p2) = nbox.tolist(), sbox.tolist()
+        rmax = max(_absmax(*r1), _absmax(*r2))
+        pmax = max(_absmax(*p1), _absmax(*p2))
+        # |V| = |1 - R^2| peaks at R = 0 or at |R| = rmax
+        return max(1.0, abs(1.0 - rmax**2), 2.0 * rmax * pmax)
 
     def lip_source(sbox, nbox):
-        # lattice maximum of all partial derivatives of the exchange term
-        p1 = _lattice(*sbox[0], 17)[:, None, None, None]
-        p2 = _lattice(*sbox[1], 17)[None, :, None, None]
-        r1 = _lattice(*nbox[0], 17)[None, None, :, None]
-        r2 = _lattice(*nbox[1], 17)[None, None, None, :]
-        dv = np.abs((1.0 - r2**2) - (1.0 - r1**2))
-        pair = np.maximum(np.abs(p1 * (1.0 - p2)), np.abs(p2 * (1.0 - p1)))
-        d_rho = dv * np.maximum(np.abs(1.0 - p2), np.abs(p1))
-        d_rho = np.maximum(d_rho, dv * np.maximum(np.abs(1.0 - p1), np.abs(p2)))
-        d_r = 2.0 * np.maximum(np.abs(r1), np.abs(r2)) * pair
-        return float(max(d_rho.max(), d_r.max()))
+        # interval bound of every partial derivative of the exchange term
+        # s = (v2 - v1) rho1 (1 - rho2), or (v2 - v1) rho2 (1 - rho1):
+        # d/d rho is (v2 - v1) times one of rho1, rho2, 1 - rho1, 1 - rho2,
+        # and d/dR_k is 2 R_k times one of the two products
+        (p1, p2), (r1, r2) = sbox.tolist(), nbox.tolist()
+        q1_lo, q1_hi = _square_range(*r1)
+        q2_lo, q2_hi = _square_range(*r2)
+        # v2 - v1 for v_k = 1 - R_k^2, rounded as the exchange term rounds it
+        dv = _absmax((1.0 - q2_hi) - (1.0 - q1_lo), (1.0 - q2_lo) - (1.0 - q1_hi))
+        factor = max(
+            _absmax(*p1),
+            _absmax(*p2),
+            _absmax(1.0 - p1[0], 1.0 - p1[1]),
+            _absmax(1.0 - p2[0], 1.0 - p2[1]),
+        )
+        pair = max(_product_absmax(p1, p2), _product_absmax(p2, p1))
+        r_abs = max(_absmax(*r1), _absmax(*r2))
+        return max(dv * factor, 2.0 * r_abs * pair)
 
     return ModelDef(
         name="multilane",
@@ -308,11 +330,13 @@ def make_nonlocal_euler(eta: float = 0.05) -> ModelDef:
     )
 
     def lip_flux(sbox, nbox):
-        return float(max(_absmax(*nbox[0]), _absmax(*sbox[0]), _absmax(*sbox[1])))
+        (r,), (p1, p2) = nbox.tolist(), sbox.tolist()
+        return max(_absmax(*r), _absmax(*p1), _absmax(*p2))
 
     def lip_source(sbox, nbox):
-        span = (nbox[0][1] - nbox[0][0]) + (sbox[1][1] - sbox[1][0])
-        return float(max(span, _absmax(*sbox[0])))
+        # d/d rho = R - u, d/dR = rho, d/du = -rho
+        (r_lo, r_hi), (u_lo, u_hi) = nbox[0].tolist(), sbox[1].tolist()
+        return max(_absmax(r_lo - u_hi, r_hi - u_lo), _absmax(*sbox[0].tolist()))
 
     return ModelDef(
         name="nonlocal-euler",
@@ -352,7 +376,8 @@ def make_garz(eta: float = 0.1, kernel: str = "linear") -> ModelDef:
     )
 
     def lip_flux(sbox, nbox):
-        return float(max(_absmax(*nbox[0]), _absmax(*sbox[0]), _absmax(*sbox[1])))
+        (r,), (p1, p2) = nbox.tolist(), sbox.tolist()
+        return max(_absmax(*r), _absmax(*p1), _absmax(*p2))
 
     return ModelDef(
         name="garz",

@@ -413,11 +413,12 @@ class Stepper:
         v1 = _crop(vP, PV, 1)
         s1 = _crop(sP, PV - 1, 1)
 
-        left = v1 + 0.5 * dx * s1  # cell right-interface values
-        right = v1 - 0.5 * dx * s1  # cell left-interface values
-        FL = model.eval_flux(left, R1)[..., :-1]
-        FR = model.eval_flux(right, R1)[..., 1:]
-        H = self._lxf_flux(FL, FR, left[..., :-1], right[..., 1:], lam)
+        faces = np.empty((v1.shape[0], 2, v1.shape[1]))
+        half = 0.5 * dx * s1
+        left = np.add(v1, half, out=faces[:, 0])  # cell right-interface values
+        right = np.subtract(v1, half, out=faces[:, 1])  # cell left-interface values
+        F = model.eval_flux(faces, R1)  # both faces share R1: each V(R1) once
+        H = self._lxf_flux(F[:, 0, :-1], F[:, 1, 1:], left[:, :-1], right[:, 1:], lam)
 
         S1 = model.eval_source(v1, R1)
         S_sm = 0.25 * (S1[..., :-2] + 2.0 * S1[..., 1:-1] + S1[..., 2:])

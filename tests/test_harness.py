@@ -16,7 +16,7 @@ from ntcentral.core import (
     init_cell_averages,
     total_variation,
 )
-from ntcentral.errors import ConfigurationError, InputDataError
+from ntcentral.errors import ConfigurationError, InputDataError, NumericsError
 from ntcentral.harness import (
     CACHE_ENV,
     Experiment,
@@ -326,6 +326,60 @@ def test_run_simulation_periodic_mass_is_flat():
     exp = small_experiment()
     _, log = run_simulation(exp, 0, SchemeSpec("nt", "v2"))
     assert log.relative_mass_drift() <= 1e-13
+
+
+def _steps_through(monkeypatch, after):
+    """Route every Stepper.step result through ``after(step_index, state)``."""
+    step = Stepper.step
+    taken = []
+
+    def routed(self, values, dt):
+        taken.append(None)
+        return after(len(taken), step(self, values, dt))
+
+    monkeypatch.setattr(Stepper, "step", routed)
+
+
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_state_aborts_at_its_step(monkeypatch, bad, record):
+    # the check reads the per-species min/max box: NaN propagates through
+    # both, and an infinity is a min or a max, in any species and cell
+    def poison(i, v):
+        if i == 3:
+            v[1, 17] = bad
+        return v
+
+    _steps_through(monkeypatch, poison)
+    exp = small_experiment(
+        model="multilane", initial_data="multilane-sine", model_params={}, time_ratio=0.05
+    )
+    with pytest.raises(NumericsError, match="after step 3") as info:
+        run_simulation(exp, 0, SchemeSpec("nt", "v2"), record=record)
+    assert info.value.step == 3
+
+
+@pytest.mark.parametrize("name", ["multilane", "garz"])
+def test_monitor_ranges_are_those_of_every_recorded_state(monkeypatch, name):
+    states = []
+
+    def keep(_, v):
+        states.append(v.copy())
+        return v
+
+    _steps_through(monkeypatch, keep)
+    exp = small_experiment(
+        model=name,
+        initial_data=f"{name}-sine",
+        model_params={},
+        time_ratio=0.05,
+        t_final=0.0115,  # four whole steps of 0.0025 and a clamped fifth
+    )
+    _, log = run_simulation(exp, 0, SchemeSpec("nt", "v1"))
+    states.insert(0, init_cell_averages(exp.profiles(), exp.grid_at(0)).values)
+    assert log.n_records == len(states) == 6
+    np.testing.assert_array_equal(log.vmin, [v.min(axis=1) for v in states])
+    np.testing.assert_array_equal(log.vmax, [v.max(axis=1) for v in states])
 
 
 # -- reference cache ---------------------------------------------------------------

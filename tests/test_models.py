@@ -179,3 +179,96 @@ def test_modeldef_cross_validation():
         name="v1-only", species=("a",), kernels=(k,), nonlocal_sources=(0,), flux=(flux,)
     )
     assert not model.supports_v2
+
+
+# -- the Lipschitz bounds are sound interval bounds ---------------------------
+#
+# Each model's flux and source written out symbolically, independently of
+# models.py, in the species symbols P and the nonlocal symbols Q; sympy
+# differentiates them, and the bounds must cover every partial derivative at
+# every point of the box.
+
+
+def _symbolic_model(name):
+    """(species symbols, nonlocal symbols, flux rows, source rows or None)."""
+    import sympy as sp
+
+    if name == "keyfitz-kranzer":
+        p1, p2, a, b = sp.symbols("p1 p2 a b", real=True)
+        w = 1 - a**2 - b**2
+        return (p1, p2), (a, b), (p1 * w**3, p2 * w**3), None
+    if name == "arrhenius":
+        p, r = sp.symbols("p r", real=True)
+        return (p,), (r,), (p * (1 - p) * sp.exp(-r),), None
+    if name == "multilane":
+        p1, p2, r1, r2 = sp.symbols("p1 p2 r1 r2", real=True)
+        v1, v2 = 1 - r1**2, 1 - r2**2
+        s = sp.Piecewise(
+            ((v2 - v1) * p1 * (1 - p2), v2 >= v1), ((v2 - v1) * p2 * (1 - p1), True)
+        )
+        return (p1, p2), (r1, r2), (p1 * v1, p2 * v2), (-s, s)
+    if name == "nonlocal-euler":
+        p, u, r = sp.symbols("p u r", real=True)
+        return (p, u), (r,), (p * r, u**2 / 2), (sp.Integer(0), p * (r - u))
+    if name == "garz":
+        p, q, r = sp.symbols("p q r", real=True)
+        return (p, q), (r,), (p * r, q * r), None
+    raise KeyError(name)
+
+
+def _random_box(rng, rows):
+    """Boxes of every kind: wide, narrow, straddling 0, and degenerate."""
+    kind = rng.integers(4, size=rows)
+    c = rng.uniform(-1.5, 1.5, rows)
+    w = np.where(kind == 0, rng.uniform(0, 2, rows), 10 ** rng.uniform(-9, -1, rows))
+    w[kind == 3] = 0.0
+    c[kind == 2] = rng.uniform(-0.5, 0.5, int((kind == 2).sum())) * w[kind == 2]
+    return np.stack([c - w, c + w], axis=1)
+
+
+def _within(box, t):
+    """The points lo + t (hi - lo) of each row's [lo, hi], for t in [0, 1]."""
+    return box[:, :1] + t * (box[:, 1:] - box[:, :1])
+
+
+def _points_in(rng, box, n):
+    """n points of the box, a third of their coordinates on a face."""
+    shape = (box.shape[0], n)
+    t = np.where(rng.random(shape) < 1 / 3, rng.integers(0, 2, shape), rng.random(shape))
+    return _within(box, t)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+def test_lipschitz_bounds_cover_every_partial_derivative(name):
+    import sympy as sp
+
+    model = make_model(name)
+    P, Q, flux, source = _symbolic_model(name)
+    symbols = P + Q
+
+    def lambdified(rows):
+        values = [sp.lambdify(symbols, row, "numpy") for row in rows]
+        partials = [
+            sp.lambdify(symbols, sp.diff(row, x), "numpy") for row in rows for x in symbols
+        ]
+        return values, partials
+
+    checks = [(model.lip_flux, model.eval_flux, lambdified(flux))]
+    if source is not None:
+        checks.append((model.lip_source, model.eval_source, lambdified(source)))
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        sbox = _random_box(rng, model.n_species)
+        nbox = _random_box(rng, model.n_nonlocal)
+        values, R = _points_in(rng, sbox, 64), _points_in(rng, nbox, 64)
+        args = (*values, *R)
+        sub = [_within(b, np.sort(rng.random((len(b), 2)), axis=1)) for b in (sbox, nbox)]
+        for bound, evaluate, (fns, partials) in checks:
+            # the symbolic model is the model under test
+            want = np.stack([np.broadcast_to(f(*args), R.shape[1:]) for f in fns])
+            np.testing.assert_allclose(evaluate(values, R), want, rtol=1e-12, atol=1e-14)
+            largest = max(np.abs(d(*args)).max() for d in partials)
+            L = bound(sbox, nbox)
+            # the bound and the partials round differently: allow 1e-12 relative
+            assert largest <= L * (1.0 + 1e-12), (sbox, nbox, largest, L)
+            assert bound(*sub) <= L, (sbox, nbox, sub)

@@ -365,3 +365,32 @@ def test_periodic_sourceless_step_conserves_every_species(model_name, rng):
         new = Stepper(model, grid, PER, cfg).step(v, 0.1 * grid.dx)
         drift = np.abs(new.sum(axis=1) - v.sum(axis=1))
         assert np.all(drift <= 1e-14 * np.abs(v).sum(axis=1)), variant
+
+
+
+# each step evaluates every distinct V once per flux evaluation it needs: the
+# cell fluxes (lxf1), the flux slopes or v2 factors and the half-step flux
+# (nt), and both interface values of a stage together (lxf2, two stages)
+V_CALLS_PER_STEP = {"lxf1": 1, "nt-v1": 2, "nt-v2": 2, "lxf2": 2}
+
+
+@pytest.mark.parametrize("model_name", MODELS)
+def test_each_distinct_speed_is_evaluated_once_per_flux_evaluation(model_name):
+    grid = Grid(-1.0, 1.0, 80)
+    v = init_cell_averages(_profiles(model_name, _periodic_wave), grid).values
+    for name, _, cfg in _runs(model_name):
+        model = make_model(model_name, eta=0.25)
+        calls = {}
+
+        def counted(V):
+            def V_counted(R):
+                calls[V] += 1
+                return V(R)
+
+            calls[V] = 0
+            return V_counted
+
+        wrapped = {V: counted(V) for _, V, _ in model.flux}
+        model.flux = tuple((g, wrapped[V], dV) for g, V, dV in model.flux)
+        Stepper(model, grid, PER, cfg).step(v, 0.1 * grid.dx)
+        assert calls == dict.fromkeys(calls, V_CALLS_PER_STEP[name]), name
