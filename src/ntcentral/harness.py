@@ -45,7 +45,7 @@ from .schemes import SchemeSpec, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
 # Bump when a solver change invalidates previously cached references.
-_CACHE_TAG = "ntc-5"
+_CACHE_TAG = "ntc-6"
 
 
 def _tagged_digest(doc) -> str:
@@ -497,7 +497,8 @@ def run_simulation(
         if lam * speed > limit * (1.0 + 1e-9):
             message = (
                 f"CFL estimate exceeded at step {i + 1}: dt/dx * L = "
-                f"{lam * speed:.4f} > {limit:.4f}"
+                f"{lam * speed:.4f} > {limit:.4f} "
+                f"({lam * speed / limit:.10g} times the limit)"
             )
             if strict_cfl:
                 raise CflViolationError(message)

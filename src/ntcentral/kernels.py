@@ -16,21 +16,24 @@ boundary values, for the space derivative of R.
 
 Every band is applied by ``correlate_band``, which picks the direct sum or an
 FFT by a fixed work threshold (never a library heuristic) and caches the
-band's spectrum per transform length.  On a periodic grid the input is the
-N cells of one period (``PeriodicCells``) and is read circularly: the FFT
-side is an N-point transform against the band wrapped modulo N, the direct
-side sums over the period wrap-extended by the band's reach.  No ghost cells
-of band width are needed on either side.
+band's spectrum per transform length.  The transforms are ``numpy.fft``'s
+real FFTs (pocketfft, as in numpy 2.4); a padded input of n cells is
+transformed at ``fft_length(n)``, the smallest 5-smooth length, and the
+numerics fingerprint pins results to those lengths.  On a periodic grid the
+input is the N cells of one period (``PeriodicCells``) and is read
+circularly: the FFT side is an N-point transform against the band wrapped
+modulo N, the direct side sums over the period wrap-extended by the band's
+reach.  No ghost cells of band width are needed on either side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .core import BoundaryCondition, extend_array
 from .errors import ConfigurationError, KernelDefinitionError
@@ -48,7 +51,7 @@ class KernelSpec:
     support: tuple[float, float]
     omega_prime: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
-    normalization: float = 1.0  # factor already applied by normalize_kernel
+    normalization: float = 1.0  # scale already applied to the raw shape
 
     def __post_init__(self):
         eta1, eta2 = self.support
@@ -57,35 +60,6 @@ class KernelSpec:
                 f"kernel support must satisfy eta1 <= 0 <= eta2 with eta1 < eta2, "
                 f"got [{eta1}, {eta2}]"
             )
-
-
-def kernel_integral(spec: KernelSpec, tol: float = 1e-10) -> float:
-    """Adaptive quadrature of the kernel over its support."""
-    eta1, eta2 = spec.support
-    value, _ = integrate.quad(spec.omega, eta1, eta2, epsabs=tol, epsrel=tol, limit=200)
-    return value
-
-
-def normalize_kernel(spec: KernelSpec, tol: float = 1e-10) -> KernelSpec:
-    """Rescale a kernel to unit integral over its support."""
-    mass = kernel_integral(spec, tol)
-    if not np.isfinite(mass) or mass <= tol:
-        raise KernelDefinitionError(
-            f"kernel {spec.name!r} has non-positive integral {mass!r}; "
-            "cannot normalize"
-        )
-    scale = 1.0 / mass
-    omega = spec.omega
-    omega_prime = spec.omega_prime
-    new_prime = None
-    if omega_prime is not None:
-        new_prime = lambda x, _f=omega_prime, _s=scale: _s * np.asarray(_f(x), dtype=float)
-    return replace(
-        spec,
-        omega=lambda x, _f=omega, _s=scale: _s * np.asarray(_f(x), dtype=float),
-        omega_prime=new_prime,
-        normalization=spec.normalization * scale,
-    )
 
 
 @dataclass(eq=False)
@@ -216,6 +190,21 @@ class PeriodicCells:
         return self._wrapped[1]
 
 
+@lru_cache(maxsize=256)
+def fft_length(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, the transform length for n inputs."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power of two taking p35 to n or more
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 # outputs x taps at or below which the direct sum beats the cached-spectrum FFT
 DIRECT_MAX_WORK = 2**18
 
@@ -237,12 +226,12 @@ def correlate_band(u: "np.ndarray | PeriodicCells", band: Band) -> np.ndarray:
     n_out = u.size - w.size + 1
     if n_out * w.size <= DIRECT_MAX_WORK:
         return np.correlate(u, w, "valid")
-    nfft = next_fast_len(u.size, real=True)
+    nfft = fft_length(u.size)
     return irfft(rfft(u, nfft) * band.spectrum(nfft), nfft)[:n_out]
 
 
 # ---------------------------------------------------------------------------
-# Built-in kernel shapes.  All are normalised to unit integral; eta > 0 sets
+# Built-in kernel shapes.  All have unit integral in closed form; eta > 0 sets
 # the support extent.  Forward-looking shapes live on [0, eta], the backward
 # power-law shape on [-eta, 0], and the symmetric parabola on [-eta, eta].
 
@@ -284,22 +273,25 @@ def _symmetric_parabola(eta: float) -> KernelSpec:
 
 
 def _backward_power(eta: float) -> KernelSpec:
-    # (-x (eta + x))^(5/2) on [-eta, 0], normalised numerically.
-    def raw(x):
-        x = np.asarray(x, dtype=float)
-        return np.maximum(-x * (eta + x), 0.0) ** 2.5
+    # (-x (eta + x))^(5/2) on [-eta, 0]; substituting x = -eta t turns its
+    # integral into eta^6 B(7/2, 7/2) = 5 pi eta^6 / 1024
+    scale = 1024.0 / (5.0 * np.pi * eta**6)
 
-    def raw_prime(x):
+    def omega(x):
         x = np.asarray(x, dtype=float)
-        return 2.5 * np.maximum(-x * (eta + x), 0.0) ** 1.5 * (-(eta + 2.0 * x))
+        return scale * np.maximum(-x * (eta + x), 0.0) ** 2.5
 
-    spec = KernelSpec(
-        omega=raw,
-        omega_prime=raw_prime,
+    def omega_prime(x):
+        x = np.asarray(x, dtype=float)
+        return scale * (2.5 * np.maximum(-x * (eta + x), 0.0) ** 1.5 * (-(eta + 2.0 * x)))
+
+    return KernelSpec(
+        omega=omega,
+        omega_prime=omega_prime,
         support=(-eta, 0.0),
         name="backward-power52",
+        normalization=scale,
     )
-    return normalize_kernel(spec)
 
 
 BUILTIN_KERNELS: dict[str, Callable[[float], KernelSpec]] = {

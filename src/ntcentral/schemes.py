@@ -397,8 +397,10 @@ class Stepper:
         v1 = _crop(vP, PV, 1)
         F1 = model.eval_flux(v1, R1)
         H = self._lxf_flux(F1[..., :-1], F1[..., 1:], v1[..., :-1], v1[..., 1:], lam)
-        S0 = model.eval_source(v, _crop(R1, 1, 0))
-        return v - lam * (H[..., 1:] - H[..., :-1]) + dt * S0
+        # a sourceless model adds the scalar 0.0, which turns -0.0 into +0.0
+        # as the zero source array once did
+        S0 = 0.0 if model.source is None else dt * model.source(v, _crop(R1, 1, 0))
+        return v - lam * (H[..., 1:] - H[..., :-1]) + S0
 
     def _lxf2_rhs(self, v: np.ndarray, lam: float) -> np.ndarray:
         model, clip = self.model, self.clip
@@ -420,8 +422,10 @@ class Stepper:
         F = model.eval_flux(faces, R1)  # both faces share R1: each V(R1) once
         H = self._lxf_flux(F[:, 0, :-1], F[:, 1, 1:], left[:, :-1], right[:, 1:], lam)
 
-        S1 = model.eval_source(v1, R1)
-        S_sm = 0.25 * (S1[..., :-2] + 2.0 * S1[..., 1:-1] + S1[..., 2:])
+        S_sm = 0.0  # as in _lxf1_step, a scalar zero source
+        if model.source is not None:
+            S1 = model.source(v1, R1)
+            S_sm = 0.25 * (S1[..., :-2] + 2.0 * S1[..., 1:-1] + S1[..., 2:])
         return -(H[..., 1:] - H[..., :-1]) / dx + S_sm
 
     def _lxf2_step(self, v: np.ndarray, dt: float) -> np.ndarray:

@@ -3,10 +3,12 @@
 import dataclasses
 import glob
 import os
+import re
 
 import numpy as np
 import pytest
 
+from ntcentral import harness
 from ntcentral.cli import load_preset, parse_config, preset_names
 from ntcentral.core import (
     CFL_LIMIT,
@@ -16,7 +18,12 @@ from ntcentral.core import (
     init_cell_averages,
     total_variation,
 )
-from ntcentral.errors import ConfigurationError, InputDataError, NumericsError
+from ntcentral.errors import (
+    CflViolationError,
+    ConfigurationError,
+    InputDataError,
+    NumericsError,
+)
 from ntcentral.harness import (
     CACHE_ENV,
     Experiment,
@@ -203,6 +210,29 @@ def test_derived_time_ratio_passes_the_cfl_monitor(preset):
                 v1 = Stepper(model, grid, bc, spec, e.clip).step(v0, lam * grid.dx)
                 ratio = lam * flux_speed_estimate(model, v1)
                 assert ratio <= CFL_LIMIT, (exp.name, bc, spec.name, ratio / CFL_LIMIT)
+
+
+@pytest.mark.parametrize("excess", [3e-5, 2e-8])
+def test_cfl_message_shows_the_margin(monkeypatch, excess):
+    # an excess below the printed digits of dt/dx * L must still show
+    exp = Experiment(
+        model="arrhenius",
+        t_final=0.01,
+        initial_data="arrhenius-sine",
+        model_params={"eta": 0.2},
+        levels=(0,),
+        reference_level=1,
+        time_ratio=0.2,
+    )
+    speed = CFL_LIMIT * (1.0 + excess) / 0.2
+    monkeypatch.setattr(harness, "flux_speed_estimate", lambda model, v, box: speed)
+    with pytest.raises(CflViolationError, match="CFL estimate exceeded at step 1") as err:
+        run_simulation(exp, 0, strict_cfl=True, record=False)
+    ratio = float(re.search(r"\((\S+) times the limit\)", str(err.value)).group(1))
+    assert ratio - 1.0 == pytest.approx(excess, rel=0.01)
+    with pytest.warns(RuntimeWarning, match="times the limit") as caught:
+        run_simulation(exp, 0, record=False)
+    assert len(caught) == 1  # once per run
 
 
 MODEL_NAMES = ("keyfitz-kranzer", "arrhenius", "multilane", "nonlocal-euler", "garz")
