@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
-
-import jsonschema
 
 from .core import BoundaryCondition
 from .errors import ConfigurationError, NumericsError, SolverError
@@ -142,15 +141,132 @@ _PRESET_SCHEMA = {
 }
 
 
-def _validator(schema: dict):
-    """A validator for ``schema``, built once: the schema is checked here only."""
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+# ---------------------------------------------------------------------------
+# schema checking
+# ---------------------------------------------------------------------------
+#
+# The two schemas above use a small part of JSON Schema (draft 2020-12), and
+# this walk implements exactly that part, _SCHEMA_KEYWORDS.  It reports the
+# error jsonschema's best_match would pick, with the same message and path,
+# with one deliberate difference: a `number` must be finite, so NaN, Infinity
+# and 1e400 (which Python's JSON reader accepts) fail here, not deep inside
+# the numerics.  An error is a tuple (path, message, keyword, matches_type,
+# context).
+
+_FLOAT_MAX = sys.float_info.max
 
 
-_SINGLE_VALIDATOR = _validator(_SINGLE_SCHEMA)
-_PRESET_VALIDATOR = _validator(_PRESET_SCHEMA)
+def _is_type(x, kind: str) -> bool:
+    if kind in ("number", "integer"):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            return False
+        if kind == "number":
+            return -_FLOAT_MAX <= x <= _FLOAT_MAX  # false for NaN and infinities
+        return isinstance(x, int) or x.is_integer()
+    return isinstance(x, {"object": dict, "array": list, "string": str, "boolean": bool}[kind])
+
+
+def _type(kind, x):
+    if not _is_type(x, kind):
+        numeric = kind == "number" and isinstance(x, (int, float)) and not isinstance(x, bool)
+        yield f"{x!r} is {'not a finite number' if numeric else f'not of type {kind!r}'}"
+
+
+def _extras(x, schema):
+    # additionalProperties is false in every schema here
+    extras = sorted(set(x) - set(schema.get("properties", {}))) if isinstance(x, dict) else []
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        names = ", ".join(map(repr, extras))
+        yield f"Additional properties are not allowed ({names} {verb} unexpected)"
+
+
+def _size(bound, x, kind, low):
+    if _is_type(x, kind) and (len(x) < bound if low else len(x) > bound):
+        if low:
+            yield f"{x!r} {'should be non-empty' if bound == 1 else 'is too short'}"
+        else:
+            yield f"{x!r} {'is expected to be empty' if bound == 0 else 'is too long'}"
+
+
+def _bound(limit, x, fails, text):
+    if _is_type(x, "number") and fails(x, limit):
+        yield f"{x!r} is {text} {limit!r}"
+
+
+# keyword -> (value, instance, schema) -> messages of the instance's own errors
+_CHECKS = {
+    "type": lambda kind, x, _: _type(kind, x),
+    "enum": lambda values, x, _: [] if x in values else [f"{x!r} is not one of {values!r}"],
+    "required": lambda names, x, _: [
+        f"{name!r} is a required property"
+        for name in names
+        if isinstance(x, dict) and name not in x
+    ],
+    "additionalProperties": lambda _, x, schema: _extras(x, schema),
+    "minItems": lambda n, x, _: _size(n, x, "array", True),
+    "maxItems": lambda n, x, _: _size(n, x, "array", False),
+    "minLength": lambda n, x, _: _size(n, x, "string", True),
+    "minimum": lambda m, x, _: _bound(m, x, operator.lt, "less than the minimum of"),
+    "maximum": lambda m, x, _: _bound(m, x, operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": lambda m, x, _: _bound(
+        m, x, operator.le, "less than or equal to the minimum of"
+    ),
+}
+#: the keywords the walk implements; the two schemas may use no others
+_SCHEMA_KEYWORDS = frozenset(_CHECKS) | {"properties", "items", "anyOf"}
+
+
+def _errors(schema: dict, x, path: tuple = ()):
+    """Every error of ``x`` under ``schema`` as (path, message, keyword,
+    matches_type, context), in the order jsonschema yields them."""
+    for keyword, value in schema.items():
+        if keyword == "properties":
+            if isinstance(x, dict):
+                for name, sub in value.items():
+                    if name in x:
+                        yield from _errors(sub, x[name], path + (name,))
+        elif keyword == "items":
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    yield from _errors(value, item, path + (i,))
+        else:
+            matches = "type" in schema and _is_type(x, schema["type"])
+            if keyword == "anyOf":  # context paths are relative to x
+                context = []
+                for sub in value:
+                    failed = list(_errors(sub, x))
+                    if not failed:
+                        break
+                    context += failed
+                else:
+                    message = f"{x!r} is not valid under any of the given schemas"
+                    yield path, message, keyword, matches, context
+            else:
+                for message in _CHECKS[keyword](value, x, schema):
+                    yield path, message, keyword, matches, []
+
+
+def _relevance(error):
+    # best_match's order: shallower first, then the later sibling, then any
+    # keyword before anyOf, then an instance that fails its schema's type
+    path, _, keyword, matches, _ = error
+    return -len(path), path, keyword != "anyOf", not matches
+
+
+def _best_match(errors) -> tuple | None:
+    """(path, message) of the error jsonschema.exceptions.best_match picks."""
+    best = max(errors, key=_relevance, default=None)
+    if best is None:
+        return None
+    path = best[0]
+    while best[4]:  # descend into anyOf unless its two best alternatives tie
+        ranked = sorted(best[4], key=_relevance)
+        if len(ranked) > 1 and _relevance(ranked[0]) == _relevance(ranked[1]):
+            break
+        best = ranked[0]
+        path += best[0]
+    return path, best[1]
 
 
 @dataclass
@@ -163,11 +279,8 @@ class RunConfig:
     experiments: tuple[Experiment, ...]
 
 
-def _schema_path(error: jsonschema.ValidationError) -> str:
-    parts = ["$"]
-    for p in error.absolute_path:
-        parts.append(f"[{p}]" if isinstance(p, int) else f".{p}")
-    return "".join(parts)
+def _schema_path(path: tuple) -> str:
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
 
 def _experiment_from_doc(doc: dict, source: str) -> Experiment:
@@ -255,11 +368,11 @@ def parse_config(doc, source: str = "<config>") -> RunConfig:
             doc = json.loads(doc)
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"{source}: not valid JSON: {exc}") from None
-    validator = _PRESET_VALIDATOR if "experiments" in doc else _SINGLE_VALIDATOR
-    # the error jsonschema.validate would raise, without checking the schema again
-    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    preset = isinstance(doc, dict) and "experiments" in doc
+    error = _best_match(_errors(_PRESET_SCHEMA if preset else _SINGLE_SCHEMA, doc))
     if error is not None:
-        raise ConfigurationError(f"{source}: {_schema_path(error)}: {error.message}")
+        path, message = error
+        raise ConfigurationError(f"{source}: {_schema_path(path)}: {message}")
 
     if "experiments" in doc:
         exp_docs = doc["experiments"]
@@ -360,14 +473,10 @@ def cmd_run(cfg: RunConfig, strict_cfl: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_converge(
-    cfg: RunConfig, strict_cfl: bool = False, threads: int | None = None
-) -> int:
+def cmd_converge(cfg: RunConfig, strict_cfl: bool = False) -> int:
     lines = [CONVERGENCE_CSV_HEADER]
     for exp in cfg.experiments:
-        report = convergence_study(
-            exp, threads=threads, strict_cfl=strict_cfl
-        )
+        report = convergence_study(exp, strict_cfl=strict_cfl)
         lines += report.csv_rows(f"{exp.name}:" if exp.name else "")
         if cfg.verbose:
             print(f"  {exp.name or exp.model}: dt/dx={report.time_ratio}", file=sys.stderr)
@@ -441,9 +550,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: config or '.')")
         p.add_argument("--strict-cfl", action="store_true",
                        help="abort when the runtime CFL estimate is exceeded")
-        if name == "converge":
-            p.add_argument("--threads", type=int, default=None,
-                           help="parallel (scheme, level) runs, at least 1")
     sub.add_parser("list-models", help="list the model zoo")
     sub.add_parser("list-presets", help="list packaged presets")
     return parser
@@ -456,15 +562,11 @@ def _load_config(args) -> RunConfig:
         doc = load_preset(args.preset)
         source = f"preset {args.preset}"
     else:
-        try:
+        try:  # parse_config reads the text, so a file holding a JSON string stays a string
             with open(args.config) as fh:
-                doc = json.load(fh)
-        except OSError as exc:
+                doc = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigurationError(f"cannot read {args.config}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"{args.config}: not valid JSON: {exc}"
-            ) from None
         source = args.config
     cfg = parse_config(doc, source)
     if args.out:
@@ -480,10 +582,8 @@ def main(argv=None) -> int:
         if args.command == "list-presets":
             return cmd_list_presets()
         cfg = _load_config(args)
-        if args.command == "converge":
-            return cmd_converge(cfg, args.strict_cfl, args.threads)
-        handler = cmd_run if args.command == "run" else cmd_compare
-        return handler(cfg, args.strict_cfl)
+        handler = {"run": cmd_run, "converge": cmd_converge, "compare": cmd_compare}
+        return handler[args.command](cfg, args.strict_cfl)
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

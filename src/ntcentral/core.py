@@ -31,11 +31,18 @@ KAPPA = TAU = CFL_LIMIT / 2.0
 # Fixed 5-point Gauss-Legendre rule per cell for initial-data projection.
 # Order 10 keeps the initialisation error far below the scheme error; for
 # piecewise-smooth data with jumps on cell interfaces it is exact because the
-# nodes stay strictly inside each cell.  The weights are normalised by their
-# floating-point sum, and init_cell_averages averages the deviations from the
-# middle node, so every constant averages to itself bit for bit.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_GL_WEIGHTS = _GL_WEIGHTS / _GL_WEIGHTS.sum()
+# nodes stay strictly inside each cell.  These are numpy's leggauss(5) nodes
+# and its weights divided by their floating-point sum, bit for bit, stated
+# here so that numpy.polynomial is never imported.  init_cell_averages
+# averages the deviations from the middle node, so every constant averages to
+# itself bit for bit.
+_GL_NODES = np.array(
+    [-0.906179845938664, -0.5384693101056831, 0.0, 0.5384693101056831, 0.906179845938664]
+)
+_GL_WEIGHTS = np.array(
+    [0.11846344252809465, 0.23931433524968318, 0.2844444444444444,
+     0.23931433524968318, 0.11846344252809465]
+)
 
 
 class BoundaryCondition(enum.Enum):

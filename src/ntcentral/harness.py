@@ -17,7 +17,6 @@ import os
 import tempfile
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,9 +254,6 @@ class Experiment:
             "positivity": self.positivity,
             "safety": self.safety,
         }
-
-    def digest(self) -> str:
-        return _tagged_digest(self.canonical())
 
 
 # ---------------------------------------------------------------------------
@@ -525,19 +521,6 @@ def restrict_values(fine: np.ndarray, factor: int) -> np.ndarray:
     return fine.reshape(shape).mean(axis=-1)
 
 
-def restrict_to_coarse(fine: SystemState, coarse_grid: Grid) -> SystemState:
-    """Conservative restriction of a fine state onto a nested coarser grid."""
-    nf, nc = fine.n_cells, coarse_grid.cells
-    if nf % nc != 0:
-        raise InputDataError(f"grids are not nested: {nf} fine vs {nc} coarse cells")
-    factor = nf // nc
-    if factor & (factor - 1):
-        raise InputDataError(
-            f"grid ratio {factor} is not a power of two; grids are not nested"
-        )
-    return SystemState(restrict_values(fine.values, factor), fine.time)
-
-
 def l1_error(a, b, dx: float) -> float:
     """Grid-weighted L1 distance, summed over species."""
     av = a.values if isinstance(a, SystemState) else np.asarray(a)
@@ -659,26 +642,20 @@ def _atomic_write(path: str, text: str):
 
 def convergence_study(
     exp: Experiment,
-    threads: int | None = None,
     use_cache: bool = True,
     strict_cfl: bool = False,
 ) -> ConvergenceReport:
     """Errors and observed orders of every scheme against the fine reference.
 
-    Rates are reported between adjacent levels only.  Independent
-    (scheme, level) runs may execute concurrently; assembly order is fixed by
-    the experiment, so reports are deterministic either way.
+    Rates are reported between adjacent levels only.
     """
     if len(exp.levels) < 2:
         raise ConfigurationError("a convergence study needs at least two levels")
-    if threads is not None and threads < 1:
-        raise ConfigurationError(f"threads must be at least 1, got {threads}")
     model = exp.build_model()
     lam = resolve_time_ratio(exp, model)
     reference = compute_reference(exp, lam, use_cache)
 
-    def one(task):
-        spec, level = task
+    def one(spec, level):
         start = time.perf_counter()
         state, _ = run_simulation(
             exp, level, spec, strict_cfl=strict_cfl, record=False, time_ratio=lam
@@ -688,12 +665,7 @@ def convergence_study(
         err = l1_error(state.values, coarse_ref, exp.grid_at(level).dx)
         return spec.name, level, err, time.perf_counter() - start
 
-    tasks = [(spec, level) for spec in exp.schemes for level in exp.levels]
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, tasks))
-    else:
-        results = [one(t) for t in tasks]
+    results = [one(spec, level) for spec in exp.schemes for level in exp.levels]
 
     errors = {(name, level): err for name, level, err, _ in results}
     runtimes = {(name, level): rt for name, level, _, rt in results}

@@ -127,11 +127,6 @@ class ModelDef:
             out[k] = g(values[k]) * speeds[V]
         return out
 
-    def eval_source(self, values: np.ndarray, R: np.ndarray) -> np.ndarray:
-        if self.source is None:
-            return np.zeros_like(values)
-        return self.source(values, R)
-
 
 def _absmax(lo: float, hi: float) -> float:
     return max(abs(lo), abs(hi))

@@ -1,11 +1,15 @@
 """Command line driver: config parsing, CSV outputs, exit codes."""
 
+import itertools
 import json
+import math
 import os
+import random
 
 import numpy as np
 import pytest
 
+from ntcentral import cli
 from ntcentral.cli import load_preset, main, parse_config, preset_names
 from ntcentral.core import init_cell_averages
 from ntcentral.errors import ConfigurationError
@@ -165,29 +169,8 @@ def test_converge_multi_experiment_prefixes_labels(tmp_path):
     assert "base:nt-v1,0," in body and "lin:nt-v1,0," in body
 
 
-def test_converge_threads_match_serial(tmp_path):
-    doc = tiny_doc(levels=[0, 1], reference_level=3)
-    cfg = write_config(tmp_path, doc)
-    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
-    assert main(
-        ["converge", "--config", cfg, "--out", str(tmp_path / "t"), "--threads", "2"]
-    ) == 0
-    assert (tmp_path / "s/arrhenius.csv").read_bytes() == (
-        tmp_path / "t/arrhenius.csv"
-    ).read_bytes()
-
-
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_converge_rejects_threads_below_one(tmp_path, capsys, threads):
-    cfg = write_config(tmp_path, tiny_doc(levels=[0, 1], reference_level=3))
-    argv = ["converge", "--config", cfg, "--out", str(tmp_path), "--threads", threads]
-    assert main(argv) == 2
-    assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
-    assert not (tmp_path / "arrhenius.csv").exists()
-
-
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_threads_is_a_converge_option_only(tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
+def test_no_command_takes_threads(tmp_path, capsys, command):
     cfg = write_config(tmp_path, tiny_doc())
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", cfg, "--out", str(tmp_path), "--threads", "2"])
@@ -277,6 +260,9 @@ def test_unreadable_and_invalid_json(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["run", "--config", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+    bad.write_bytes(b'{"model": "\xff"}')
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "cannot read" in capsys.readouterr().err
 
 
 def test_duplicate_experiment_labels_rejected():
@@ -314,3 +300,136 @@ def test_bad_preset_message_is_the_best_match():
         with pytest.raises(ConfigurationError) as err:
             parse_config(doc, "fig-garz.json")
         assert str(err.value) == f"fig-garz.json: {message}"
+
+
+@pytest.mark.parametrize("text", ["3", "null", "true", "[1]", '"experiments"'])
+def test_a_top_level_that_is_not_an_object_is_a_config_error(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    instance = json.loads(text)
+    assert f"{path}: $: {instance!r} is not of type 'object'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, literal, where, shown",
+    [
+        ("T", "NaN", "T", "nan"),
+        ("T", "1e400", "T", "inf"),
+        ("time_ratio", "NaN", "time_ratio", "nan"),
+        ("eta", "Infinity", "eta", "inf"),
+        ("domain", "[0, Infinity]", "domain[1]", "inf"),
+    ],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, literal, where, shown):
+    # Python's JSON reader accepts these; without the check they crash in the numerics
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(tiny_doc(**{key: "@"})).replace('"@"', literal))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: $.{where}: {shown} is not a finite number" in err
+    assert "Traceback" not in err and not list(tmp_path.glob("*.csv"))
+
+
+# -- the schema checker against jsonschema ------------------------------------------------
+
+
+def _schemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _schemas(sub)
+    if "items" in schema:
+        yield from _schemas(schema["items"])
+    for sub in schema.get("anyOf", ()):
+        yield from _schemas(sub)
+
+
+@pytest.mark.parametrize("schema", [cli._SINGLE_SCHEMA, cli._PRESET_SCHEMA])
+def test_schemas_use_only_the_keywords_the_checker_implements(schema):
+    for sub in _schemas(schema):
+        assert set(sub) <= cli._SCHEMA_KEYWORDS, set(sub) - cli._SCHEMA_KEYWORDS
+        kinds = (None, "object", "array", "string", "boolean", "number", "integer")
+        assert sub.get("type") in kinds
+        assert sub.get("additionalProperties", False) is False
+
+
+@pytest.mark.parametrize("schema", [cli._SINGLE_SCHEMA, cli._PRESET_SCHEMA])
+def test_schemas_are_valid_draft_2020_12(schema):
+    jsonschema = pytest.importorskip("jsonschema")
+    assert jsonschema.validators.validator_for(schema) is jsonschema.Draft202012Validator
+    jsonschema.Draft202012Validator.check_schema(schema)
+
+
+# Replacement values for any field: every JSON type, the schemas' bounds and
+# enum members, and values that nest errors one level down.
+_VALUES = [
+    None, True, 0, 1, 2, -1, 0.5, 1.5, -0.5, float("nan"), float("inf"), "", "x",
+    "periodic", "v2", "arrhenius", [], ["x"], [0], [1, 2], [-1, 0, 1], ["a", 1], {},
+    {"x": 1}, [{}], [{"scheme": "weno"}], [{"scheme": "nt", "theta": 2, "label": ""}],
+    {"C": -1, "delta": 2}, {"enabled": 1, "y": 0},
+]
+
+
+def _nested(value):
+    """(key, field value) pairs that hold ``value`` one level inside a field."""
+    yield from (("domain", [value, 1.0]), ("levels", [0, value]), ("initial_data", ["s", value]))
+    for key in ("scheme", "slope_variant", "theta", "label", "extra"):
+        yield "schemes", [{"scheme": "nt", key: value}]
+    for key in ("enabled", "C", "delta", "extra"):
+        yield "clip", {key: value}
+
+
+def _variants(doc, keys, rng):
+    """``doc`` with one field changed, removed or added, and with two changed."""
+    for key in keys:
+        for value in _VALUES:
+            yield {**doc, key: value}
+        yield {k: v for k, v in doc.items() if k != key}
+    for value in _VALUES:
+        for key, nested in _nested(value):
+            if key in keys:
+                yield {**doc, key: nested}
+    yield {**doc, "viscosity": 0.1, "a": 1}
+    for a, b in itertools.combinations(keys, 2):
+        yield {**doc, a: rng.choice(_VALUES), b: rng.choice(_VALUES)}
+
+
+def _value_at(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+def test_checker_gives_the_best_match_of_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    oracles = {id(s): jsonschema.Draft202012Validator(s)
+               for s in (cli._SINGLE_SCHEMA, cli._PRESET_SCHEMA)}
+    rng = random.Random(20261019)
+    docs = [3, None, True, 1.5, "experiments", [], ["experiments"], [{"model": "garz"}]]
+    for k, name in enumerate(preset_names()):
+        preset = load_preset(name)
+        first = preset["experiments"][0]
+        variants = itertools.chain(
+            _variants(preset, sorted(cli._PRESET_SCHEMA["properties"]), rng),
+            ({**preset, "experiments": [e]}
+             for e in _variants(first, sorted(cli._EXPERIMENT_PROPERTIES), rng)),
+            _variants({**first, "name": name}, sorted(cli._SINGLE_SCHEMA["properties"]), rng),
+        )
+        # every other variant, alternating between presets, so that each
+        # mutation meets several presets and the test stays within seconds
+        docs += itertools.islice(variants, k % 2, None, 2)
+    differ = 0
+    for doc in docs:
+        is_preset = isinstance(doc, dict) and "experiments" in doc
+        schema = cli._PRESET_SCHEMA if is_preset else cli._SINGLE_SCHEMA
+        error = jsonschema.exceptions.best_match(oracles[id(schema)].iter_errors(doc))
+        want = error and (tuple(error.absolute_path), error.message)
+        got = cli._best_match(cli._errors(schema, doc))
+        if got != want:
+            # the one deliberate difference: a number must be finite
+            path, message = got
+            assert message.endswith("is not a finite number"), (doc, got, want)
+            assert not math.isfinite(_value_at(doc, path)), (doc, got, want)
+            differ += 1
+    assert len(docs) > 10_000 and 0 < differ < len(docs) // 10

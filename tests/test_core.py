@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ntcentral import core
 from ntcentral.core import (
     CFL_LIMIT,
     KAPPA,
@@ -36,6 +37,14 @@ def test_grid_rejects_bad_domains():
         Grid(1.0, 1.0, 10)
     with pytest.raises(ConfigurationError):
         Grid(0.0, 1.0, 3)
+
+
+def test_gauss_legendre_constants_match_leggauss():
+    # core states the rule as literals so that numpy.polynomial stays unloaded
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    np.testing.assert_array_max_ulp(core._GL_NODES, nodes, maxulp=2)
+    np.testing.assert_array_max_ulp(core._GL_WEIGHTS, weights / weights.sum(), maxulp=2)
+    assert core._GL_NODES[2] == 0.0 and core._GL_WEIGHTS.sum() == 1.0
 
 
 def test_init_is_exact_for_degree_nine_polynomials(unit_grid):

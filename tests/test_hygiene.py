@@ -181,9 +181,12 @@ def test_module_uses_no_library_heuristic(module):
 
 
 def test_fresh_import_loads_no_scipy():
+    # scipy and jsonschema are test oracles; the thread pool and
+    # numpy.polynomial are used by no run
+    unwanted = ("scipy", "jsonschema", "concurrent.futures", "numpy.polynomial")
     code = (
         "import sys, ntcentral, ntcentral.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({unwanted!r})))\n"
     )
     path = os.pathsep.join(filter(None, [str(SOURCE_DIR.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -200,8 +203,10 @@ def test_runtime_dependencies_exclude_scipy():
     tomllib = pytest.importorskip("tomllib")
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
     project = tomllib.loads(pyproject.read_text())["project"]
-    assert [d for d in project["dependencies"] if d.startswith("scipy")] == []
-    assert any(d.startswith("scipy") for d in project["optional-dependencies"]["test"])
+    assert project["dependencies"] == ["numpy>=2.0"]
+    test_extra = project["optional-dependencies"]["test"]
+    for oracle in ("scipy", "jsonschema"):
+        assert any(d.startswith(oracle) for d in test_extra), oracle
 
 
 def test_public_names_resolve():

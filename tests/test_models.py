@@ -34,8 +34,9 @@ def test_factory_shapes_and_bounds(name):
     F = model.eval_flux(values, R)
     assert F.shape == values.shape
     assert np.all(np.isfinite(F))
-    src = model.eval_source(values, R)
-    assert src.shape == values.shape
+    assert (model.source is None) == (model.lip_source is None)
+    if model.source is not None:
+        assert model.source(values, R).shape == values.shape
     sbox = np.stack([values.min(axis=1), values.max(axis=1)], axis=1)
     nbox = np.stack([conv.min(axis=1), conv.max(axis=1)], axis=1)
     lf = model.lip_flux(sbox, nbox)
@@ -91,7 +92,7 @@ def test_multilane_exchange_conserves_total_density():
     model = make_model("multilane")
     values = _sample_values(model, seed=19)
     R = model.convolved_values(values)
-    src = model.eval_source(values, R)
+    src = model.source(values, R)
     np.testing.assert_allclose(src.sum(axis=0), 0.0, atol=1e-15)
     # exchange moves mass toward the faster lane
     faster2 = (1.0 - R[1] ** 2) > (1.0 - R[0] ** 2)
@@ -102,7 +103,7 @@ def test_euler_source_only_relaxes_velocity():
     model = make_model("nonlocal-euler")
     values = _sample_values(model, seed=23)
     R = model.convolved_values(values)
-    src = model.eval_source(values, R)
+    src = model.source(values, R)
     np.testing.assert_array_equal(src[0], np.zeros(values.shape[1]))
     np.testing.assert_allclose(src[1], values[0] * (R[0] - values[1]))
 
@@ -255,7 +256,7 @@ def test_lipschitz_bounds_cover_every_partial_derivative(name):
 
     checks = [(model.lip_flux, model.eval_flux, lambdified(flux))]
     if source is not None:
-        checks.append((model.lip_source, model.eval_source, lambdified(source)))
+        checks.append((model.lip_source, model.source, lambdified(source)))
     rng = np.random.default_rng(20261018)
     for _ in range(300):
         sbox = _random_box(rng, model.n_species)
