@@ -3,6 +3,10 @@
 Each (model, boundary condition) pair is run for three steps of every
 scheme it supports, at 80 cells (every band by the direct sum) and at 2560
 cells (every band by the FFT).  The digest covers the bytes of each state.
+The discrete entropy residual, which reads the step's intermediate fields
+at offsets of its own, is pinned the same way on Arrhenius: its per-step
+values on a clean run are round-off, so any change to those offsets or to
+the arithmetic behind them moves a digest.
 A change that moves any result by one ulp changes a digest, and then the
 cached references (keyed by ``harness._CACHE_TAG``) may be stale too: so
 the digests and the tag are pinned side by side, and neither can move
@@ -76,3 +80,35 @@ def fingerprint(name: str, bc: str) -> str:
 def test_numerics_fingerprint(name, bc):
     assert harness._CACHE_TAG == CACHE_TAG
     assert fingerprint(name, bc) == DIGESTS[name, bc]
+
+
+ENTROPY_DIGESTS = {
+    ("periodic", "v1"): "821ab1c660c63b367a9ed99ce39e3c961316734adba445bc9a438aa61d61a9d6",
+    ("periodic", "v2"): "86e5e6437bddbe808cebd426b354b9b8762c272abab8a556c165173d4d288ebc",
+    ("constant", "v1"): "cef3dc196e2f78247afd5654becfca546fb18b47ee0655090e2f81ae1b8d0311",
+    ("constant", "v2"): "ba5f6c26adc1c081ced67f0e824e98c04ff77d0fb8a32f2a01706cf2fe2b803a",
+    ("zero", "v1"): "ef2c83caf2855a38c73e5921acfb7c4502460a8db735a7e4601ba7d8d9e43acd",
+    ("zero", "v2"): "5ab6873cd87163d9258e41c8b61d406b230421da9a53be4515f893a618905979",
+}
+ZETAS = (0.3, 0.5, 0.7)
+
+
+def entropy_fingerprint(bc: str, variant: str) -> str:
+    model = make_model("arrhenius")
+    digest = hashlib.sha256()
+    for cells in CELLS:
+        grid = Grid(-1.0, 1.0, cells)
+        v0 = init_cell_averages(INITIAL_DATA["arrhenius-sine"], grid).values
+        for zeta in ZETAS:
+            res = harness.entropy_residual(
+                model, grid, v0, zeta, STEPS * TIME_RATIO * grid.dx, TIME_RATIO, bc, variant
+            )
+            assert res.shape == (STEPS,)
+            digest.update(np.ascontiguousarray(res, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("variant", ["v1", "v2"])
+@pytest.mark.parametrize("bc", [b.value for b in BoundaryCondition])
+def test_entropy_residual_fingerprint(bc, variant):
+    assert entropy_fingerprint(bc, variant) == ENTROPY_DIGESTS[bc, variant]

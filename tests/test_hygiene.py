@@ -16,8 +16,11 @@ import sys
 import pytest
 
 import ntcentral
-from ntcentral import harness, schemes
+from ntcentral import harness, kernels, schemes
+from ntcentral.core import Grid, init_cell_averages
 from ntcentral.harness import Experiment, SchemeSpec, run_simulation
+from ntcentral.models import make_model
+from ntcentral.schemes import Stepper
 
 SOURCE_DIR = pathlib.Path(ntcentral.__file__).parent
 MODULES = sorted(p.name for p in SOURCE_DIR.glob("*.py") if p.name != "__init__.py")
@@ -227,6 +230,11 @@ TRACED_LAYERS = [
 ]
 
 
+# correlate_band calls per step and nonlocal field: R and its time
+# derivative (nt-v1), and its space derivative (nt-v2), R once per stage (lxf)
+BANDS_PER_FIELD = {"nt-v1": 2, "nt-v2": 3, "lxf1": 1, "lxf2": 2}
+
+
 def test_traced_layers_are_called_through_their_module_attributes(monkeypatch):
     calls = {}
 
@@ -240,15 +248,61 @@ def test_traced_layers_are_called_through_their_module_attributes(monkeypatch):
     for owner, attr in TRACED_LAYERS:
         calls[attr] = 0
         monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
-    exp = Experiment(
-        model="arrhenius",
-        t_final=0.01,
-        initial_data="arrhenius-sine",
-        model_params={"eta": 0.2},
-        levels=(0,),
-        reference_level=1,
-        time_ratio=0.2,
-        schemes=(SchemeSpec("nt", "v2"),),
-    )
-    run_simulation(exp, 0, record=False)  # one step: dt = 0.2 * dx = 0.01
-    assert {name: n for name, n in calls.items() if n < 1} == {}
+    for model, data in (("arrhenius", "arrhenius-sine"), ("multilane", "multilane-sine")):
+        m = len(make_model(model).nonlocal_sources)
+        for bc in ("periodic", "zero"):
+            for name, spec in (
+                ("nt-v1", SchemeSpec("nt", "v1")),
+                ("nt-v2", SchemeSpec("nt", "v2")),
+                ("lxf1", SchemeSpec("lxf1")),
+                ("lxf2", SchemeSpec("lxf2")),
+            ):
+                calls.update(dict.fromkeys(calls, 0))
+                exp = Experiment(
+                    model=model,
+                    t_final=0.0025,
+                    initial_data=data,
+                    model_params={"eta": 0.2},
+                    bc=bc,
+                    levels=(0,),
+                    reference_level=1,
+                    time_ratio=0.05,
+                    schemes=(spec,),
+                )
+                run_simulation(exp, 0, record=False)  # one step: dt = 0.05 * dx
+                key = (model, bc, name)
+                assert calls["correlate_band"] == BANDS_PER_FIELD[name] * m, key
+                assert calls["flux_speed_estimate"] == 1, key
+                if name.startswith("nt"):
+                    assert {a: n for a, n in calls.items() if n < 1} == {}, key
+
+
+def test_periodic_nt_v2_step_shares_one_forward_transform_per_field(monkeypatch):
+    # R and its space derivative read the same cells: one rfft serves both,
+    # and the time derivative's integrand takes the other; each field's three
+    # quadratures take one irfft each
+    calls = {"rfft": 0, "irfft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    for model_name in ("arrhenius", "multilane"):
+        model = make_model(model_name, eta=0.2)
+        m = len(model.nonlocal_sources)
+        grid = Grid(-1.0, 1.0, 2560)
+        stepper = Stepper(model, grid, "periodic", SchemeSpec("nt", "v2"))
+        v = stepper.step(
+            init_cell_averages(
+                harness.resolve_profiles(f"{model_name}-sine"), grid
+            ).values,
+            0.1 * grid.dx,
+        )  # warm-up: the band spectra are computed on first use
+        calls.update(rfft=0, irfft=0)
+        stepper.step(v, 0.1 * grid.dx)
+        assert calls == {"rfft": 2 * m, "irfft": 3 * m}, model_name
