@@ -324,16 +324,19 @@ def _experiment_from_doc(doc: dict, source: str) -> Experiment:
     if "clip" in doc:  # a clip block turns clipping on unless it says otherwise
         clip = ClipConfig(**{"enabled": True, **doc["clip"]})
 
+    # the schema, like JSON Schema, counts integral floats such as 3.0 as integers
     if "levels" in doc:
-        levels = tuple(doc["levels"])
+        levels = tuple(map(int, doc["levels"]))
     else:
-        levels = (doc.get("level", 0),)
+        levels = (int(doc.get("level", 0)),)
 
     # keys the document sets go to the Experiment field of the same name;
     # Experiment states the default of each
     keys = ("domain", "bc", "base_dx", "reference_level", "reference_variant",
             "time_ratio", "positivity", "safety")
     given = {key: doc[key] for key in keys if key in doc}
+    if "reference_level" in doc:
+        given["reference_level"] = int(doc["reference_level"])
     if "domain" in doc:
         given["domain"] = tuple(doc["domain"])
     if "label" in doc:

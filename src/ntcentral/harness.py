@@ -58,46 +58,30 @@ def _tagged_digest(doc) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _bump(y):
-    y = np.asarray(y, dtype=float)
-    return np.where((y > 0.0) & (y < 1.0), 4.0 * y * y * (1.0 - y * y), 0.0)
-
-
+# per-species expressions in the language of ``expression_profile``
 INITIAL_DATA = {
-    "kk-sine": (
-        lambda x: -0.1 - 0.2 * np.sin(np.pi * x),
-        lambda x: 0.2 + 0.1 * np.sin(np.pi * x),
-    ),
+    "kk-sine": ("-0.1 - 0.2 * sin(pi * x)", "0.2 + 0.1 * sin(pi * x)"),
     "kk-box": (
-        lambda x: np.where((x > 1.0) & (x < 3.0), 0.25, 0.0),
-        lambda x: np.where((x > 1.0) & (x < 3.0), 1.0, 0.0),
+        "where((x > 1.0) & (x < 3.0), 0.25, 0.0)",
+        "where((x > 1.0) & (x < 3.0), 1.0, 0.0)",
     ),
-    "arrhenius-sine": (lambda x: 0.5 + 0.4 * np.sin(np.pi * x),),
-    "arrhenius-box": (lambda x: np.where(np.abs(x) <= 0.25, 1.0, 0.2),),
-    "multilane-sine": (
-        lambda x: 0.5 + 0.5 * np.sin(np.pi * x),
-        lambda x: 0.25 + 0.25 * np.cos(2.0 * np.pi * x),
-    ),
+    "arrhenius-sine": ("0.5 + 0.4 * sin(pi * x)",),
+    "arrhenius-box": ("where(abs(x) <= 0.25, 1.0, 0.2)",),
+    "multilane-sine": ("0.5 + 0.5 * sin(pi * x)", "0.25 + 0.25 * cos(2.0 * pi * x)"),
+    # the bump 4 y^2 (1 - y^2) on 0 < y < 1, at y = 2x - 0.5 and y = 2x
     "multilane-bumps": (
-        lambda x: _bump(2.0 * x - 0.5),
-        lambda x: _bump(2.0 * x),
+        "where((2.0 * x - 0.5 > 0.0) & (2.0 * x - 0.5 < 1.0),"
+        " 4.0 * (2.0 * x - 0.5) ** 2 * (1.0 - (2.0 * x - 0.5) ** 2), 0.0)",
+        "where((2.0 * x > 0.0) & (2.0 * x < 1.0),"
+        " 4.0 * (2.0 * x) ** 2 * (1.0 - (2.0 * x) ** 2), 0.0)",
     ),
-    "euler-sine": (
-        lambda x: 0.2 + 0.1 * np.sin(np.pi * x),
-        lambda x: 0.4 + 0.3 * np.cos(np.pi * x) / np.pi,
-    ),
-    "euler-jump": (
-        lambda x: np.where(x <= 0.0, 0.5, 1.5),
-        lambda x: np.where(x <= 0.0, -1.0, 1.0),
-    ),
+    "euler-sine": ("0.2 + 0.1 * sin(pi * x)", "0.4 + 0.3 * cos(pi * x) / pi"),
+    "euler-jump": ("where(x <= 0.0, 0.5, 1.5)", "where(x <= 0.0, -1.0, 1.0)"),
     "garz-sine": (
-        lambda x: 0.3 + 0.2 * np.sin(np.pi * x),
-        lambda x: (0.3 + 0.2 * np.sin(np.pi * x)) * (1.9 + 1.25 * np.sin(np.pi * x)),
+        "0.3 + 0.2 * sin(pi * x)",
+        "(0.3 + 0.2 * sin(pi * x)) * (1.9 + 1.25 * sin(pi * x))",
     ),
-    "garz-jump": (
-        lambda x: np.full_like(np.asarray(x, dtype=float), 0.05),
-        lambda x: np.where(x <= 0.0, 7.0 / 400.0, 1.0 / 25.0),
-    ),
+    "garz-jump": ("0.05", "where(x <= 0.0, 7.0 / 400.0, 1.0 / 25.0)"),
 }
 
 _EXPR_NAMES = {
@@ -144,7 +128,7 @@ def resolve_profiles(spec):
     """Registry name, or a sequence of per-species expressions, to callables."""
     if isinstance(spec, str):
         try:
-            return INITIAL_DATA[spec]
+            spec = INITIAL_DATA[spec]
         except KeyError:
             raise ConfigurationError(
                 f"unknown initial data {spec!r}; "
@@ -221,7 +205,12 @@ class Experiment:
 
     def cells_at(self, level: int) -> int:
         dx = self.base_dx * 2.0 ** (-level)
-        cells = (self.domain[1] - self.domain[0]) / dx
+        cells = (self.domain[1] - self.domain[0]) / dx if dx > 0.0 else math.inf
+        if not math.isfinite(cells):
+            raise ConfigurationError(
+                f"level {level:g} is too fine: dx = {self.base_dx} * 2**-{level:g} "
+                "underflows"
+            )
         if abs(cells - round(cells)) > 1e-9 * cells:
             raise ConfigurationError(
                 f"domain {self.domain} is not a whole number of cells at "
@@ -770,21 +759,26 @@ def entropy_residual(
     for dt, _ in _time_steps(t_final, time_ratio * dx):
         lam = dt / dx
         new, f = stepper.step_with_fields(v, dt)
+        m = f["margins"]["half"]  # cell j at index j + m; interface j+1/2 of ss at j + m - 1
 
-        c = f["values"][0]  # cells j = -3 .. J+2 at index j+3
+        def at(a, k, n=J, m=m):
+            """Entries j + k, j = 0 .. n - 1, of ``a``, whose entry j sits at index j + m."""
+            return a[..., m + k : m + k + n]
+
+        c = f["values"][0]
         s = f["slopes"][0]
         h = 0.5 * dt * (f["source"][0] - f["sigma"][0])
         Rh = f["half_R"]
         Sh = f["half_source"][0]
-        ss = f["staggered_slopes"][0]  # interface j+1/2 at index j+2
+        ss = f["staggered_slopes"][0]
         Fz = g(z + h) * V(Rh)
 
         # numerical entropy flux on interfaces j+1/2, j = -1 .. J-1
-        uL, uR = c[2 : J + 3], c[3 : J + 4]
-        hL, hR = h[2 : J + 3], h[3 : J + 4]
-        VL, VR = V(Rh[:, 2 : J + 3]), V(Rh[:, 3 : J + 4])
-        sLR = s[2 : J + 3] + s[3 : J + 4]
-        ssI = ss[1 : J + 2]
+        uL, uR = at(c, -1, J + 1), at(c, 0, J + 1)
+        hL, hR = at(h, -1, J + 1), at(h, 0, J + 1)
+        VL, VR = V(at(Rh, -1, J + 1)), V(at(Rh, 0, J + 1))
+        sLR = at(s, -1, J + 1) + at(s, 0, J + 1)
+        ssI = at(ss, -1, J + 1, m - 1)
 
         def entropy_flux(a, b):
             return (0.25 * (a - b) + dx / 16.0 * sLR + dx / 8.0 * ssI) / lam + 0.5 * (
@@ -796,14 +790,14 @@ def entropy_residual(
         )
 
         bracket = (
-            dx / 16.0 * (s[4 : J + 4] - s[2 : J + 2])
-            + dx / 8.0 * (ss[2 : J + 2] - ss[1 : J + 1])
-            + 0.5 * lam * (Fz[4 : J + 4] - Fz[2 : J + 2])
-            - 0.25 * dt * (Sh[4 : J + 4] + 2.0 * Sh[3 : J + 3] + Sh[2 : J + 2])
+            dx / 16.0 * (at(s, 1) - at(s, -1))
+            + dx / 8.0 * (at(ss, 0, J, m - 1) - at(ss, -1, J, m - 1))
+            + 0.5 * lam * (at(Fz, 1) - at(Fz, -1))
+            - 0.25 * dt * (at(Sh, 1) + 2.0 * at(Sh, 0) + at(Sh, -1))
         )
         lhs = (
             np.abs(new[0] - z)
-            - np.abs(c[3 : J + 3] - z)
+            - np.abs(at(c, 0) - z)
             + np.sign(new[0] - z) * bracket
             + lam * (F[1:] - F[:-1])
         )

@@ -27,6 +27,19 @@ closures the state margin also covers the widest quadrature band, so the
 bands slide over ghost cells.  A periodic grid is a torus and carries no
 band-width margin: each quadrature reads its input on the N cells of one
 period circularly, and its output is wrap-extended to the stencil margin.
+
+``Stepper.margins`` states the ghost cells on each side of the step's
+arrays once per scheme, and ``step_with_fields`` publishes them.  With nm
+the reach of the widest band (at least 1) off the torus and 0 on it:
+
+    scheme  pad (state)  R         flux (flux slopes, source)  half (half step)
+    nt      5 + 2 * nm   4 + nm    3 + nm                      3
+    lxf1    1 + nm       1
+    lxf2    2 + nm       1
+
+The state's limited slopes carry pad - 1.  The staggered averages of the
+central scheme start at margin half (interface j + 1/2 at index j + half),
+and their limited slopes one cell later.
 """
 
 from __future__ import annotations
@@ -185,9 +198,15 @@ class Stepper:
                     "use slope_variant='v1'"
                 )
             self.dw = tuple(build_derivative_weights(k, dx) for k in model.kernels)
-        # ghost cells the quadrature bands reach; none on the torus
+        # ghost cells each side of every array of the step, as tabled in the
+        # module docstring; nm is the reach of the widest band, none on the torus
         self.periodic = self.bc is BoundaryCondition.PERIODIC
-        self.nmax = 0 if self.periodic else max(1, max(max(q.n1, q.n2) for q in self.qw))
+        nm = 0 if self.periodic else max(1, max(max(q.n1, q.n2) for q in self.qw))
+        self.margins = {
+            "nt": {"pad": 5 + 2 * nm, "R": 4 + nm, "flux": 3 + nm, "half": 3},
+            "lxf1": {"pad": 1 + nm, "R": 1},
+            "lxf2": {"pad": 2 + nm, "R": 1},
+        }[self.spec.scheme]
 
     # -- shared field construction -----------------------------------------
 
@@ -202,105 +221,72 @@ class Stepper:
             raise ConfigurationError(f"dt must be nonnegative, got {dt}")
         return v
 
-    def _convolved(self, vP: np.ndarray) -> list:
-        """Cell values of every convolved quantity; a species is a view of vP."""
-        return [
-            s.value(vP) if isinstance(s, DerivedFieldHook) else vP[s]
-            for s in self.model.nonlocal_sources
-        ]
+    def _convolved(self, vP: np.ndarray, sP: np.ndarray | None = None):
+        """Cell values of every convolved quantity at the state's margin.
 
-    def _source_arrays(self, vP: np.ndarray, sP: np.ndarray, clip: ClipConfig):
-        """Cell values and slopes of every convolved quantity at full margin."""
-        us, sus = [], []
-        for src in self.model.nonlocal_sources:
-            if isinstance(src, DerivedFieldHook):
-                us.append(src.value(vP))
-                sus.append(slopes_of_extended(us[-1], self.grid.dx, clip))
-            else:
-                us.append(vP[src])
-                sus.append(sP[src])
+        A species is a view of vP.  With the state's slopes ``sP`` the
+        quantities' slopes come too, else None.
+        """
+        srcs = self.model.nonlocal_sources
+        us = [s.value(vP) if isinstance(s, DerivedFieldHook) else vP[s] for s in srcs]
+        if sP is None:
+            return us, None
+        sus = [
+            slopes_of_extended(u, self.grid.dx, self.clip)
+            if isinstance(s, DerivedFieldHook)
+            else sP[s]
+            for s, u in zip(srcs, us)
+        ]
         return us, sus
 
-    @staticmethod
-    def _band_view(arr: np.ndarray, have: int, margin: int, band):
-        """Slice an extended array to the window a band needs for ``margin``."""
-        lo = have - margin - band.n1
-        hi = arr.shape[-1] - (have - margin - band.n2)
-        if lo < 0 or have - margin - band.n2 < 0:
-            raise ValueError("insufficient ghost margin for quadrature band")
-        return arr[..., lo:hi]
+    def _quadrature(self, us, sus, have: int, margin: int, dx_margin: int | None = None):
+        """Every nonlocal field of the cell values ``us``, at ``margin`` ghost cells.
 
-    def _period(self, arr, have: int) -> PeriodicCells:
-        """The N cells of an array padded by ``have`` ghost cells each side."""
-        if isinstance(arr, PeriodicCells):
-            return arr
-        return PeriodicCells(arr[..., have : have + self.grid.cells])
-
-    def _band_input(self, arr, have: int, margin: int, band):
-        """What ``correlate_band`` reads for one band: the period on the torus."""
-        if self.periodic:
-            return self._period(arr, have)
-        return self._band_view(arr, have, margin, band)
-
-    def _window(self, arr, have: int, margin: int, band) -> np.ndarray:
-        """Cells j - n1 .. j + n2 of every output cell j, as one array."""
-        u = self._band_input(arr, have, margin, band)
-        return u.wrapped(band.n1, band.n2) if self.periodic else u
-
-    def _outputs(self, margin: int) -> int:
-        """Cells a quadrature computes: the period on the torus, else all."""
-        return self.grid.cells + (0 if self.periodic else 2 * margin)
-
-    def _to_margin(self, out: np.ndarray, margin: int) -> np.ndarray:
-        """Wrap-extend periodic quadrature outputs to the requested margin."""
-        return extend_array(out, margin, margin, self.bc) if self.periodic else out
-
-    def _apply_bands(self, bands, us, sus, have_v: int, have_s: int, margin: int):
-        """Each band applied to its field, for the cells a quadrature computes.
-
-        With slopes ``sus``, the half-cell end intervals see the
+        ``us`` carry ``have`` ghost cells each side and their slopes ``sus``
+        carry ``have - 1``; with slopes, the half-cell end intervals see the
         reconstruction: output j gains 0.25 dx (w[0] s[j - n1] - w[-1] s[j + n2]).
+        ``sus`` of None applies the bands to cellwise values as they are.
+        With ``dx_margin`` the space derivatives of the fields come too, at
+        that margin, and the result is the pair (fields, derivatives).
+
+        Off the torus the bands slide over the ghost cells.  On the torus
+        each band reads the N cells of one period circularly, every output
+        is one period wrap-extended to its margin, and a field and its
+        space derivative share one forward transform.
         """
-        n = self._outputs(margin)
-        out = np.empty((len(bands), n))
-        dx = self.grid.dx
-        for l, band in enumerate(bands):
-            out[l] = correlate_band(self._band_input(us[l], have_v, margin, band), band)
+        n, dx = self.grid.cells, self.grid.dx
+        periodic = self.periodic
+        if periodic:
+            us = [PeriodicCells(u[..., have : have + n]) for u in us]
             if sus is not None:
-                se = self._window(sus[l], have_s, margin, band)
-                w = band.weights
-                out[l] += 0.25 * dx * (
-                    w[0] * se[..., :n] - w[-1] * se[..., band.n1 + band.n2 :]
-                )
-        return out
+                sus = [PeriodicCells(s[..., have - 1 : have - 1 + n]) for s in sus]
 
-    def _nonlocal(self, us, sus, have_v: int, have_s: int, margin: int) -> np.ndarray:
-        """All nonlocal fields at the given margin; slopes ``sus`` or None."""
-        out = self._apply_bands(self.qw, us, sus, have_v, have_s, margin)
-        return self._to_margin(out, margin)
+        def apply(bands, m: int) -> np.ndarray:
+            n_out = n if periodic else n + 2 * m
+            out = np.empty((len(bands), n_out))
+            for l, band in enumerate(bands):
+                reach = band.n1 + band.n2
+                lo = have - m - band.n1  # first input cell of output 0, off the torus
+                u = us[l] if periodic else us[l][..., lo : lo + n_out + reach]
+                out[l] = correlate_band(u, band)
+                if sus is not None:
+                    if periodic:
+                        s = sus[l].wrapped(band.n1, band.n2)
+                    else:
+                        s = sus[l][..., lo - 1 : lo - 1 + n_out + reach]
+                    w = band.weights
+                    out[l] += 0.25 * dx * (w[0] * s[..., :n_out] - w[-1] * s[..., reach:])
+                if bands is self.dw:
+                    ue = u.wrapped(band.n1, band.n2) if periodic else u
+                    out[l] = (
+                        -band.boundary_left * ue[..., :n_out]
+                        + band.boundary_right * ue[..., reach:]
+                        - out[l]
+                    )
+            return extend_array(out, m, m, self.bc) if periodic else out
 
-    def _nonlocal_dx(self, us, sus, have_v: int, have_s: int, margin: int):
-        """Space derivative of every nonlocal field at the given margin."""
-        n = self._outputs(margin)
-        out = self._apply_bands(self.dw, us, sus, have_v, have_s, margin)
-        for l, dw in enumerate(self.dw):
-            ue = self._window(us[l], have_v, margin, dw)
-            out[l] = (
-                -dw.boundary_left * ue[..., :n]
-                + dw.boundary_right * ue[..., dw.n1 + dw.n2 :]
-                - out[l]
-            )
-        return self._to_margin(out, margin)
-
-    def _nonlocal_dt(self, v_ms, sms, have: int, margin: int) -> np.ndarray:
-        """Time derivative of every nonlocal field from cellwise integrands."""
-        integrands = [
-            src.time_integrand(v_ms, sms)
-            if isinstance(src, DerivedFieldHook)
-            else sms[src]
-            for src in self.model.nonlocal_sources
-        ]
-        return self._nonlocal(integrands, None, have, 0, margin)
+        fields = apply(self.qw, margin)
+        return fields if dx_margin is None else (fields, apply(self.dw, dx_margin))
 
     def _lxf_flux(self, FL, FR, uL, uR, lam: float) -> np.ndarray:
         """Lax-Friedrichs flux 0.5 (F_L + F_R) - theta / (2 lam) (u_R - u_L)."""
@@ -311,27 +297,23 @@ class Stepper:
     def _nt_step(self, v: np.ndarray, dt: float, collect: bool):
         model, clip = self.model, self.clip
         dx = self.grid.dx
-        nm = self.nmax
-        PV = 5 + 2 * nm  # state pad
-        MR = 4 + nm  # nonlocal field margin
-        MS = 3 + nm  # flux-slope and source margin
-        MH = 3  # half-step field margin
+        M = self.margins
+        PV, MR, MS, MH = M["pad"], M["R"], M["flux"], M["half"]
         J = v.shape[-1]
 
         vP = extend_array(v, PV, PV, self.bc)
         sP = slopes_of_extended(vP, dx, clip)  # margin PV - 1
-        us, sus = self._source_arrays(vP, sP, clip)
-        if self.periodic:  # R and its space derivative share transforms and wraps
-            us = [self._period(u, PV) for u in us]
-            sus = [self._period(s, PV - 1) for s in sus]
-
-        R_mr = self._nonlocal(us, sus, PV, PV - 1, MR)
+        us, sus = self._convolved(vP, sP)
+        v2 = self.spec.slope_variant == "v2"
+        if v2:  # R and its space derivative
+            R_mr, dR_ms = self._quadrature(us, sus, PV, MR, MS)
+        else:
+            R_mr = self._quadrature(us, sus, PV, MR)
         v_mr = _crop(vP, PV, MR)
         v_ms = _crop(vP, PV, MS)
         R_ms = _crop(R_mr, MR, MS)
 
-        if self.spec.slope_variant == "v2":
-            dR_ms = self._nonlocal_dx(us, sus, PV, PV - 1, MS)
+        if v2:
             sigma = np.empty_like(v_ms)
             factors = {}  # species sharing (V, grad_V) share V(R) and its derivative
             for k, (g, V, grad_V) in enumerate(model.flux):
@@ -350,7 +332,11 @@ class Stepper:
         sms = (S_ms if sourced else 0.0) - sigma
 
         # predict cell averages and nonlocal fields at the half step
-        Rt = self._nonlocal_dt(v_ms, sms, MS, MH)
+        integrands = [
+            src.time_integrand(v_ms, sms) if isinstance(src, DerivedFieldHook) else sms[src]
+            for src in model.nonlocal_sources
+        ]
+        Rt = self._quadrature(integrands, None, MS, MH)
         v_h = half_step(_crop(v_ms, MS, MH), _crop(sms, MS, MH), dt)
         R_h = _crop(R_mr, MR, MH) + 0.5 * dt * Rt
         F_h = model.eval_flux(v_h, R_h)
@@ -360,16 +346,17 @@ class Stepper:
         c3 = _crop(vP, PV, MH)
         s3 = _crop(sP, PV - 1, MH)
         A = staggered_predictor(c3, s3, F_h, S_h, dt, dx)
-        ss = slopes_of_extended(A, dx, clip)  # interfaces j+1/2, j in [-2, J+1)
+        # interface j+1/2 sits at index j + MH of A and j + MH - 1 of its slopes
+        ss = slopes_of_extended(A, dx, clip)
 
-        # interfaces j-1/2, j in [0, J]: A from index 2, ss from index 1
-        new = nonstaggered_projection(A[..., 2 : J + 3], ss[..., 1 : J + 2], dx)
+        # interfaces j-1/2, j in [0, J]
+        new = nonstaggered_projection(A[..., MH - 1 : MH + J], ss[..., MH - 2 : MH + J - 1], dx)
         if not collect:
             return new, None
         if not sourced:
             S_ms, S_h = np.zeros_like(v_ms), np.zeros_like(v_h)
         fields = {
-            "margin": MH,
+            "margins": dict(M),
             "values": c3,
             "slopes": s3,
             "sigma": _crop(sigma, MS, MH),
@@ -389,31 +376,28 @@ class Stepper:
         model = self.model
         dx = self.grid.dx
         lam = dt / dx
-        nm = self.nmax
-        PV = 1 + nm
+        PV, M1 = self.margins["pad"], self.margins["R"]
 
         vP = extend_array(v, PV, PV, self.bc)
-        R1 = self._nonlocal(self._convolved(vP), None, PV, 0, 1)
-        v1 = _crop(vP, PV, 1)
+        R1 = self._quadrature(self._convolved(vP)[0], None, PV, M1)
+        v1 = _crop(vP, PV, M1)
         F1 = model.eval_flux(v1, R1)
         H = self._lxf_flux(F1[..., :-1], F1[..., 1:], v1[..., :-1], v1[..., 1:], lam)
         # a sourceless model adds the scalar 0.0, which turns -0.0 into +0.0
         # as the zero source array once did
-        S0 = 0.0 if model.source is None else dt * model.source(v, _crop(R1, 1, 0))
+        S0 = 0.0 if model.source is None else dt * model.source(v, _crop(R1, M1, 0))
         return v - lam * (H[..., 1:] - H[..., :-1]) + S0
 
     def _lxf2_rhs(self, v: np.ndarray, lam: float) -> np.ndarray:
         model, clip = self.model, self.clip
         dx = self.grid.dx
-        nm = self.nmax
-        PV = 2 + nm
+        PV, M1 = self.margins["pad"], self.margins["R"]
 
         vP = extend_array(v, PV, PV, self.bc)
         sP = slopes_of_extended(vP, dx, clip)
-        us, sus = self._source_arrays(vP, sP, clip)
-        R1 = self._nonlocal(us, sus, PV, PV - 1, 1)
-        v1 = _crop(vP, PV, 1)
-        s1 = _crop(sP, PV - 1, 1)
+        R1 = self._quadrature(*self._convolved(vP, sP), PV, M1)
+        v1 = _crop(vP, PV, M1)
+        s1 = _crop(sP, PV - 1, M1)
 
         faces = np.empty((v1.shape[0], 2, v1.shape[1]))
         half = 0.5 * dx * s1

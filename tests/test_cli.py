@@ -331,6 +331,41 @@ def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, literal, wh
     assert "Traceback" not in err and not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "command, keys",
+    [
+        ("converge", {"levels": [0, 1], "reference_level": 3}),
+        ("compare", {"level": 1, "reference_level": 3}),
+    ],
+)
+def test_integral_float_levels_run_as_integers(tmp_path, command, keys):
+    # the schema, like JSON Schema, accepts 3.0 where it asks for an integer
+    outputs = []
+    for kind in (int, float):
+        given = {
+            k: [kind(x) for x in v] if isinstance(v, list) else kind(v)
+            for k, v in keys.items()
+        }
+        out = tmp_path / kind.__name__
+        cfg = write_config(tmp_path, tiny_doc(**given), f"{kind.__name__}.json")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        outputs.append((out / "arrhenius.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("literal, shown", [("2000", "2000"), ("1e300", "1e+300")])
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
+def test_a_level_too_fine_for_doubles_is_a_config_error(
+    tmp_path, capsys, command, literal, shown
+):
+    # base_dx * 2**-level underflows: the grid has no finite cell count
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(tiny_doc(reference_level="@")).replace('"@"', literal))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"level {shown} is too fine" in err and "Traceback" not in err
+
+
 # -- the schema checker against jsonschema ------------------------------------------------
 
 

@@ -22,7 +22,7 @@ import pytest
 
 from ntcentral import harness
 from ntcentral.core import BoundaryCondition, Grid, init_cell_averages
-from ntcentral.harness import INITIAL_DATA
+from ntcentral.harness import resolve_profiles
 from ntcentral.models import MODEL_FACTORIES, make_model
 from ntcentral.schemes import SchemeSpec, Stepper
 
@@ -65,7 +65,7 @@ def fingerprint(name: str, bc: str) -> str:
     digest = hashlib.sha256()
     for cells in CELLS:
         grid = Grid(-1.0, 1.0, cells)
-        v0 = init_cell_averages(INITIAL_DATA[DATA[name]], grid).values
+        v0 = init_cell_averages(resolve_profiles(DATA[name]), grid).values
         for spec in specs:
             stepper = Stepper(model, grid, bc, spec)
             v = v0
@@ -98,7 +98,7 @@ def entropy_fingerprint(bc: str, variant: str) -> str:
     digest = hashlib.sha256()
     for cells in CELLS:
         grid = Grid(-1.0, 1.0, cells)
-        v0 = init_cell_averages(INITIAL_DATA["arrhenius-sine"], grid).values
+        v0 = init_cell_averages(resolve_profiles("arrhenius-sine"), grid).values
         for zeta in ZETAS:
             res = harness.entropy_residual(
                 model, grid, v0, zeta, STEPS * TIME_RATIO * grid.dx, TIME_RATIO, bc, variant

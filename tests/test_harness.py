@@ -94,6 +94,62 @@ def test_resolve_profiles_registry_and_errors():
     assert fs[1](np.array([3.0]))[0] == 6.0
 
 
+def _bump(y):
+    y = np.asarray(y, dtype=float)
+    return np.where((y > 0.0) & (y < 1.0), 4.0 * y * y * (1.0 - y * y), 0.0)
+
+
+# the registry as it was written in numpy before it became expressions
+LAMBDA_DATA = {
+    "kk-sine": (
+        lambda x: -0.1 - 0.2 * np.sin(np.pi * x),
+        lambda x: 0.2 + 0.1 * np.sin(np.pi * x),
+    ),
+    "kk-box": (
+        lambda x: np.where((x > 1.0) & (x < 3.0), 0.25, 0.0),
+        lambda x: np.where((x > 1.0) & (x < 3.0), 1.0, 0.0),
+    ),
+    "arrhenius-sine": (lambda x: 0.5 + 0.4 * np.sin(np.pi * x),),
+    "arrhenius-box": (lambda x: np.where(np.abs(x) <= 0.25, 1.0, 0.2),),
+    "multilane-sine": (
+        lambda x: 0.5 + 0.5 * np.sin(np.pi * x),
+        lambda x: 0.25 + 0.25 * np.cos(2.0 * np.pi * x),
+    ),
+    "multilane-bumps": (
+        lambda x: _bump(2.0 * x - 0.5),
+        lambda x: _bump(2.0 * x),
+    ),
+    "euler-sine": (
+        lambda x: 0.2 + 0.1 * np.sin(np.pi * x),
+        lambda x: 0.4 + 0.3 * np.cos(np.pi * x) / np.pi,
+    ),
+    "euler-jump": (
+        lambda x: np.where(x <= 0.0, 0.5, 1.5),
+        lambda x: np.where(x <= 0.0, -1.0, 1.0),
+    ),
+    "garz-sine": (
+        lambda x: 0.3 + 0.2 * np.sin(np.pi * x),
+        lambda x: (0.3 + 0.2 * np.sin(np.pi * x)) * (1.9 + 1.25 * np.sin(np.pi * x)),
+    ),
+    "garz-jump": (
+        lambda x: np.full_like(np.asarray(x, dtype=float), 0.05),
+        lambda x: np.where(x <= 0.0, 7.0 / 400.0, 1.0 / 25.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("domain", [(-1.0, 1.0), (0.0, 4.0)])
+def test_registered_expressions_give_the_numpy_profiles_bit_for_bit(domain):
+    # cached references are keyed by the registry name, so a name's data
+    # must not move by one ulp
+    assert sorted(harness.INITIAL_DATA) == sorted(LAMBDA_DATA)
+    grid = Grid(*domain, 80)
+    for name, profiles in LAMBDA_DATA.items():
+        want = init_cell_averages(profiles, grid).values
+        got = init_cell_averages(resolve_profiles(name), grid).values
+        assert np.array_equal(got, want), name
+
+
 # -- experiment validation -----------------------------------------------------
 
 

@@ -1,9 +1,9 @@
 """Kernel quadrature: weights, nonlocal fields and their derivatives.
 
 The fields are evaluated by the stepper's own quadrature
-(``Stepper._nonlocal``, ``_nonlocal_dx`` and ``_nonlocal_dt``) on an
-``arrhenius`` model carrying the kernel under test, with the inputs padded by
-``extend_array`` as the stepper pads them.
+(``Stepper._quadrature``, which gives R, its space derivative and the time
+derivative band) on an ``arrhenius`` model carrying the kernel under test,
+with the inputs padded by ``extend_array`` as the stepper pads them.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from scipy.fft import next_fast_len
 
 from ntcentral.core import BoundaryCondition, Grid, extend_array, init_cell_averages
 from ntcentral.errors import ConfigurationError, KernelDefinitionError
-from ntcentral.harness import INITIAL_DATA
+from ntcentral.harness import resolve_profiles
 from ntcentral.kernels import (
     DIRECT_MAX_WORK,
     Band,
@@ -56,7 +56,7 @@ def test_small_range_keyfitz_kranzer_kernels_build(eta):
     grid = Grid(-1.0, 1.0, 200)
     band = build_weights(builtin_kernel("backward-power52", eta), grid.dx)
     assert (band.n1, band.n2) == (round(eta / grid.dx), 0)
-    v0 = init_cell_averages(INITIAL_DATA["kk-sine"], grid).values
+    v0 = init_cell_averages(resolve_profiles("kk-sine"), grid).values
     v = Stepper(model, grid, PER, SchemeSpec("nt", "v1")).step(v0, 0.1 * grid.dx)
     assert np.isfinite(v).all()
 
@@ -208,7 +208,7 @@ def test_stepper_quadrature_with_a_kernel_longer_than_the_domain():
         qw = stepper.qw[0]
         assert qw.n2 > n and (n * qw.weights.size <= DIRECT_MAX_WORK) == (n == 16)
         u = np.random.default_rng(n).random((1, n))
-        R = stepper._nonlocal([u[0]], None, 0, 0, 0)
+        R = stepper._quadrature([u[0]], None, 0, 0)
         np.testing.assert_allclose(R[0], _wrapped_plain_sum(u[0], qw), rtol=1e-13)
 
 
@@ -222,30 +222,25 @@ class Convolution:
         cfg = SchemeSpec(scheme="nt", slope_variant="v2")
         self.stepper = Stepper(model, self.grid, PER, cfg)
         self.margin = margin
-        self.pad = self.stepper.nmax + margin + 1
+        self.pad = margin + 1  # the torus needs no band-width ghost cells
         self.uP = extend_array(self.u, self.pad, self.pad, PER)
         self.sP = slopes_of_extended(self.uP, self.grid.dx)  # margin pad - 1
         cut = self.pad - 1
         self.s = self.sP[..., cut : cut + n]  # limited slopes of the cells
 
     def field(self):
-        return self.stepper._nonlocal(
-            [self.uP[0]], [self.sP[0]], self.pad, self.pad - 1, self.margin
-        )
+        return self.stepper._quadrature([self.uP[0]], [self.sP[0]], self.pad, self.margin)
 
     def space_derivative(self):
-        return self.stepper._nonlocal_dx(
-            [self.uP[0]], [self.sP[0]], self.pad, self.pad - 1, self.margin
+        _, dR = self.stepper._quadrature(
+            [self.uP[0]], [self.sP[0]], self.pad, self.margin, self.margin
         )
+        return dR
 
     def band_average(self, g):
-        """The field quadrature of ``g`` without slope corrections."""
+        """The quadrature of ``g`` without slope corrections: the time-derivative band."""
         gP = extend_array(g, self.pad, self.pad, PER)
-        return self.stepper._nonlocal([gP[0]], None, self.pad, 0, self.margin)
-
-    def time_derivative(self, g):
-        gP = extend_array(g, self.pad, self.pad, PER)
-        return self.stepper._nonlocal_dt(gP, gP, self.pad, self.margin)
+        return self.stepper._quadrature([gP[0]], None, self.pad, self.margin)
 
 
 def test_nonlocal_field_converges_to_analytic_convolution():
@@ -290,12 +285,12 @@ def test_nonlocal_field_dense_quadrature_cross_check():
 
 def test_time_derivative_band_matches_plain_average():
     # the time-derivative band is the field quadrature without slope
-    # corrections, applied to an arbitrary cellwise integrand
+    # corrections, applied to an arbitrary cellwise integrand: the plain
+    # sliding sum of the band's weights
     conv = Convolution(64, 0.25, "constant")
     g = np.cos(3.0 * conv.grid.centers)[None, :]
-    via_td = conv.time_derivative(g)
-    via_field = conv.band_average(g)
-    np.testing.assert_allclose(via_td, via_field, atol=1e-15)
+    plain = _wrapped_plain_sum(g[0], conv.stepper.qw[0])
+    np.testing.assert_allclose(conv.band_average(g)[0], plain, atol=1e-15)
 
 
 def test_space_derivative_constant_kernel_is_a_difference_quotient():

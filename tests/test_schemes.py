@@ -1,7 +1,11 @@
 """Stepper tests: loop-based oracle for the central scheme, baselines, guards."""
 
+import re
+
 import numpy as np
 import pytest
+
+from ntcentral import schemes
 
 from ntcentral.core import BoundaryCondition, Grid, SystemState, init_cell_averages, total_mass
 from ntcentral.errors import ConfigurationError
@@ -186,6 +190,28 @@ def test_scheme_config_validation():
         SchemeSpec(theta=0.0)
 
 
+@pytest.mark.parametrize("bc", [b.value for b in BoundaryCondition])
+def test_margins_match_the_module_docstring_table(bc):
+    # the table of ghost margins in the schemes docstring, with nm the reach
+    # of the widest band (at least 1) off the torus and 0 on it
+    doc = schemes.__doc__.splitlines()
+    head = next(i for i, line in enumerate(doc) if line.strip().startswith("scheme "))
+    keys = [col.split()[0] for col in re.split(r"\s{2,}", doc[head].strip())[1:]]
+    table = {}
+    for line in doc[head + 1 : head + 4]:
+        name, *exprs = re.split(r"\s{2,}", line.strip())
+        table[name] = dict(zip(keys, exprs))
+    assert sorted(table) == sorted(schemes.SCHEMES)
+    grid = Grid(-1.0, 1.0, 80)
+    model = make_model("multilane", eta=0.25)
+    for name, row in table.items():
+        stepper = Stepper(model, grid, bc, SchemeSpec(name))
+        reach = max(max(q.n1, q.n2) for q in stepper.qw)
+        nm = 0 if bc == "periodic" else max(1, reach)
+        want = {key: eval(expr, {"nm": nm}) for key, expr in row.items()}
+        assert stepper.margins == want, (name, bc)
+
+
 def test_step_with_fields_returns_consistent_margins(eight_cell_setup):
     grid, model, u = eight_cell_setup
     stepper = Stepper(model, grid, PER)
@@ -193,8 +219,8 @@ def test_step_with_fields_returns_consistent_margins(eight_cell_setup):
     new, fields = stepper.step_with_fields(u[None, :], dt)
     np.testing.assert_array_equal(new, stepper.step(u[None, :], dt))
     J = grid.cells
-    m = fields["margin"]
-    assert m == 3
+    assert fields["margins"] == stepper.margins == {"pad": 5, "R": 4, "flux": 3, "half": 3}
+    m = fields["margins"]["half"]
     assert fields["values"].shape[-1] == J + 2 * m
     assert fields["staggered"].shape[-1] == J + 2 * m - 1
     assert fields["staggered_slopes"].shape[-1] == J + 2 * m - 3
@@ -283,6 +309,10 @@ def test_periodic_and_zero_closures_agree_on_compact_data(model_name, cells):
         assert np.abs(per - zero).max() <= 1e-13 * scale, name
 
 
+# a torus carries no band-width ghost cells: the state pad is the local stencil's
+PADS_ON_THE_TORUS = {"nt": 5, "lxf1": 1, "lxf2": 2}
+
+
 @pytest.mark.parametrize("cells", SIZES)
 @pytest.mark.parametrize("model_name", MODELS)
 def test_periodic_step_commutes_with_a_shift(model_name, cells):
@@ -290,7 +320,7 @@ def test_periodic_step_commutes_with_a_shift(model_name, cells):
     v = init_cell_averages(_profiles(model_name, _periodic_wave), grid).values
     for name, model, cfg in _runs(model_name):
         stepper = Stepper(model, grid, PER, cfg)
-        assert stepper.nmax == 0
+        assert stepper.margins["pad"] == PADS_ON_THE_TORUS[cfg.scheme]
         base = stepper.step(v, 0.1 * grid.dx)
         scale = np.abs(base).max()
         for k in (1, cells // 3):
@@ -343,11 +373,12 @@ def test_projection_equals_the_cellwise_formula(model_name, bc, rng):
     J = grid.cells
     for variant, model, cfg in _nt_runs(model_name):
         new, f = Stepper(model, grid, bc, cfg).step_with_fields(v, dt)
-        cells = slice(f["margin"] - 1, f["margin"] + J + 1)  # cells -1 .. J
+        m = f["margins"]["half"]
+        cells = slice(m - 1, m + J + 1)  # cells -1 .. J
         want = oracle_projection(
             f["values"][..., cells],
             f["slopes"][..., cells],
-            f["staggered_slopes"][..., 1 : J + 2],
+            f["staggered_slopes"][..., m - 2 : m + J - 1],  # interfaces -1/2 .. J-1/2
             f["half_flux"][..., cells],
             f["half_source"][..., cells],
             dt,
