@@ -166,8 +166,9 @@ def nonstaggered_projection(
 class Stepper:
     """One-step advancement of a model on a fixed grid.
 
-    Builds the quadrature bands once at construction; ``step`` maps an
-    (n_species, n_cells) array of cell averages over one time step.
+    Builds the quadrature bands and states the ghost margins (``margins``)
+    once at construction; ``step`` maps an (n_species, n_cells) array of
+    cell averages over one time step.
     ``scheme`` defaults to ``SchemeSpec()`` (nt-v1); ``clip`` sets the slope
     limiter's clipping for every limited slope of the step.
     """
@@ -305,7 +306,7 @@ class Stepper:
         sP = slopes_of_extended(vP, dx, clip)  # margin PV - 1
         us, sus = self._convolved(vP, sP)
         v2 = self.spec.slope_variant == "v2"
-        if v2:  # R and its space derivative
+        if v2:
             R_mr, dR_ms = self._quadrature(us, sus, PV, MR, MS)
         else:
             R_mr = self._quadrature(us, sus, PV, MR)

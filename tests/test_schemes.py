@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ntcentral import schemes
-
 from ntcentral.core import BoundaryCondition, Grid, SystemState, init_cell_averages, total_mass
 from ntcentral.errors import ConfigurationError
 from ntcentral.models import make_model
