@@ -28,13 +28,11 @@ from .harness import (
     compute_reference,
     convergence_study,
     csv_table,
-    resolve_profiles,
     resolve_time_ratio,
     restrict_values,
     run_simulation,
     snapshot_columns,
 )
-from .kernels import build_weights
 from .limiters import NO_CLIP, ClipConfig
 from .models import MODEL_FACTORIES, make_model
 from .schemes import SCHEMES, SLOPE_VARIANTS
@@ -283,23 +281,17 @@ def _schema_path(path: tuple) -> str:
     return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
 
 
-def _experiment_from_doc(doc: dict, source: str) -> Experiment:
+def _experiment_from_doc(doc: dict) -> Experiment:
+    """The Experiment a document describes; Experiment checks that it can run."""
     params = dict(doc.get("model_params", {}))
     if "eta" in doc:
         params["eta"] = doc["eta"]
     if "kernel" in doc:
         params["kernel"] = doc["kernel"]
-    model = make_model(doc["model"], **params)
 
     data = doc.get("initial_data", DEFAULT_INITIAL_DATA[doc["model"]])
     if not isinstance(data, str):
         data = tuple(data)
-    profiles = resolve_profiles(data)
-    if len(profiles) != model.n_species:
-        raise ConfigurationError(
-            f"{source}: initial data has {len(profiles)} species but model "
-            f"{doc['model']!r} expects {model.n_species}"
-        )
 
     if "schemes" in doc:
         schemes = tuple(
@@ -317,13 +309,15 @@ def _experiment_from_doc(doc: dict, source: str) -> Experiment:
             SchemeSpec("lxf2"),
             SchemeSpec("nt", "v1"),
         )
-        if model.supports_v2:
+        if make_model(doc["model"], **params).supports_v2:
             schemes = schemes + (SchemeSpec("nt", "v2"),)
 
     clip = NO_CLIP
     if "clip" in doc:  # a clip block turns clipping on unless it says otherwise
         clip = ClipConfig(**{"enabled": True, **doc["clip"]})
 
+    if "level" in doc and "levels" in doc:
+        raise ConfigurationError("'level' and 'levels' exclude each other; give one")
     # the schema, like JSON Schema, counts integral floats such as 3.0 as integers
     if "levels" in doc:
         levels = tuple(map(int, doc["levels"]))
@@ -341,7 +335,7 @@ def _experiment_from_doc(doc: dict, source: str) -> Experiment:
         given["domain"] = tuple(doc["domain"])
     if "label" in doc:
         given["name"] = doc["label"]
-    exp = Experiment(
+    return Experiment(
         model=doc["model"],
         model_params=params,
         t_final=doc["T"],
@@ -351,17 +345,6 @@ def _experiment_from_doc(doc: dict, source: str) -> Experiment:
         clip=clip,
         **given,
     )
-    if exp.reference_variant == "v2" and not model.supports_v2:
-        raise ConfigurationError(
-            f"{source}: reference_variant 'v2' needs grad_V in every flux; "
-            f"model {model.name!r} runs with 'v1' only"
-        )
-    # surface the kernel/grid integer-ratio requirement at parse time
-    coarse_dx = exp.grid_at(min(exp.levels)).dx
-    for kernel in model.kernels:
-        build_weights(kernel, coarse_dx)
-    exp.cells_at(exp.reference_level)
-    return exp
 
 
 def parse_config(doc, source: str = "<config>") -> RunConfig:
@@ -381,7 +364,10 @@ def parse_config(doc, source: str = "<config>") -> RunConfig:
         exp_docs = doc["experiments"]
     else:
         exp_docs = [{k: v for k, v in doc.items() if k in _EXPERIMENT_PROPERTIES}]
-    experiments = tuple(_experiment_from_doc(d, source) for d in exp_docs)
+    try:
+        experiments = tuple(_experiment_from_doc(d) for d in exp_docs)
+    except SolverError as exc:
+        raise type(exc)(f"{source}: {exc}") from None
     labels = [e.name for e in experiments]
     if len(experiments) > 1 and len(set(labels)) != len(labels):
         raise ConfigurationError(

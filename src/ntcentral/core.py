@@ -94,10 +94,6 @@ class Grid:
     def centers(self) -> np.ndarray:
         return self.x_left + (np.arange(self.cells) + 0.5) * self.dx
 
-    @property
-    def interfaces(self) -> np.ndarray:
-        return self.x_left + np.arange(self.cells + 1) * self.dx
-
 
 @dataclass
 class SystemState:
@@ -113,17 +109,6 @@ class SystemState:
                 f"state values must be 2-D (species, cells), got shape "
                 f"{self.values.shape}"
             )
-
-    @property
-    def n_species(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cells(self) -> int:
-        return self.values.shape[1]
-
-    def copy(self) -> "SystemState":
-        return SystemState(self.values.copy(), self.time)
 
 
 def max_stable_dt(

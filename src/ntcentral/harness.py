@@ -11,6 +11,7 @@ solutions are cached on disk because they dominate the cost of every study.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -151,6 +152,14 @@ class Experiment:
     derived once from the CFL bound, scaled by ``safety`` in (0, 1], with the
     Lipschitz constant taken over a slightly widened box around the initial
     data.
+
+    Construction checks everything a run needs, so bad input fails before
+    any run starts: the field values; that the model builds and the initial
+    data gives one profile per species; that ``reference_variant="v2"`` has
+    the model's ``grad_V``; that every scheme builds a ``Stepper`` on the
+    coarsest grid (a whole number of cells, kernel supports of whole cells,
+    and v2 slopes only with ``grad_V``); and that the reference level has a
+    finite, whole number of cells.
     """
 
     model: str
@@ -202,6 +211,22 @@ class Experiment:
         names = [s.name for s in self.schemes]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate scheme labels: {names}")
+        model = self.build_model()
+        species = len(self.profiles())
+        if species != model.n_species:
+            raise ConfigurationError(
+                f"initial data has {species} species but model "
+                f"{model.name!r} expects {model.n_species}"
+            )
+        if self.reference_variant == "v2" and not model.supports_v2:
+            raise ConfigurationError(
+                f"reference_variant 'v2' needs grad_V in every flux; "
+                f"model {model.name!r} runs with 'v1' only"
+            )
+        grid = self.grid_at(min(self.levels))
+        for spec in self.schemes:
+            Stepper(model, grid, self.bc, spec, self.clip)
+        self.cells_at(self.reference_level)
 
     def cells_at(self, level: int) -> int:
         dx = self.base_dx * 2.0 ** (-level)
@@ -384,10 +409,6 @@ class MonitorLog:
         self._tv.append(total_variation(state, self.bc))
 
     @property
-    def n_records(self) -> int:
-        return len(self._times)
-
-    @property
     def times(self) -> np.ndarray:
         return np.asarray(self._times)
 
@@ -424,15 +445,19 @@ def _time_steps(t_final: float, dt0: float):
     """Yield ``(dt, t after the step)`` for every step from 0 to ``t_final``.
 
     Every step takes ``dt0`` except the last, which is clamped to land
-    exactly on ``t_final``.
+    exactly on ``t_final``.  When the summed times reach ``t_final`` one step
+    early, through rounding, that step is the clamped last one, so no step
+    is zero or negative.
     """
     n_steps = 0 if t_final == 0.0 else max(1, math.ceil(t_final / dt0 - 1e-12))
     t = 0.0
     for i in range(n_steps):
-        last = i == n_steps - 1
-        dt = t_final - t if last else dt0
-        t = t_final if last else t + dt0
-        yield dt, t
+        after = t + dt0
+        if i == n_steps - 1 or after >= t_final:
+            yield t_final - t, t_final
+            return
+        yield dt0, after
+        t = after
 
 
 def run_simulation(
@@ -453,19 +478,13 @@ def run_simulation(
     raises in strict mode, and the log records it as ``vmin``/``vmax``.
     """
     model = exp.build_model()
-    profiles = exp.profiles()
-    if len(profiles) != model.n_species:
-        raise ConfigurationError(
-            f"initial data has {len(profiles)} species but model "
-            f"{model.name!r} expects {model.n_species}"
-        )
     grid = exp.grid_at(level)
     spec = scheme if scheme is not None else exp.schemes[0]
     stepper = Stepper(model, grid, exp.bc, spec, exp.clip)
     lam = time_ratio if time_ratio is not None else resolve_time_ratio(exp, model)
 
     limit = CFL_LIMIT  # the stability bound itself, not the safety-scaled target
-    v = init_cell_averages(profiles, grid).values
+    v = init_cell_averages(exp.profiles(), grid).values
     monitor = MonitorLog(grid, exp.bc)
     if record:
         monitor.record(0.0, v)
@@ -565,15 +584,12 @@ def compute_reference(
         exp, exp.reference_level, spec, record=False, time_ratio=lam
     )
     if use_cache:
-        os.makedirs(cache_directory(), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_directory(), suffix=".npy")
+        npy = io.BytesIO()
+        np.save(npy, state.values)
         try:
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, state.values)
-            os.replace(tmp, path)
+            _atomic_write(path, npy.getvalue())
         except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+            pass  # a failed cache write is not fatal: the reference is still returned
     return state.values
 
 
@@ -596,12 +612,6 @@ class ConvergenceReport:
     rows: "dict[str, list[tuple[int, float, float, float | None]]]"
     metadata: dict = field(default_factory=dict)
 
-    def errors(self, scheme: str) -> np.ndarray:
-        return np.asarray([r[2] for r in self.rows[scheme]])
-
-    def rates(self, scheme: str) -> list:
-        return [r[3] for r in self.rows[scheme]]
-
     def csv_rows(self, prefix: str = "") -> list[str]:
         """Body lines of the CSV table, each scheme name led by ``prefix``."""
         lines = []
@@ -615,13 +625,14 @@ class ConvergenceReport:
         return "\n".join([CONVERGENCE_CSV_HEADER] + self.csv_rows()) + "\n"
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, data: "str | bytes"):
+    """Write ``data`` to ``path`` through a temporary file in its directory."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except OSError:
         if os.path.exists(tmp):
@@ -644,32 +655,24 @@ def convergence_study(
     lam = resolve_time_ratio(exp, model)
     reference = compute_reference(exp, lam, use_cache)
 
-    def one(spec, level):
-        start = time.perf_counter()
-        state, _ = run_simulation(
-            exp, level, spec, strict_cfl=strict_cfl, record=False, time_ratio=lam
-        )
-        factor = 2 ** (exp.reference_level - level)
-        coarse_ref = restrict_values(reference, factor)
-        err = l1_error(state.values, coarse_ref, exp.grid_at(level).dx)
-        return spec.name, level, err, time.perf_counter() - start
-
-    results = [one(spec, level) for spec in exp.schemes for level in exp.levels]
-
-    errors = {(name, level): err for name, level, err, _ in results}
-    runtimes = {(name, level): rt for name, level, _, rt in results}
     rows: dict[str, list] = {}
+    runtimes = {}
     for spec in exp.schemes:
-        table = []
+        table = rows[spec.name] = []
         for i, n in enumerate(exp.levels):
-            err = errors[(spec.name, n)]
+            start = time.perf_counter()
+            state, _ = run_simulation(
+                exp, n, spec, strict_cfl=strict_cfl, record=False, time_ratio=lam
+            )
+            coarse_ref = restrict_values(reference, 2 ** (exp.reference_level - n))
+            err = l1_error(state.values, coarse_ref, exp.grid_at(n).dx)
+            runtimes[f"{spec.name}/{n}"] = time.perf_counter() - start
             rate = None
             if i > 0 and exp.levels[i - 1] == n - 1:
-                prev = errors[(spec.name, n - 1)]
+                prev = table[-1][2]
                 if prev > 0.0 and err > 0.0:
                     rate = math.log2(prev / err)
             table.append((n, exp.base_dx * 2.0 ** (-n), err, rate))
-        rows[spec.name] = table
 
     metadata = {
         "error_norm": "dx * sum_j sum_k |a - b| (summed over species)",
@@ -678,10 +681,7 @@ def convergence_study(
             "level": exp.reference_level,
             "variant": _reference_spec(exp, model).slope_variant,
         },
-        "runtimes": {
-            f"{name}/{level}": runtimes[(name, level)]
-            for name, level in sorted(runtimes)
-        },
+        "runtimes": runtimes,
     }
     return ConvergenceReport(
         name=exp.name or exp.model,

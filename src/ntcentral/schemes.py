@@ -437,8 +437,9 @@ class Stepper:
         """Central-scheme step that also returns the intermediate fields.
 
         The returned dict carries the reconstruction, half-step and staggered
-        arrays (each with the ghost margin recorded under ``"margin"``) for
-        diagnostics such as the discrete entropy residual.
+        arrays for diagnostics such as the discrete entropy residual, and
+        under ``"margins"`` the dict of their ghost margins (``pad``, ``R``,
+        ``flux`` and ``half``, as in :attr:`margins`).
         """
         if self.spec.scheme != "nt":
             raise ConfigurationError(

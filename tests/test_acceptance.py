@@ -41,6 +41,16 @@ def study(preset, index=0):
     return convergence_study(experiments(preset)[index])
 
 
+def errors(rep, scheme):
+    """The L1 errors of one scheme's rows, coarsest level first."""
+    return np.asarray([row[2] for row in rep.rows[scheme]])
+
+
+def rates(rep, scheme):
+    """The observed orders of one scheme's rows (None where no rate is taken)."""
+    return [row[3] for row in rep.rows[scheme]]
+
+
 def within_factor(got, want, factor=ERR_FACTOR):
     return want / factor <= got <= want * factor
 
@@ -64,15 +74,15 @@ def test_criterion_1_keyfitz_kranzer_rates():
         ("nt-v1", KK_NT_ERRORS, KK_NT_RATES),
         ("lxf1", KK_LXF_ERRORS, KK_LXF_RATES),
     ):
-        errs = rep.errors(scheme)
-        rates = rep.rates(scheme)[1:]
+        errs = errors(rep, scheme)
+        observed = rates(rep, scheme)[1:]
         for n, (g, w) in enumerate(zip(errs, want_err)):
             if not within_factor(g, w):
                 problems.append(f"{scheme} n={n} error {g:.3e} vs {w:.3e}")
-        for n, (g, w) in enumerate(zip(rates, want_rate), start=1):
+        for n, (g, w) in enumerate(zip(observed, want_rate), start=1):
             if abs(g - w) > RATE_TOL:
                 problems.append(f"{scheme} n={n} rate {g:.2f} vs {w:.2f}")
-    verdict(1, not problems, f"nt-v1 final rate {rep.rates('nt-v1')[-1]:.2f}")
+    verdict(1, not problems, f"nt-v1 final rate {rates(rep, 'nt-v1')[-1]:.2f}")
     assert not problems, problems
 
 
@@ -86,14 +96,14 @@ def test_criterion_2_arrhenius_all_kernels():
     finals = []
     for index, kernel in enumerate(("constant", "linear", "concave")):
         rep = study("table-arrhenius", index)
-        err5 = rep.errors("nt-v2")[-1]
-        rate5 = rep.rates("nt-v2")[-1]
+        err5 = errors(rep, "nt-v2")[-1]
+        rate5 = rates(rep, "nt-v2")[-1]
         finals.append(err5)
         if not within_factor(err5, ARRHENIUS_ANCHOR):
             problems.append(f"{kernel}: n=5 error {err5:.3e}")
         if abs(rate5 - 1.95) > RATE_TOL:
             problems.append(f"{kernel}: n=5 rate {rate5:.2f}")
-        worse = rep.errors("nt-v1") < rep.errors("nt-v2")
+        worse = errors(rep, "nt-v1") < errors(rep, "nt-v2")
         if worse.any():
             problems.append(f"{kernel}: v2 above v1 at levels {np.where(worse)[0]}")
     verdict(2, not problems, "n=5 errors " + " ".join(f"{e:.2e}" for e in finals))
@@ -105,7 +115,7 @@ def test_criterion_2_arrhenius_all_kernels():
 
 def test_criterion_3_multilane_rates():
     rep = study("table-multilane")
-    err5, rate5 = rep.errors("nt-v2")[-1], rep.rates("nt-v2")[-1]
+    err5, rate5 = errors(rep, "nt-v2")[-1], rates(rep, "nt-v2")[-1]
     ok = within_factor(err5, 2.18e-4) and abs(rate5 - 1.90) <= RATE_TOL
     verdict(3, ok, f"n=5 error {err5:.3e}, rate {rate5:.2f}")
     assert ok
@@ -113,7 +123,7 @@ def test_criterion_3_multilane_rates():
 
 def test_criterion_4_euler_rates():
     rep = study("table-euler")
-    err5, rate5 = rep.errors("nt-v1")[-1], rep.rates("nt-v1")[-1]
+    err5, rate5 = errors(rep, "nt-v1")[-1], rates(rep, "nt-v1")[-1]
     ok = within_factor(err5, 2.51e-5) and abs(rate5 - 1.91) <= RATE_TOL
     verdict(4, ok, f"n=5 error {err5:.3e}, rate {rate5:.2f}")
     assert ok
@@ -121,7 +131,7 @@ def test_criterion_4_euler_rates():
 
 def test_criterion_5_garz_rates():
     rep = study("table-garz")
-    err5, rate5 = rep.errors("nt-v1")[-1], rep.rates("nt-v1")[-1]
+    err5, rate5 = errors(rep, "nt-v1")[-1], rates(rep, "nt-v1")[-1]
     ok = within_factor(err5, 3.42e-4) and abs(rate5 - 1.85) <= RATE_TOL
     verdict(5, ok, f"n=5 error {err5:.3e}, rate {rate5:.2f}")
     assert ok

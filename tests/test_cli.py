@@ -126,6 +126,46 @@ def test_v2_reference_on_a_v1_only_model_is_a_config_error(tmp_path, capsys, com
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_a_scheme_the_model_cannot_run_fails_before_the_reference(tmp_path, capsys):
+    # GARZ has no grad_V: an nt-v2 scheme is refused when the config is read,
+    # not after converge has computed and cached the reference
+    doc = {
+        "model": "garz",
+        "T": 0.001,
+        "time_ratio": 0.05,
+        "levels": [0, 1],
+        "reference_level": 2,
+        "schemes": [{"scheme": "nt", "slope_variant": "v2"}],
+    }
+    cfg = write_config(tmp_path, doc)
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("cache/ref-*.npy"))
+    assert f"{cfg}: model 'garz' gives no grad_V" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"initial_data": "kk-sine"}, "initial data has 2 species"),
+        ({"model_params": {"lanes": 2}}, "model 'arrhenius': "),
+    ],
+)
+def test_an_experiment_error_names_the_config(tmp_path, capsys, change, message):
+    cfg = write_config(tmp_path, tiny_doc(**change))
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
+def test_level_and_levels_together_are_a_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, tiny_doc(level=0, levels=[0, 1], reference_level=3))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg}: 'level' and 'levels' exclude each other" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_run_reruns_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, tiny_doc())
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -161,7 +161,32 @@ def test_experiment_validation():
     with pytest.raises(ConfigurationError, match="boundary"):
         small_experiment(bc="outflowing")
     with pytest.raises(ConfigurationError, match="whole number"):
-        small_experiment(base_dx=0.3).cells_at(0)
+        small_experiment(base_dx=0.3)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"initial_data": "kk-sine"}, "initial data has 2 species"),
+        (
+            {"model": "garz", "initial_data": "garz-sine", "model_params": {},
+             "schemes": (SchemeSpec("nt", "v2"),)},
+            "gives no grad_V",
+        ),
+        (
+            {"model": "garz", "initial_data": "garz-sine", "model_params": {},
+             "schemes": (SchemeSpec("nt", "v1"),), "reference_variant": "v2"},
+            "reference_variant 'v2'",
+        ),
+        ({"model_params": {"eta": 0.07}}, "integer multiple"),
+        ({"reference_level": 2000}, "level 2000 is too fine"),
+        ({"domain": (-1.0, 1.01)}, "whole number of cells"),
+    ],
+)
+def test_an_experiment_that_cannot_run_fails_when_built(change, message):
+    # every rule of a runnable experiment is checked before any run starts
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        small_experiment(**change)
 
 
 def test_reference_variant_is_checked_at_construction():
@@ -381,7 +406,7 @@ def test_monitor_log_requires_increasing_times():
     log.record(0.5, np.ones((1, 4)))
     with pytest.raises(InputDataError, match="increase"):
         log.record(0.5, np.ones((1, 4)))
-    assert log.n_records == 2
+    assert len(log.times) == 2
     assert log.relative_mass_drift() == 0.0
 
 
@@ -395,7 +420,21 @@ def test_zero_time_run_returns_projected_data():
 
     want = init_cell_averages(exp.profiles(), exp.grid_at(0)).values
     np.testing.assert_array_equal(state.values, want)
-    assert log.n_records == 1
+    assert len(log.times) == 1
+
+
+def test_time_steps_are_positive_when_the_sum_overshoots_t_final():
+    # 28301 steps of dt0 sum past t_final by 1.8e-14, which left a negative
+    # clamped last step; the step before it is clamped instead
+    t_final, dt0 = 0.0693423863988495, 2.4501744248913288e-06
+    steps = list(harness._time_steps(t_final, dt0))
+    assert len(steps) == 28301
+    assert min(dt for dt, _ in steps) > 0.0
+    assert steps[-1][1] == t_final
+    assert all(dt == dt0 for dt, _ in steps[:-1])
+    # a horizon that is not near a whole number of steps keeps its last step
+    steps = list(harness._time_steps(0.0115, 0.0025))
+    assert [dt for dt, _ in steps[:-1]] == [0.0025] * 4 and steps[-1][1] == 0.0115
 
 
 def test_run_simulation_lands_exactly_on_t_final():
@@ -459,10 +498,11 @@ def test_monitor_ranges_are_those_of_every_recorded_state(monkeypatch, name):
         model_params={},
         time_ratio=0.05,
         t_final=0.0115,  # four whole steps of 0.0025 and a clamped fifth
+        schemes=(SchemeSpec("nt", "v1"),),  # GARZ runs v1 only
     )
-    _, log = run_simulation(exp, 0, SchemeSpec("nt", "v1"))
+    _, log = run_simulation(exp, 0)
     states.insert(0, init_cell_averages(exp.profiles(), exp.grid_at(0)).values)
-    assert log.n_records == len(states) == 6
+    assert len(log.times) == len(states) == 6
     np.testing.assert_array_equal(log.vmin, [v.min(axis=1) for v in states])
     np.testing.assert_array_equal(log.vmax, [v.max(axis=1) for v in states])
 
@@ -493,6 +533,16 @@ def test_reference_ignores_cache_when_disabled(tmp_path, monkeypatch):
     np.testing.assert_array_equal(a, b)
 
 
+def test_a_cache_that_cannot_be_written_does_not_stop_the_reference(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv(CACHE_ENV, str(blocker / "cache"))  # a directory under a file
+    exp = small_experiment(levels=(0,), reference_level=2)
+    np.testing.assert_array_equal(
+        compute_reference(exp), compute_reference(exp, use_cache=False)
+    )
+
+
 # -- convergence studies ------------------------------------------------------------
 
 
@@ -505,10 +555,12 @@ def test_convergence_study_structure_and_determinism(tmp_path, monkeypatch):
         assert [r[0] for r in rows] == [0, 1]
         assert rows[0][3] is None and rows[1][3] is not None
     # second order beats first order on both levels
-    assert rep.errors("nt-v2")[0] < rep.errors("lxf1")[0]
-    assert rep.errors("nt-v2")[1] < rep.errors("lxf1")[1]
-    assert rep.rates("nt-v2")[-1] > 1.5
-    assert rep.rates("lxf1")[-1] > 0.7
+    (_, _, nt0, _), (_, _, nt1, nt_rate) = rep.rows["nt-v2"]
+    (_, _, lxf0, _), (_, _, lxf1, lxf_rate) = rep.rows["lxf1"]
+    assert nt0 < lxf0
+    assert nt1 < lxf1
+    assert nt_rate > 1.5
+    assert lxf_rate > 0.7
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "scheme,n,dx,l1_error,rate"
     # a second study, on the now cached reference, gives the same table
