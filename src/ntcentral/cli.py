@@ -124,7 +124,6 @@ _PRESET_SCHEMA = {
     "required": ["experiments"],
     "properties": {
         **_TOP_LEVEL_EXTRA,
-        "kind": {"enum": ["run", "converge", "compare"]},
         "experiments": {
             "type": "array",
             "minItems": 1,
@@ -439,12 +438,24 @@ def _emit(path: str, text: str, verbose: bool):
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(cfg: RunConfig, strict_cfl: bool = False) -> int:
+def _one_level_runs(cfg: RunConfig, command: str):
+    """(exp, model, dt/dx, level, grid) per experiment of ``run`` or ``compare``.
+
+    These run one level, so an experiment that lists more is refused before any run.
+    """
     for exp in cfg.experiments:
-        model = exp.build_model()
-        lam = resolve_time_ratio(exp, model)
-        level = exp.levels[0]
-        grid = exp.grid_at(level)
+        if len(exp.levels) > 1:
+            raise ConfigurationError(
+                f"{command} runs one level, but experiment {exp.name or exp.model!r} "
+                f"lists levels {list(exp.levels)}; give \"level\", or use converge"
+            )
+    for exp in cfg.experiments:
+        model, (level,) = exp.build_model(), exp.levels
+        yield exp, model, resolve_time_ratio(exp, model), level, exp.grid_at(level)
+
+
+def cmd_run(cfg: RunConfig, strict_cfl: bool = False) -> int:
+    for exp, model, lam, level, grid in _one_level_runs(cfg, "run"):
         for spec in exp.schemes:
             state, log = run_simulation(
                 exp, level, spec, strict_cfl=strict_cfl, record=True, time_ratio=lam
@@ -474,11 +485,7 @@ def cmd_converge(cfg: RunConfig, strict_cfl: bool = False) -> int:
 
 
 def cmd_compare(cfg: RunConfig, strict_cfl: bool = False) -> int:
-    for exp in cfg.experiments:
-        model = exp.build_model()
-        lam = resolve_time_ratio(exp, model)
-        level = exp.levels[0]
-        grid = exp.grid_at(level)
+    for exp, model, lam, level, grid in _one_level_runs(cfg, "compare"):
         names, columns = ["x"], [grid.centers]
         for spec in exp.schemes:
             state, _ = run_simulation(
@@ -513,7 +520,7 @@ def cmd_list_presets() -> int:
     for name in preset_names():
         doc = load_preset(name)
         models = sorted({e["model"] for e in doc["experiments"]})
-        print(f"{name} ({doc.get('kind', '?')}): {', '.join(models)}")
+        print(f"{name}: {', '.join(models)}")
     return EXIT_OK
 
 

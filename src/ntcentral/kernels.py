@@ -11,8 +11,12 @@ two half-cell end intervals that see the piecewise-linear reconstruction:
 
 with n1 = |eta1|/dx and n2 = eta2/dx.  The same weight band is reused for the
 time derivative of R (applied to cellwise integrand values, no slope
-corrections) and, together with the kernel derivative and its support
-boundary values, for the space derivative of R.
+corrections).  By the Leibniz rule the space derivative of R,
+
+    omega(eta2) u(x + eta2) - omega(eta1) u(x + eta1) - int omega'(y - x) u(y) dy,
+
+is one band too: the omega' band negated, with -omega(eta1) added to its
+first tap and omega(eta2) to its last.  Only the omega' part sees the slopes.
 
 Every band is applied by ``correlate_band``, which picks the direct sum or an
 FFT by a fixed work threshold (never a library heuristic) and caches the
@@ -67,16 +71,18 @@ class Band:
     """Weights of the sliding sum out[j] = sum_i u[j + i] * weights[i].
 
     ``weights[i]`` multiplies the cell at offset ``i - n1`` relative to the
-    evaluation cell.  The first and last weights belong to the half-cell end
-    intervals, which also see the +/- dx/4 slope corrections.  ``spectra``
-    caches conj(rfft(weights, nfft)) per transform length ``nfft``, and
-    ``wrapped_spectra`` the same for the band wrapped modulo a period of
-    ``n`` cells; both are filled on first use by ``correlate_band``.
+    evaluation cell.  The half-cell end intervals also see the slopes s of
+    the reconstruction: with ``ends`` = (c0, c1), output j gains
+    c0 s[j - n1] - c1 s[j + n2].  ``spectra`` caches conj(rfft(weights,
+    nfft)) per transform length ``nfft``, and ``wrapped_spectra`` the same
+    for the band wrapped modulo a period of ``n`` cells; both are filled on
+    first use by ``correlate_band``.
     """
 
     n1: int
     n2: int
     weights: np.ndarray
+    ends: tuple[float, float]
     spectra: dict = field(default_factory=dict, init=False, repr=False)
     wrapped_spectra: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -135,32 +141,23 @@ def build_weights(spec: KernelSpec, dx: float) -> Band:
             f"kernel {spec.name!r} produced negative quadrature weights; "
             "kernels must be nonnegative on their support"
         )
-    return Band(n1=n1, n2=n2, weights=w)
+    return Band(n1=n1, n2=n2, weights=w, ends=(0.25 * dx * w[0], 0.25 * dx * w[-1]))
 
 
-@dataclass(eq=False)
-class DerivativeWeights(Band):
-    """Band built from omega' plus the kernel values at the support ends."""
-
-    boundary_left: float  # omega at the left support end
-    boundary_right: float  # omega at the right support end
-
-
-def build_derivative_weights(spec: KernelSpec, dx: float) -> DerivativeWeights:
-    """Quadrature data for the space derivative of the nonlocal term."""
+def build_derivative_weights(spec: KernelSpec, dx: float) -> Band:
+    """The band of the space derivative of the nonlocal term (Leibniz rule)."""
     if spec.omega_prime is None:
         raise KernelDefinitionError(
             f"kernel {spec.name!r} has no derivative; the product-rule slope "
             "variant needs omega_prime in closed form"
         )
     n1, n2 = _band_counts(spec, dx)
-    w = _band(spec.omega_prime, n1, n2, dx)
-    eta1, eta2 = spec.support
-    bl = float(spec.omega(np.asarray(eta1, dtype=float)))
-    br = float(spec.omega(np.asarray(eta2, dtype=float)))
-    return DerivativeWeights(
-        n1=n1, n2=n2, weights=w, boundary_left=bl, boundary_right=br
-    )
+    w = -_band(spec.omega_prime, n1, n2, dx)
+    ends = (0.25 * dx * w[0], 0.25 * dx * w[-1])  # before the kernel's end values
+    left, right = spec.omega(np.asarray(spec.support, dtype=float))
+    w[0] -= left
+    w[-1] += right
+    return Band(n1=n1, n2=n2, weights=w, ends=ends)
 
 
 class PeriodicCells:

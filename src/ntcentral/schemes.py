@@ -244,8 +244,9 @@ class Stepper:
         """Every nonlocal field of the cell values ``us``, at ``margin`` ghost cells.
 
         ``us`` carry ``have`` ghost cells each side and their slopes ``sus``
-        carry ``have - 1``; with slopes, the half-cell end intervals see the
-        reconstruction: output j gains 0.25 dx (w[0] s[j - n1] - w[-1] s[j + n2]).
+        carry ``have - 1``.  Every band (R, its space or its time derivative)
+        is one correlation plus, with slopes, its ``ends`` (c0, c1) times
+        them: output j gains c0 s[j - n1] - c1 s[j + n2].
         ``sus`` of None applies the bands to cellwise values as they are.
         With ``dx_margin`` the space derivatives of the fields come too, at
         that margin, and the result is the pair (fields, derivatives).
@@ -255,7 +256,7 @@ class Stepper:
         is one period wrap-extended to its margin, and a field and its
         space derivative share one forward transform.
         """
-        n, dx = self.grid.cells, self.grid.dx
+        n = self.grid.cells
         periodic = self.periodic
         if periodic:
             us = [PeriodicCells(u[..., have : have + n]) for u in us]
@@ -275,15 +276,8 @@ class Stepper:
                         s = sus[l].wrapped(band.n1, band.n2)
                     else:
                         s = sus[l][..., lo - 1 : lo - 1 + n_out + reach]
-                    w = band.weights
-                    out[l] += 0.25 * dx * (w[0] * s[..., :n_out] - w[-1] * s[..., reach:])
-                if bands is self.dw:
-                    ue = u.wrapped(band.n1, band.n2) if periodic else u
-                    out[l] = (
-                        -band.boundary_left * ue[..., :n_out]
-                        + band.boundary_right * ue[..., reach:]
-                        - out[l]
-                    )
+                    c0, c1 = band.ends
+                    out[l] += c0 * s[..., :n_out] - c1 * s[..., reach:]
             return extend_array(out, m, m, self.bc) if periodic else out
 
         fields = apply(self.qw, margin)

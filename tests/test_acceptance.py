@@ -354,9 +354,14 @@ def test_criterion_8_byte_identical_csv(tmp_path):
     assert cmd_compare(cfg2) == 0
     a = (tmp_path / "a" / "fig-keyfitz-kranzer.csv").read_bytes()
     b = (tmp_path / "b" / "fig-keyfitz-kranzer.csv").read_bytes()
-    run1 = parse_config(load_preset("table-arrhenius"), "table-arrhenius")
+    # run takes one level: the table's experiments at level 0
+    table = load_preset("table-arrhenius")
+    for e in table["experiments"]:
+        del e["levels"]
+        e["level"] = 0
+    run1 = parse_config(table, "table-arrhenius")
     run1.out_dir = str(tmp_path / "a")
-    run2 = parse_config(load_preset("table-arrhenius"), "table-arrhenius")
+    run2 = parse_config(table, "table-arrhenius")
     run2.out_dir = str(tmp_path / "b")
     assert cmd_run(run1) == 0
     assert cmd_run(run2) == 0

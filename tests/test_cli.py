@@ -52,8 +52,19 @@ def test_list_models(capsys):
 
 def test_list_presets(capsys):
     assert main(["list-presets"]) == 0
-    out = capsys.readouterr().out
-    assert "table-arrhenius" in out and "fig-euler" in out
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 9
+    assert "table-arrhenius: arrhenius" in out and "fig-euler: nonlocal-euler" in out
+
+
+def test_a_preset_kind_is_an_unknown_key(tmp_path, capsys):
+    doc = load_preset("fig-euler")
+    doc["kind"] = "compare"
+    cfg = write_config(tmp_path, doc)
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Additional properties are not allowed ('kind' was unexpected)" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_every_packaged_preset_parses():
@@ -164,6 +175,17 @@ def test_level_and_levels_together_are_a_config_error(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert f"{cfg}: 'level' and 'levels' exclude each other" in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_run_and_compare_refuse_more_than_one_level(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, tiny_doc(levels=[1, 2], reference_level=3))
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} runs one level, but experiment 'arrhenius' lists levels [1, 2]" in err
+    assert '"level"' in err and "converge" in err
+    assert not list(tmp_path.glob("*.csv"))
+    assert not list(tmp_path.glob("cache/ref-*.npy"))
 
 
 def test_run_reruns_are_byte_identical(tmp_path):

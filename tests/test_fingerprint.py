@@ -26,7 +26,7 @@ from ntcentral.harness import resolve_profiles
 from ntcentral.models import MODEL_FACTORIES, make_model
 from ntcentral.schemes import SchemeSpec, Stepper
 
-CACHE_TAG = "ntc-6"
+CACHE_TAG = "ntc-7"
 DIGESTS = {
     ("arrhenius", "periodic"): "5a48724863ed1cecfae873b2dad911f28f5dbda1f67b348d228c888c5a4be6b5",
     ("arrhenius", "constant"): "25ce6d6466b2fcbd041addd7dbdeb33550c7f7506ca3fdb87d99e7f6ae9e5050",
@@ -39,7 +39,7 @@ DIGESTS = {
     ("keyfitz-kranzer", "zero"): "8e802ac4943dac23d020f7a0721926a34e14023c9553976f30e20af31eb90836",
     ("multilane", "periodic"): "867a47317b60cf14ae18b26c515195dfcde118d53eaa21b02a37bb9f6d660087",
     ("multilane", "constant"): "317b9bfd5624bbed7f9e3ecc9223e567919d50963abf62462ef17eecc8e62f6f",
-    ("multilane", "zero"): "91585b11beb9bbb2927f1b537edfb49878667659281234d69d19a99a3a4cddf0",
+    ("multilane", "zero"): "aec37573232f337e93a4e3257684a0a60d8085480dafe9c4b71a491f372a745e",
     ("nonlocal-euler", "periodic"): "c9e9c00f2e8612913fe867335aabddadaeedaed0c0af3ccb80fc3936d5ad88fe",
     ("nonlocal-euler", "constant"): "8933f922f822b84df1d08307188d6941ae432ac46f30117101d3d9a56cae0bed",
     ("nonlocal-euler", "zero"): "6167263dc9342e4351403a7644b353a21043eecc6bb1c7edecd66388b020695c",

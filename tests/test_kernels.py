@@ -6,6 +6,8 @@ derivative band) on an ``arrhenius`` model carrying the kernel under test,
 with the inputs padded by ``extend_array`` as the stepper pads them.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
@@ -138,7 +140,7 @@ def test_correlate_band_matches_plain_sum():
     sides = set()
     for n_out in (40, 1280):
         for taps in (5, 129, 321):
-            band = Band(n1=0, n2=taps - 1, weights=rng.random(taps))
+            band = Band(n1=0, n2=taps - 1, weights=rng.random(taps), ends=(0.0, 0.0))
             u = rng.random(n_out + taps - 1)
             plain = sliding_window_view(u, taps) @ band.weights
             direct = n_out * taps <= DIRECT_MAX_WORK
@@ -176,7 +178,7 @@ def test_circular_band_wider_than_the_period(cells, n1, n2):
     # the band reaches around the period more than once; each tap reads the
     # cell its offset lands on modulo the period
     rng = np.random.default_rng(cells + n1 + n2)
-    band = Band(n1=n1, n2=n2, weights=rng.random(n1 + n2 + 1))
+    band = Band(n1=n1, n2=n2, weights=rng.random(n1 + n2 + 1), ends=(0.0, 0.0))
     u = rng.random(cells)
     direct = cells * band.weights.size <= DIRECT_MAX_WORK
     out = correlate_band(PeriodicCells(u), band)
@@ -187,7 +189,7 @@ def test_circular_band_wider_than_the_period(cells, n1, n2):
 def test_periodic_cells_share_one_forward_transform():
     rng = np.random.default_rng(11)
     cells = PeriodicCells(rng.random(2048))
-    bands = [Band(n1=0, n2=200, weights=rng.random(201)) for _ in range(2)]
+    bands = [Band(n1=0, n2=200, weights=rng.random(201), ends=(0.0, 0.0)) for _ in range(2)]
     assert bands[0].n2 * cells.values.size > DIRECT_MAX_WORK
     outs = [correlate_band(cells, bands[0])]
     first = cells._transform
@@ -324,6 +326,89 @@ def test_space_derivative_linear_kernel_against_quadrature():
     idx = [0, 31, 77, 119, 159]
     exact = np.array([exact_at(grid.centers[i]) for i in idx])
     np.testing.assert_allclose(dR[0][idx], exact, atol=2e-3)
+
+
+KERNELS = ["constant", "linear", "concave", "symmetric-parabola", "backward-power52"]
+
+
+def _omega_prime_band(spec, n1, n2, dx):
+    """dx omega' at the cell offsets, dx/2 omega' a quarter cell inside each end."""
+    w = dx * spec.omega_prime(np.arange(-n1, n2 + 1) * dx)
+    w[0] = 0.5 * dx * spec.omega_prime((0.25 - n1) * dx)
+    w[-1] = 0.5 * dx * spec.omega_prime((n2 - 0.25) * dx)
+    return w
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_derivative_band_folds_the_support_end_values_into_its_end_taps(name):
+    eta, dx = 0.2, 0.2 / 16
+    spec = builtin_kernel(name, eta)
+    band = build_derivative_weights(spec, dx)
+    n1, n2 = band.n1, band.n2
+    wp = _omega_prime_band(spec, n1, n2, dx)
+    want = -wp
+    want[0] -= spec.omega(spec.support[0])
+    want[-1] += spec.omega(spec.support[1])
+    assert np.array_equal(band.weights, want)
+    assert band.ends == (-0.25 * dx * wp[0], -0.25 * dx * wp[-1])
+    qw = build_weights(spec, dx)
+    assert qw.ends == (0.25 * dx * qw.weights[0], 0.25 * dx * qw.weights[-1])
+
+
+def _space_derivative_by_the_leibniz_formula(spec, u, s, g, n1, n2, dx, outputs):
+    """The space derivative of R as a separate formula, before the fold:
+
+        -omega(eta1) u[j - n1] + omega(eta2) u[j + n2] - (W' * u)[j]
+            - dx/4 (w'[0] s[j - n1] - w'[-1] s[j + n2])
+
+    over ``u`` and ``s`` that carry ``g`` ghost cells each side.
+    """
+    wp = _omega_prime_band(spec, n1, n2, dx)
+    reach = n1 + n2
+    lo = g + outputs[0] - n1
+    hi = g + outputs[-1] + n2 + 1
+    window = sliding_window_view(u[lo:hi], reach + 1)
+    first, last = u[lo : lo + outputs.size], u[lo + reach : hi]
+    s_first, s_last = s[lo : lo + outputs.size], s[lo + reach : hi]
+    return (
+        -spec.omega(spec.support[0]) * first
+        + spec.omega(spec.support[1]) * last
+        - window @ wp
+        - 0.25 * dx * (wp[0] * s_first - wp[-1] * s_last)
+    )
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("cells", [80, 2560])
+@pytest.mark.parametrize("name", KERNELS)
+def test_space_derivative_matches_the_leibniz_formula(name, cells, bc):
+    eta = 0.2
+    spec = builtin_kernel(name, eta)
+    model = dataclasses.replace(make_model("arrhenius", eta=eta), kernels=(spec,))
+    grid = Grid(-1.0, 1.0, cells)
+    stepper = Stepper(model, grid, bc, SchemeSpec("nt", "v2"))
+    dw, dx = stepper.dw[0], grid.dx
+    # 80 cells apply the band by the direct sum, 2560 cells by the FFT
+    assert (cells * dw.weights.size <= DIRECT_MAX_WORK) == (cells == 80)
+    pad, margin = stepper.margins["pad"], stepper.margins["flux"]
+    x = grid.centers
+    u = 0.5 + 0.4 * np.sin(np.pi * x) * np.exp(-4.0 * x**2)
+    uP = extend_array(u, pad, pad, bc)
+    sP = slopes_of_extended(uP, dx)  # margin pad - 1
+    _, dR = stepper._quadrature([uP], [sP], pad, margin, margin)
+    outputs = np.arange(-margin, cells + margin)
+    if bc == "periodic":  # the formula reads a wrap extension as wide as it needs
+        g = dw.n1 + dw.n2 + margin
+        s = sP[pad - 1 : pad - 1 + cells]
+        u, s = np.pad(u, g, mode="wrap"), np.pad(s, g, mode="wrap")
+        want = _space_derivative_by_the_leibniz_formula(spec, u, s, g, dw.n1, dw.n2, dx, outputs)
+    else:
+        # the slopes carry one ghost cell fewer than the cells: drop one of uP's
+        want = _space_derivative_by_the_leibniz_formula(
+            spec, uP[1:-1], sP, pad - 1, dw.n1, dw.n2, dx, outputs
+        )
+    assert dR.shape == (1, outputs.size)
+    assert np.abs(dR[0] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_extended_evaluation_matches_wrapped_interior():
