@@ -66,7 +66,6 @@ _EXPERIMENT_PROPERTIES = {
     "model": {"enum": sorted(MODEL_FACTORIES)},
     "eta": {"type": "number", "exclusiveMinimum": 0},
     "kernel": {"type": "string"},
-    "model_params": {"type": "object"},
     "T": {"type": "number", "minimum": 0},
     "initial_data": {
         "anyOf": [
@@ -89,7 +88,6 @@ _EXPERIMENT_PROPERTIES = {
         "minItems": 1,
     },
     "reference_level": {"type": "integer", "minimum": 1},
-    "reference_variant": {"enum": list(SLOPE_VARIANTS)},
     "time_ratio": {"type": "number", "exclusiveMinimum": 0},
     "schemes": {"type": "array", "items": _SCHEME_SCHEMA, "minItems": 1},
     "clip": {
@@ -108,7 +106,6 @@ _EXPERIMENT_PROPERTIES = {
 _TOP_LEVEL_EXTRA = {
     "name": {"type": "string"},
     "out": {"type": "string"},
-    "verbose": {"type": "boolean"},
 }
 
 _SINGLE_SCHEMA = {
@@ -272,7 +269,6 @@ class RunConfig:
 
     name: str
     out_dir: str
-    verbose: bool
     experiments: tuple[Experiment, ...]
 
 
@@ -282,11 +278,7 @@ def _schema_path(path: tuple) -> str:
 
 def _experiment_from_doc(doc: dict) -> Experiment:
     """The Experiment a document describes; Experiment checks that it can run."""
-    params = dict(doc.get("model_params", {}))
-    if "eta" in doc:
-        params["eta"] = doc["eta"]
-    if "kernel" in doc:
-        params["kernel"] = doc["kernel"]
+    params = {key: doc[key] for key in ("eta", "kernel") if key in doc}
 
     data = doc.get("initial_data", DEFAULT_INITIAL_DATA[doc["model"]])
     if not isinstance(data, str):
@@ -325,8 +317,8 @@ def _experiment_from_doc(doc: dict) -> Experiment:
 
     # keys the document sets go to the Experiment field of the same name;
     # Experiment states the default of each
-    keys = ("domain", "bc", "base_dx", "reference_level", "reference_variant",
-            "time_ratio", "positivity", "safety")
+    keys = ("domain", "bc", "base_dx", "reference_level", "time_ratio", "positivity",
+            "safety")
     given = {key: doc[key] for key in keys if key in doc}
     if "reference_level" in doc:
         given["reference_level"] = int(doc["reference_level"])
@@ -376,7 +368,6 @@ def parse_config(doc, source: str = "<config>") -> RunConfig:
     return RunConfig(
         name=name,
         out_dir=doc.get("out", "."),
-        verbose=doc.get("verbose", False),
         experiments=experiments,
     )
 
@@ -426,11 +417,9 @@ def _out_path(cfg: RunConfig, *parts: str) -> str:
     return os.path.join(cfg.out_dir, f"{stem}.csv")
 
 
-def _emit(path: str, text: str, verbose: bool):
+def _emit(path: str, text: str):
     _atomic_write(path, text)
     print(path)
-    if verbose:
-        print(f"  wrote {len(text)} bytes", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -463,12 +452,10 @@ def cmd_run(cfg: RunConfig, strict_cfl: bool = False) -> int:
             _emit(
                 _out_path(cfg, cfg.name, exp.name, spec.name),
                 csv_table(*snapshot_columns(model, grid, state.values)),
-                cfg.verbose,
             )
             _emit(
                 _out_path(cfg, cfg.name, exp.name, spec.name, "monitor"),
                 csv_table(*_monitor_columns(model.species, log)),
-                cfg.verbose,
             )
     return EXIT_OK
 
@@ -478,9 +465,7 @@ def cmd_converge(cfg: RunConfig, strict_cfl: bool = False) -> int:
     for exp in cfg.experiments:
         report = convergence_study(exp, strict_cfl=strict_cfl)
         lines += report.csv_rows(f"{exp.name}:" if exp.name else "")
-        if cfg.verbose:
-            print(f"  {exp.name or exp.model}: dt/dx={report.time_ratio}", file=sys.stderr)
-    _emit(_out_path(cfg, cfg.name), "\n".join(lines) + "\n", cfg.verbose)
+    _emit(_out_path(cfg, cfg.name), "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -500,11 +485,7 @@ def cmd_compare(cfg: RunConfig, strict_cfl: bool = False) -> int:
         header, cols = snapshot_columns(model, grid, ref_coarse)
         names += [f"reference:{h}" for h in header[1:]]
         columns += cols[1:]
-        _emit(
-            _out_path(cfg, cfg.name, exp.name),
-            csv_table(names, columns),
-            cfg.verbose,
-        )
+        _emit(_out_path(cfg, cfg.name, exp.name), csv_table(names, columns))
     return EXIT_OK
 
 

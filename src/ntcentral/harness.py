@@ -155,11 +155,10 @@ class Experiment:
 
     Construction checks everything a run needs, so bad input fails before
     any run starts: the field values; that the model builds and the initial
-    data gives one profile per species; that ``reference_variant="v2"`` has
-    the model's ``grad_V``; that every scheme builds a ``Stepper`` on the
-    coarsest grid (a whole number of cells, kernel supports of whole cells,
-    and v2 slopes only with ``grad_V``); and that the reference level has a
-    finite, whole number of cells.
+    data gives one profile per species; that every scheme builds a
+    ``Stepper`` on the coarsest grid (a whole number of cells, kernel
+    supports of whole cells, and v2 slopes only with ``grad_V``); and that
+    the reference level has a finite, whole number of cells.
     """
 
     model: str
@@ -172,7 +171,6 @@ class Experiment:
     base_dx: float = 0.05
     levels: tuple[int, ...] = (0, 1, 2, 3, 4, 5)
     reference_level: int = 9
-    reference_variant: str | None = None
     time_ratio: float | None = None
     clip: ClipConfig = NO_CLIP
     positivity: bool = False
@@ -203,8 +201,6 @@ class Experiment:
             raise ConfigurationError(
                 f"CFL safety factor must lie in (0, 1], got {self.safety}"
             )
-        if self.reference_variant is not None:  # SchemeSpec's check and message
-            SchemeSpec(slope_variant=self.reference_variant)
         BoundaryCondition.parse(self.bc)
         if not self.schemes:
             raise ConfigurationError("an experiment needs at least one scheme")
@@ -217,11 +213,6 @@ class Experiment:
             raise ConfigurationError(
                 f"initial data has {species} species but model "
                 f"{model.name!r} expects {model.n_species}"
-            )
-        if self.reference_variant == "v2" and not model.supports_v2:
-            raise ConfigurationError(
-                f"reference_variant 'v2' needs grad_V in every flux; "
-                f"model {model.name!r} runs with 'v1' only"
             )
         grid = self.grid_at(min(self.levels))
         for spec in self.schemes:
@@ -275,40 +266,48 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
-def _box(rows: np.ndarray, widen: float) -> np.ndarray:
-    """[lo, hi] of every row, each side moved out by ``widen`` times the width."""
+def _box(rows: np.ndarray) -> np.ndarray:
+    """[min, max] of every row, shape (rows, 2)."""
     box = np.empty((rows.shape[0], 2))
     rows.min(axis=1, out=box[:, 0])
     rows.max(axis=1, out=box[:, 1])
-    if widen:
-        pad = widen * (box[:, 1] - box[:, 0])
-        box[:, 0] -= pad
-        box[:, 1] += pad
     return box
 
 
-def _clamped(model: ModelDef, box: np.ndarray) -> np.ndarray:
-    """``box`` clamped in place to the model's admissible range."""
-    if model.rho_min is not None:
-        np.maximum(box[:, 0], model.rho_min, out=box[:, 0])
-    if model.rho_max is not None:
-        np.minimum(box[:, 1], model.rho_max, out=box[:, 1])
-    return box
+def bound_boxes(
+    model: ModelDef,
+    values: np.ndarray,
+    widen: float = 0.0,
+    box: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(state box (N, 2), nonlocal box (m, 2)) of ``values`` for the Lipschitz bounds.
 
-
-def state_bounds(model: ModelDef, values: np.ndarray, widen: float = 0.1) -> np.ndarray:
-    """Per-species [lo, hi] box around the data, widened and range-clamped."""
-    return _clamped(model, _box(values, widen))
-
-
-def nonlocal_bounds(model: ModelDef, values: np.ndarray, widen: float = 0.1) -> np.ndarray:
-    """[lo, hi] box of every convolved quantity, from the data itself.
-
+    Every [lo, hi] has each side moved out by ``widen`` times its width.
     Convolution against a unit-integral kernel cannot leave the range of its
-    integrand, so the data box of the convolved quantities bounds the
-    nonlocal fields of the run.
+    integrand, so a species' nonlocal row is its state row, taken before the
+    state box is clamped to [rho_min, rho_max], and a derived field's row is
+    the range of ``hook.value``.  ``box`` is the unwidened per-species
+    [min, max] of ``values`` when the caller has already taken it; it is
+    read, never changed.
     """
-    return _box(model.convolved_values(values), widen)
+    sbox = _box(values) if box is None else box.copy()
+    nbox = np.empty((model.n_nonlocal, 2))
+    for l, src in enumerate(model.nonlocal_sources):
+        if isinstance(src, DerivedFieldHook):
+            u = src.value(values)
+            nbox[l] = u.min(), u.max()
+        else:
+            nbox[l] = sbox[src]
+    if widen:
+        for b in (sbox, nbox):
+            pad = widen * (b[:, 1] - b[:, 0])
+            b[:, 0] -= pad
+            b[:, 1] += pad
+    if model.rho_min is not None:
+        np.maximum(sbox[:, 0], model.rho_min, out=sbox[:, 0])
+    if model.rho_max is not None:
+        np.minimum(sbox[:, 1], model.rho_max, out=sbox[:, 1])
+    return sbox, nbox
 
 
 def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
@@ -336,8 +335,7 @@ def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
     values = init_cell_averages(exp.profiles(), grid).values
     if BoundaryCondition.parse(exp.bc) is BoundaryCondition.ZERO:
         values = np.concatenate([s * values for s in np.linspace(0.0, 1.0, 9)], axis=1)
-    sbox = state_bounds(model, values)
-    nbox = nonlocal_bounds(model, values)
+    sbox, nbox = bound_boxes(model, values, widen=0.1)
     lip_f = model.lip_flux(sbox, nbox)
     lip_s = model.lip_source(sbox, nbox) if model.lip_source is not None else None
     dt = max_stable_dt(grid.dx, lip_f, lip_s, exp.positivity, exp.safety)
@@ -347,27 +345,15 @@ def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
 def flux_speed_estimate(
     model: ModelDef, values: np.ndarray, box: np.ndarray | None = None
 ) -> float:
-    """Flux Lipschitz bound over the box of the current state.
+    """Flux Lipschitz bound over the unwidened boxes of the current state.
 
-    The same ``model.lip_flux`` that sets the time step in
-    :func:`resolve_time_ratio`, evaluated on the unwidened state and
-    nonlocal boxes of ``values``, so the per-step CFL monitor checks the
-    quantity the time step was chosen for.  ``box`` is the per-species
-    [min, max] of ``values`` when the caller has already taken it (as
-    :func:`run_simulation` does once per step); it is read, never changed.
-    A species' nonlocal box is its row of that box, so only a derived field
-    takes a range of its own.
+    The same ``model.lip_flux`` on the same :func:`bound_boxes` that set the
+    time step in :func:`resolve_time_ratio`, without the widening, so the
+    per-step CFL monitor checks the quantity the time step was chosen for.
+    ``box`` is as in :func:`bound_boxes`; :func:`run_simulation` passes the
+    one it takes each step.
     """
-    if box is None:
-        box = _box(values, 0.0)
-    nbox = np.empty((model.n_nonlocal, 2))
-    for l, src in enumerate(model.nonlocal_sources):
-        if isinstance(src, DerivedFieldHook):
-            u = src.value(values)
-            nbox[l] = u.min(), u.max()
-        else:
-            nbox[l] = box[src]
-    return model.lip_flux(_clamped(model, box.copy()), nbox)
+    return model.lip_flux(*bound_boxes(model, values, 0.0, box))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +386,7 @@ class MonitorLog:
                 f"monitor timestamps must increase: {t} after {self._times[-1]}"
             )
         if box is None:
-            box = _box(values, 0.0)
+            box = _box(values)
         state = SystemState(values, t)
         self._times.append(float(t))
         self._mass.append(total_mass(state, self.grid))
@@ -492,7 +478,7 @@ def run_simulation(
     warned = False
     for i, (dt, t) in enumerate(_time_steps(exp.t_final, lam * grid.dx)):
         v = stepper.step(v, dt)
-        box = _box(v, 0.0)
+        box = _box(v)
         if not np.isfinite(box).all():
             raise NumericsError(
                 f"non-finite state after step {i + 1} (t={t:.6g})", step=i + 1
@@ -549,10 +535,9 @@ def cache_directory() -> str:
     )
 
 
-def _reference_spec(exp: Experiment, model: ModelDef) -> SchemeSpec:
-    variant = exp.reference_variant
-    if variant is None:
-        variant = "v2" if model.supports_v2 else "v1"
+def _reference_spec(model: ModelDef) -> SchemeSpec:
+    """nt with the v2 slopes when the model gives ``grad_V``, v1 otherwise."""
+    variant = "v2" if model.supports_v2 else "v1"
     return SchemeSpec(scheme="nt", slope_variant=variant, label="reference")
 
 
@@ -563,7 +548,7 @@ def compute_reference(
 ) -> np.ndarray:
     """Cell averages of the fine reference run, cached on disk."""
     model = exp.build_model()
-    spec = _reference_spec(exp, model)
+    spec = _reference_spec(model)
     lam = time_ratio if time_ratio is not None else resolve_time_ratio(exp, model)
     key_doc = {
         "experiment": exp.canonical(),
@@ -679,7 +664,7 @@ def convergence_study(
         "time_ratio": lam,
         "reference": {
             "level": exp.reference_level,
-            "variant": _reference_spec(exp, model).slope_variant,
+            "variant": _reference_spec(model).slope_variant,
         },
         "runtimes": runtimes,
     }

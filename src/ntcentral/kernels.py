@@ -55,7 +55,6 @@ class KernelSpec:
     support: tuple[float, float]
     omega_prime: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = "custom"
-    normalization: float = 1.0  # scale already applied to the raw shape
 
     def __post_init__(self):
         eta1, eta2 = self.support
@@ -287,7 +286,6 @@ def _backward_power(eta: float) -> KernelSpec:
         omega_prime=omega_prime,
         support=(-eta, 0.0),
         name="backward-power52",
-        normalization=scale,
     )
 
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ConfigurationError
 
 
 def minmod(a, b):
@@ -23,17 +26,6 @@ def minmod(a, b):
     return np.add(lo, hi, out=lo)
 
 
-def minmod3(a, b, c):
-    """Three-argument minmod: sign-common minimum magnitude, zero otherwise."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    sa, sb, sc = np.sign(a), np.sign(b), np.sign(c)
-    same = (sa == sb) & (sb == sc) & (sa != 0.0)
-    mag = np.minimum(np.abs(a), np.minimum(np.abs(b), np.abs(c)))
-    return np.where(same, sa * mag, 0.0)
-
-
 @dataclass(frozen=True)
 class ClipConfig:
     """Optional magnitude clip for limited differences.
@@ -41,11 +33,20 @@ class ClipConfig:
     When enabled, every limited difference is additionally capped at
     ``C * dx**delta`` (signed like the backward difference), which bounds the
     reconstruction jumps independently of the data.  Disabled by default.
+    ``C`` must be positive and finite and ``delta`` in (0, 1], the config
+    schema's range: a cap of zero or less would zero every limited slope.
     """
 
     enabled: bool = False
     C: float = 1.0
     delta: float = 0.5
+
+    def __post_init__(self):
+        if not (0.0 < self.C < math.inf and 0.0 < self.delta <= 1.0):
+            raise ConfigurationError(
+                f"clip needs 0 < C < inf and 0 < delta <= 1, got C={self.C}, "
+                f"delta={self.delta}"
+            )
 
     def cap(self, dx: float) -> float:
         return self.C * dx**self.delta
@@ -58,7 +59,7 @@ def limited_difference(fwd, bwd, dx: float, clip: ClipConfig = NO_CLIP):
     """Limited slope from one-sided differences (not yet divided by dx on input)."""
     if clip.enabled:
         cap = clip.cap(dx)
-        d = minmod3(fwd, bwd, np.sign(bwd) * cap)
+        d = minmod(minmod(fwd, bwd), np.sign(bwd) * cap)
     else:
         d = minmod(fwd, bwd)
     return d / dx

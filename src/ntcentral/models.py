@@ -99,20 +99,6 @@ class ModelDef:
         """Whether the product-rule slope variant v2 can run on this model."""
         return all(grad_V is not None for _, _, grad_V in self.flux)
 
-    def convolved_values(self, values: np.ndarray) -> np.ndarray:
-        """Cellwise values of every convolved quantity, shape (m, n).
-
-        Kernel averages with unit-integral nonnegative weights stay inside
-        the range of what they average, so the rows bound the nonlocal fields.
-        """
-        out = np.empty((self.n_nonlocal, values.shape[-1]))
-        for l, src in enumerate(self.nonlocal_sources):
-            if isinstance(src, DerivedFieldHook):
-                out[l] = src.value(values)
-            else:
-                out[l] = values[src]
-        return out
-
     def eval_flux(self, values: np.ndarray, R: np.ndarray) -> np.ndarray:
         """Every species' flux g_k(values[k]) * V_k(R), each distinct V once.
 
@@ -399,7 +385,7 @@ MODEL_FACTORIES: dict[str, Callable[..., ModelDef]] = {
 
 
 def make_model(name: str, **params) -> ModelDef:
-    """Build a zoo model by name with keyword parameters (eta, kernel, ...)."""
+    """Build a zoo model by name with keyword parameters (eta, kernel)."""
     try:
         factory = MODEL_FACTORIES[name]
     except KeyError:

@@ -170,7 +170,8 @@ class Stepper:
     once at construction; ``step`` maps an (n_species, n_cells) array of
     cell averages over one time step.
     ``scheme`` defaults to ``SchemeSpec()`` (nt-v1); ``clip`` sets the slope
-    limiter's clipping for every limited slope of the step.
+    limiter's clipping for every limited slope of the step except v2's
+    slopes of g(rho), which are never clipped.
     """
 
     def __init__(

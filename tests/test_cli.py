@@ -121,19 +121,22 @@ def test_garz_snapshot_carries_derived_column(tmp_path):
 def test_unset_keys_take_the_experiment_and_clip_defaults():
     exp = parse_config(tiny_doc()).experiments[0]
     default = Experiment(model="arrhenius", t_final=0.02, initial_data="arrhenius-sine")
-    for name in ("domain", "bc", "base_dx", "reference_level", "reference_variant",
-                 "positivity", "safety", "name", "clip"):
+    for name in ("domain", "bc", "base_dx", "reference_level", "positivity", "safety",
+                 "name", "clip"):
         assert getattr(exp, name) == getattr(default, name), name
     clip = parse_config(tiny_doc(clip={"C": 2.0})).experiments[0].clip
     assert clip == ClipConfig(enabled=True, C=2.0, delta=0.5)
 
 
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_v2_reference_on_a_v1_only_model_is_a_config_error(tmp_path, capsys, command):
-    doc = {"model": "garz", "T": 0.001, "time_ratio": 0.05, "reference_variant": "v2"}
-    cfg = write_config(tmp_path, doc)
+@pytest.mark.parametrize("key", ["verbose", "reference_variant", "model_params"])
+@pytest.mark.parametrize("command", ["run", "converge", "compare"])
+def test_settings_no_config_uses_are_unknown_keys(tmp_path, capsys, command, key):
+    # the reference variant follows from the model, and eta and kernel are top-level keys
+    value = {"verbose": True, "reference_variant": "v1", "model_params": {"eta": 0.2}}[key]
+    cfg = write_config(tmp_path, tiny_doc(**{key: value}))
     assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
-    assert "reference_variant 'v2'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"Additional properties are not allowed ({key!r} was unexpected)" in err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -159,7 +162,7 @@ def test_a_scheme_the_model_cannot_run_fails_before_the_reference(tmp_path, caps
     "change, message",
     [
         ({"initial_data": "kk-sine"}, "initial data has 2 species"),
-        ({"model_params": {"lanes": 2}}, "model 'arrhenius': "),
+        ({"kernel": "backward-power52"}, "arrhenius model needs a forward-looking kernel"),
     ],
 )
 def test_an_experiment_error_names_the_config(tmp_path, capsys, change, message):
@@ -462,8 +465,9 @@ def test_schemas_are_valid_draft_2020_12(schema):
 # enum members, and values that nest errors one level down.
 _VALUES = [
     None, True, 0, 1, 2, -1, 0.5, 1.5, -0.5, float("nan"), float("inf"), "", "x",
-    "periodic", "v2", "arrhenius", [], ["x"], [0], [1, 2], [-1, 0, 1], ["a", 1], {},
-    {"x": 1}, [{}], [{"scheme": "weno"}], [{"scheme": "nt", "theta": 2, "label": ""}],
+    "periodic", "zero", "nt", "v2", "arrhenius", [], ["x"], [0], [1, 2], [-1, 0, 1],
+    ["a", 1], {}, {"x": 1}, [{}], [{"scheme": "weno"}],
+    [{"scheme": "nt", "theta": 2, "label": ""}],
     {"C": -1, "delta": 2}, {"enabled": 1, "y": 0},
 ]
 

@@ -28,6 +28,7 @@ from ntcentral.harness import (
     Experiment,
     MonitorLog,
     SchemeSpec,
+    bound_boxes,
     compute_reference,
     convergence_study,
     csv_table,
@@ -35,15 +36,13 @@ from ntcentral.harness import (
     expression_profile,
     flux_speed_estimate,
     l1_error,
-    nonlocal_bounds,
     resolve_profiles,
     resolve_time_ratio,
     restrict_values,
     run_simulation,
     snapshot_columns,
-    state_bounds,
 )
-from ntcentral.models import make_model
+from ntcentral.models import DerivedFieldHook, make_model
 from ntcentral.schemes import Stepper
 
 
@@ -173,11 +172,7 @@ def test_experiment_validation():
              "schemes": (SchemeSpec("nt", "v2"),)},
             "gives no grad_V",
         ),
-        (
-            {"model": "garz", "initial_data": "garz-sine", "model_params": {},
-             "schemes": (SchemeSpec("nt", "v1"),), "reference_variant": "v2"},
-            "reference_variant 'v2'",
-        ),
+        ({"safety": 1.5}, "CFL safety factor must lie in (0, 1]"),
         ({"model_params": {"eta": 0.07}}, "integer multiple"),
         ({"reference_level": 2000}, "level 2000 is too fine"),
         ({"domain": (-1.0, 1.01)}, "whole number of cells"),
@@ -187,12 +182,6 @@ def test_an_experiment_that_cannot_run_fails_when_built(change, message):
     # every rule of a runnable experiment is checked before any run starts
     with pytest.raises(ConfigurationError, match=re.escape(message)):
         small_experiment(**change)
-
-
-def test_reference_variant_is_checked_at_construction():
-    with pytest.raises(ConfigurationError, match="unknown slope variant 'v3'"):
-        small_experiment(reference_variant="v3")
-    assert small_experiment(reference_variant="v1").reference_variant == "v1"
 
 
 def test_experiment_grids_and_digest():
@@ -222,19 +211,22 @@ def test_scheme_spec_names():
 def test_state_bounds_clamped_to_admissible_range():
     model = make_model("arrhenius")
     values = np.array([[0.05, 0.95]])
-    box = state_bounds(model, values)
+    box, nbox = bound_boxes(model, values, widen=0.1)
     assert box[0, 0] >= 0.0 and box[0, 1] <= 1.0
+    # the nonlocal row is the state row, widened, before the clamp
+    pad = 0.1 * (0.95 - 0.05)
+    np.testing.assert_array_equal(nbox, [[0.05 - pad, 0.95 + pad]])
     model2 = make_model("nonlocal-euler")
-    box2 = state_bounds(model2, np.array([[0.1, 0.3], [-0.5, 0.5]]))
+    box2, _ = bound_boxes(model2, np.array([[0.1, 0.3], [-0.5, 0.5]]), widen=0.1)
     assert box2[0, 0] < 0.1 and box2[1, 1] > 0.5
 
 
 def test_nonlocal_bounds_cover_derived_quantities():
     model = make_model("garz")
     values = np.array([[0.2, 0.4], [0.4, 0.4]])
-    box = nonlocal_bounds(model, values)
-    v = model.convolved_values(values)
-    assert box[0, 0] <= v.min() and box[0, 1] >= v.max()
+    _, box = bound_boxes(model, values, widen=0.1)
+    v = model.nonlocal_sources[0].value(values)
+    assert box[0, 0] < v.min() and box[0, 1] > v.max()
 
 
 def test_resolve_time_ratio_explicit_and_derived():
@@ -265,7 +257,7 @@ def test_derived_time_ratio_is_the_cfl_formula(bc, positivity):
     values = init_cell_averages(exp.profiles(), grid).values
     if bc == "zero":
         values = np.concatenate([s * values for s in np.linspace(0.0, 1.0, 9)], axis=1)
-    sbox, nbox = state_bounds(model, values), nonlocal_bounds(model, values)
+    sbox, nbox = bound_boxes(model, values, widen=0.1)
     lip_f, lip_s = model.lip_flux(sbox, nbox), model.lip_source(sbox, nbox)
     if positivity:
         dt = min((CFL_LIMIT / 2) * grid.dx / lip_f, 2 * (CFL_LIMIT / 2) / lip_s)
@@ -327,10 +319,24 @@ def test_cfl_monitor_is_the_bound_on_the_unwidened_boxes(name, rng):
     for cells in (1, 7, 160):
         for spread in (1e-9, 0.3, 1.0):
             v = 0.5 + spread * rng.uniform(-1.0, 1.0, (model.n_species, cells))
-            bound = model.lip_flux(
-                state_bounds(model, v, widen=0.0), nonlocal_bounds(model, v, widen=0.0)
-            )
+            lo, hi = v.min(axis=1), v.max(axis=1)
+            # a species' nonlocal range is its unclamped range
+            nbox = np.array([
+                (src.value(v).min(), src.value(v).max())
+                if isinstance(src, DerivedFieldHook)
+                else (lo[src], hi[src])
+                for src in model.nonlocal_sources
+            ])
+            if model.rho_min is not None:
+                lo = np.maximum(lo, model.rho_min)
+            if model.rho_max is not None:
+                hi = np.minimum(hi, model.rho_max)
+            bound = model.lip_flux(np.stack([lo, hi], axis=1), nbox)
             assert flux_speed_estimate(model, v) == bound, (cells, spread)
+            box = np.stack([v.min(axis=1), v.max(axis=1)], axis=1)
+            kept = box.copy()
+            assert flux_speed_estimate(model, v, box) == bound, (cells, spread)
+            np.testing.assert_array_equal(box, kept)
 
 
 def lattice_lip_flux_arrhenius(sbox, nbox):

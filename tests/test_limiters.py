@@ -1,15 +1,17 @@
 """Minmod algebra and slope construction."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ntcentral.core import BoundaryCondition, extend_array
+from ntcentral.errors import ConfigurationError
 from ntcentral.limiters import (
     NO_CLIP,
     ClipConfig,
     limited_difference,
     minmod,
-    minmod3,
     slopes_of_extended,
 )
 
@@ -38,25 +40,38 @@ def test_minmod_scalar_cases():
     assert minmod(0.0, 5.0) == 0.0
 
 
-def test_minmod3_reduces_and_extends(rng):
-    a = rng.standard_normal(10_000)
-    b = rng.standard_normal(10_000)
-    c = rng.standard_normal(10_000)
-    m3 = minmod3(a, b, c)
-    assert np.all(np.abs(m3) <= np.abs(minmod(a, b)) + 1e-15)
-    # all-same-sign triples keep the smallest magnitude with that sign
-    mask = (np.sign(a) == np.sign(b)) & (np.sign(b) == np.sign(c)) & (a != 0)
-    expect = np.sign(a[mask]) * np.minimum(
-        np.abs(a[mask]), np.minimum(np.abs(b[mask]), np.abs(c[mask]))
+def test_clipped_difference_keeps_the_smallest_magnitude_of_one_sign(rng):
+    fwd = rng.standard_normal(10_000)
+    bwd = rng.standard_normal(10_000)
+    dx = 0.01
+    clip = ClipConfig(enabled=True, C=5.0, delta=0.5)  # cap 0.5, inside the data's spread
+    d = limited_difference(fwd, bwd, dx, clip) * dx
+    assert np.all(np.abs(d) <= np.abs(minmod(fwd, bwd)) + 1e-15)
+    # differences of one sign keep the smallest of |fwd|, |bwd| and the cap, with that sign
+    same = (np.sign(fwd) == np.sign(bwd)) & (fwd != 0)
+    expect = np.sign(bwd[same]) * np.minimum(
+        np.abs(fwd[same]), np.minimum(np.abs(bwd[same]), clip.cap(dx))
     )
-    np.testing.assert_allclose(m3[mask], expect)
-    assert minmod3(2.0, 3.0, -1.0) == 0.0
+    np.testing.assert_allclose(d[same], expect)
+    assert np.all(d[~same] == 0.0)
+    assert limited_difference(2.0, -3.0, dx, clip) == 0.0
 
 
 def test_clip_config_cap():
     clip = ClipConfig(enabled=True, C=2.0, delta=0.5)
     assert clip.cap(0.04) == pytest.approx(0.4)
     assert not NO_CLIP.enabled
+
+
+@pytest.mark.parametrize(
+    "C, delta", [(-1.0, -3.0), (0.0, 0.5), (math.inf, 0.5), (math.nan, 0.5),
+                 (1.0, 0.0), (1.0, 1.5), (1.0, math.nan)]
+)
+def test_clip_config_is_checked_when_built(C, delta):
+    # a cap of zero or less would make every limited slope 0: a silent first-order run
+    with pytest.raises(ConfigurationError, match="clip needs 0 < C < inf and 0 < delta <= 1"):
+        ClipConfig(enabled=True, C=C, delta=delta)
+    assert ClipConfig(enabled=True, C=1e-3, delta=1.0).cap(0.5) == 5e-4
 
 
 def test_limited_difference_applies_clip():

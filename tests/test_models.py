@@ -24,11 +24,19 @@ def _sample_values(model, n=24, seed=3):
     return lo + (hi - lo) * rng.random((model.n_species, n))
 
 
+def _convolved(model, values):
+    """Cellwise values of every convolved quantity, shape (m, n): a stand-in for R."""
+    return np.array([
+        src.value(values) if isinstance(src, DerivedFieldHook) else values[src]
+        for src in model.nonlocal_sources
+    ])
+
+
 @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
 def test_factory_shapes_and_bounds(name):
     model = make_model(name)
     values = _sample_values(model)
-    conv = model.convolved_values(values)
+    conv = _convolved(model, values)
     assert conv.shape == (model.n_nonlocal, values.shape[1])
     R = conv.copy()  # cellwise stand-in for the kernel average
     F = model.eval_flux(values, R)
@@ -49,7 +57,7 @@ def test_factory_shapes_and_bounds(name):
 def test_eval_flux_is_g_times_v_with_each_v_once(name):
     model = make_model(name)
     values = _sample_values(model, seed=11)
-    R = model.convolved_values(values)
+    R = _convolved(model, values)
     calls = []
 
     def counted(V):
@@ -75,7 +83,7 @@ def test_eval_flux_is_g_times_v_with_each_v_once(name):
 def test_product_form_gradient_matches_finite_differences(name):
     model = make_model(name)
     values = _sample_values(model, seed=7)
-    R = model.convolved_values(values)
+    R = _convolved(model, values)
     eps = 1e-6
     for k in range(model.n_species):
         _, V, grad_V = model.flux[k]
@@ -91,7 +99,7 @@ def test_product_form_gradient_matches_finite_differences(name):
 def test_multilane_exchange_conserves_total_density():
     model = make_model("multilane")
     values = _sample_values(model, seed=19)
-    R = model.convolved_values(values)
+    R = _convolved(model, values)
     src = model.source(values, R)
     np.testing.assert_allclose(src.sum(axis=0), 0.0, atol=1e-15)
     # exchange moves mass toward the faster lane
@@ -102,7 +110,7 @@ def test_multilane_exchange_conserves_total_density():
 def test_euler_source_only_relaxes_velocity():
     model = make_model("nonlocal-euler")
     values = _sample_values(model, seed=23)
-    R = model.convolved_values(values)
+    R = _convolved(model, values)
     src = model.source(values, R)
     np.testing.assert_array_equal(src[0], np.zeros(values.shape[1]))
     np.testing.assert_allclose(src[1], values[0] * (R[0] - values[1]))
