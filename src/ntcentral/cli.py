@@ -34,7 +34,7 @@ from .harness import (
     snapshot_columns,
 )
 from .limiters import NO_CLIP, ClipConfig
-from .models import MODEL_FACTORIES, make_model
+from .models import MODEL_FACTORIES, make_model, model_parameters
 from .schemes import SCHEMES, SLOPE_VARIANTS
 
 EXIT_OK = 0
@@ -493,7 +493,8 @@ def cmd_list_models() -> int:
     for name in sorted(MODEL_FACTORIES):
         model = make_model(name)
         kernels = ", ".join(k.name for k in model.kernels)
-        print(f"{name}: species {', '.join(model.species)}; kernels {kernels}")
+        keys = ", ".join(model_parameters(name))
+        print(f"{name}: species {', '.join(model.species)}; kernels {kernels}; parameters {keys}")
     return EXIT_OK
 
 

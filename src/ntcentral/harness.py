@@ -625,6 +625,97 @@ def _atomic_write(path: str, data: "str | bytes"):
         raise
 
 
+def _study_cell(exp: Experiment, level: int, spec: SchemeSpec, strict_cfl: bool, lam: float):
+    """One (scheme, level) run of a study: ``(values, seconds, warnings)``.
+
+    The warnings the run issues are caught as ``(category, text)`` pairs for
+    the caller to issue again, wherever the run took place.  A run that
+    fails carries the ones it issued before failing as ``.warnings``.
+    """
+    start = time.perf_counter()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            state, _ = run_simulation(
+                exp, level, spec, strict_cfl=strict_cfl, record=False, time_ratio=lam
+            )
+        except Exception as exc:
+            exc.warnings = [(w.category, str(w.message)) for w in caught]
+            raise
+    issued = [(w.category, str(w.message)) for w in caught]
+    return state.values, time.perf_counter() - start, issued
+
+
+def _study_workers() -> int:
+    """Worker processes for a study's cells: every CPU this process may use but its own."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    return cpus - 1
+
+
+def _outcome(task: tuple):
+    """``_study_cell(*task)``, or the exception it raised."""
+    try:
+        return _study_cell(*task)
+    except Exception as exc:
+        return exc
+
+
+def _study_runs(tasks: list, reference):
+    """``reference()`` and the outcome of every task in ``tasks``, in order.
+
+    An outcome is the result of ``_study_cell(*task)`` or the exception it
+    raised.  The tasks go to a pool of forked worker processes while the
+    caller computes the reference; the caller then runs, from the last task
+    backwards, every task that no worker has started.  With no worker, or
+    no ``fork`` start method, everything runs in the caller in serial order,
+    up to the first failure.  No worker outlives the call.
+    """
+    workers = min(_study_workers(), len(tasks))
+    if workers > 0:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 0
+    if workers == 0:
+        ref = reference()
+        outcomes = []
+        for task in tasks:
+            outcomes.append(_outcome(task))
+            if isinstance(outcomes[-1], BaseException):
+                break
+        return ref, outcomes
+
+    import concurrent.futures
+
+    # fork, not spawn: the workers keep the caller's module state, and a
+    # script without a __main__ guard is not imported again
+    pool = concurrent.futures.ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork")
+    )
+    try:
+        futures = [pool.submit(_study_cell, *task) for task in tasks]
+        ref = reference()
+        outcomes = [None] * len(tasks)
+        for i in reversed(range(len(tasks))):
+            if futures[i].cancel():
+                outcomes[i] = _outcome(tasks[i])
+        for i, future in enumerate(futures):
+            if outcomes[i] is None:
+                outcomes[i] = future.exception() or future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return ref, outcomes
+
+
+def _issue(caught: list):
+    """Issue warnings caught in a study cell again, in the caller."""
+    for category, text in caught:
+        warnings.warn(text, category, stacklevel=2)
+
+
 def convergence_study(
     exp: Experiment,
     use_cache: bool = True,
@@ -632,32 +723,38 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Errors and observed orders of every scheme against the fine reference.
 
-    Rates are reported between adjacent levels only.
+    Rates are reported between adjacent levels only.  The (scheme, level)
+    runs go to worker processes while the caller computes the reference
+    (see :func:`_study_runs`), and the results are bit for bit those of a
+    serial run.  Failures and warnings reach the caller as a serial run
+    gives them: the reference's first, then each run's in (scheme, level)
+    order, up to the first failure, which is raised.
     """
     if len(exp.levels) < 2:
         raise ConfigurationError("a convergence study needs at least two levels")
     model = exp.build_model()
     lam = resolve_time_ratio(exp, model)
-    reference = compute_reference(exp, lam, use_cache)
+    tasks = [(exp, n, spec, strict_cfl, lam) for spec in exp.schemes for n in exp.levels]
+    reference, outcomes = _study_runs(tasks, lambda: compute_reference(exp, lam, use_cache))
 
-    rows: dict[str, list] = {}
+    rows: dict[str, list] = {spec.name: [] for spec in exp.schemes}
     runtimes = {}
-    for spec in exp.schemes:
-        table = rows[spec.name] = []
-        for i, n in enumerate(exp.levels):
-            start = time.perf_counter()
-            state, _ = run_simulation(
-                exp, n, spec, strict_cfl=strict_cfl, record=False, time_ratio=lam
-            )
-            coarse_ref = restrict_values(reference, 2 ** (exp.reference_level - n))
-            err = l1_error(state.values, coarse_ref, exp.grid_at(n).dx)
-            runtimes[f"{spec.name}/{n}"] = time.perf_counter() - start
-            rate = None
-            if i > 0 and exp.levels[i - 1] == n - 1:
-                prev = table[-1][2]
-                if prev > 0.0 and err > 0.0:
-                    rate = math.log2(prev / err)
-            table.append((n, exp.base_dx * 2.0 ** (-n), err, rate))
+    for (_, n, spec, _, _), outcome in zip(tasks, outcomes):
+        if isinstance(outcome, BaseException):
+            _issue(getattr(outcome, "warnings", []))
+            raise outcome
+        values, seconds, caught = outcome
+        _issue(caught)
+        table = rows[spec.name]
+        coarse_ref = restrict_values(reference, 2 ** (exp.reference_level - n))
+        err = l1_error(values, coarse_ref, exp.grid_at(n).dx)
+        runtimes[f"{spec.name}/{n}"] = seconds
+        rate = None
+        if table and table[-1][0] == n - 1:
+            prev = table[-1][2]
+            if prev > 0.0 and err > 0.0:
+                rate = math.log2(prev / err)
+        table.append((n, exp.base_dx * 2.0 ** (-n), err, rate))
 
     metadata = {
         "error_norm": "dx * sum_j sum_k |a - b| (summed over species)",

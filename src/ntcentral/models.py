@@ -16,12 +16,13 @@ state box used for time-step control.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ModelDefinitionError
+from .errors import ConfigurationError, ModelDefinitionError
 from .kernels import KernelSpec, builtin_kernel
 
 #: Density floor used when dividing by a species value.
@@ -384,15 +385,23 @@ MODEL_FACTORIES: dict[str, Callable[..., ModelDef]] = {
 }
 
 
+def model_parameters(name: str) -> tuple[str, ...]:
+    """The keyword parameters of a registered model, as its factory states them."""
+    return tuple(inspect.signature(MODEL_FACTORIES[name]).parameters)
+
+
 def make_model(name: str, **params) -> ModelDef:
-    """Build a zoo model by name with keyword parameters (eta, kernel)."""
-    try:
-        factory = MODEL_FACTORIES[name]
-    except KeyError:
+    """Build a zoo model by name with keyword parameters (see ``model_parameters``)."""
+    if name not in MODEL_FACTORIES:
         raise ModelDefinitionError(
             f"unknown model {name!r}; available: {sorted(MODEL_FACTORIES)}"
-        ) from None
-    try:
-        return factory(**params)
-    except TypeError as exc:
-        raise ModelDefinitionError(f"model {name!r}: {exc}") from None
+        )
+    for key in params:
+        keys = model_parameters(name)
+        if key not in keys:
+            takers = [m for m in sorted(MODEL_FACTORIES) if key in model_parameters(m)]
+            raise ConfigurationError(
+                f"model {name!r} takes no parameter {key!r} (it takes "
+                f"{', '.join(keys)}); models that take {key!r}: {', '.join(takers) or 'none'}"
+            )
+    return MODEL_FACTORIES[name](**params)

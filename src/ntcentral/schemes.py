@@ -16,8 +16,7 @@ A' (the non-staggered central form of Jiang, Levy, Lin, Osher and Tadmor,
     u_j = (A_{j+1/2} + A_{j-1/2}) / 2 - (dx / 8) (A'_{j+1/2} - A'_{j-1/2})
 
 Expanded in the cell values, slopes, half-step fluxes and sources the same
-update has many more terms, which telescope to this; the round-off moved
-when this form came in, and the reference cache tag became ``ntc-5``.
+update has many more terms, which telescope to this.
 
 Ghost handling happens once per step (or per stage): the incoming state is
 extended by the boundary condition with enough margin for the local

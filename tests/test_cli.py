@@ -48,6 +48,20 @@ def test_list_models(capsys):
     out = capsys.readouterr().out
     for name in ("arrhenius", "garz", "keyfitz-kranzer", "multilane", "nonlocal-euler"):
         assert name in out
+    assert (
+        "keyfitz-kranzer: species rho1, rho2; kernels backward-power52, "
+        "backward-power52; parameters eta"
+    ) in out
+    assert "arrhenius: species rho; kernels constant; parameters eta, kernel" in out
+
+
+def test_a_parameter_the_model_does_not_take_is_named(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": "keyfitz-kranzer", "T": 0.01, "kernel": "linear"})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "model 'keyfitz-kranzer' takes no parameter 'kernel' (it takes eta)" in err
+    assert "models that take 'kernel': arrhenius, garz" in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_list_presets(capsys):

@@ -2,8 +2,11 @@
 
 import dataclasses
 import glob
+import multiprocessing
 import os
 import re
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -576,6 +579,139 @@ def test_convergence_study_structure_and_determinism(tmp_path, monkeypatch):
 def test_convergence_study_needs_two_levels():
     with pytest.raises(ConfigurationError, match="levels"):
         convergence_study(small_experiment(levels=(0,)))
+
+
+# -- studies with worker processes ---------------------------------------------------
+
+
+def _study(monkeypatch, workers, exp, **kw):
+    """(report or raised error, [(category, text) of every warning]) of one study."""
+    monkeypatch.setattr(harness, "_study_workers", lambda: workers)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = convergence_study(exp, use_cache=False, **kw)
+        except NumericsError as exc:
+            out = exc
+    assert multiprocessing.active_children() == []  # no worker outlives the study
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+def test_a_study_with_a_worker_is_the_serial_study(monkeypatch, bc):
+    exp = small_experiment(bc=bc, levels=(0, 1, 2), reference_level=4)
+    (inline, _), (pooled, _) = (_study(monkeypatch, w, exp) for w in (0, 1))
+    assert pooled.rows == inline.rows
+    assert pooled.to_csv() == inline.to_csv()
+    cells = {f"{s}/{n}" for s in ("lxf1", "nt-v2") for n in (0, 1, 2)}
+    assert set(pooled.metadata["runtimes"]) == set(inline.metadata["runtimes"]) == cells
+
+
+def _exceed_on(monkeypatch, factors):
+    """CFL monitor that reads the limit times ``factors[cells]`` on grids of those sizes."""
+
+    def speed(model, values, box):
+        return CFL_LIMIT / 0.2 * factors.get(values.shape[1], 0.5)
+
+    monkeypatch.setattr(harness, "flux_speed_estimate", speed)
+
+
+def test_a_study_with_a_worker_warns_as_the_serial_study(monkeypatch):
+    # every run warns once, with its own ratio; the reference (320 cells) first
+    _exceed_on(monkeypatch, {40: 1.01, 80: 1.02, 320: 1.03})
+    exp = small_experiment()
+    (_, inline), (_, pooled) = (_study(monkeypatch, w, exp) for w in (0, 1))
+    assert pooled == inline
+    ratios = [re.search(r"\((\S+) times", text).group(1) for _, text in inline]
+    assert ratios == ["1.03", "1.01", "1.02", "1.01", "1.02"]
+    assert {category for category, _ in inline} == {RuntimeWarning}
+
+
+def test_a_study_with_a_worker_fails_as_the_serial_study(monkeypatch):
+    # under strict_cfl the first level-1 run (lxf1) fails; the reference warns
+    _exceed_on(monkeypatch, {80: 1.02, 320: 1.03})
+    exp = small_experiment()
+    (inline, w_inline), (pooled, w_pooled) = (
+        _study(monkeypatch, w, exp, strict_cfl=True) for w in (0, 1)
+    )
+    assert type(pooled) is type(inline) is CflViolationError
+    assert str(pooled) == str(inline)
+    assert pooled.step == inline.step
+    assert w_pooled == w_inline and len(w_inline) == 1
+
+
+def test_a_failed_run_in_a_study_warns_before_it_fails(monkeypatch):
+    # the 80-cell runs warn at step 1 and turn non-finite at step 3
+    _exceed_on(monkeypatch, {80: 1.02})
+    step = Stepper.step
+
+    def poisoned(self, values, dt):
+        out = step(self, values, dt)
+        self.taken = getattr(self, "taken", 0) + 1
+        if self.grid.cells == 80 and self.taken == 3:
+            out[0, 5] = np.nan
+        return out
+
+    monkeypatch.setattr(Stepper, "step", poisoned)
+    exp = small_experiment()
+    (inline, w_inline), (pooled, w_pooled) = (_study(monkeypatch, w, exp) for w in (0, 1))
+    assert type(pooled) is type(inline) is NumericsError
+    assert (str(pooled), pooled.step) == (str(inline), inline.step)
+    assert inline.step == 3
+    assert w_pooled == w_inline and len(w_inline) == 1
+
+
+def test_the_caller_runs_the_cells_no_worker_has_started(monkeypatch):
+    # every run names its process in a warning; the worker is slow, so it
+    # runs only the first cells, those the pool handed out before the
+    # reference was done, and the caller runs the rest
+    caller = os.getpid()
+    run, reference = harness.run_simulation, harness.compute_reference
+
+    def named_run(*args, **kwargs):
+        warnings.warn(f"ran in {os.getpid()}", UserWarning)
+        if os.getpid() != caller:
+            time.sleep(0.5)
+        return run(*args, **kwargs)
+
+    def slow_reference(*args, **kwargs):
+        time.sleep(0.2)  # time for the pool to hand out its first cells
+        return reference(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_simulation", named_run)
+    monkeypatch.setattr(harness, "compute_reference", slow_reference)
+    exp = small_experiment()
+    report, caught = _study(monkeypatch, 1, exp)
+    serial, _ = _study(monkeypatch, 0, exp)
+    assert report.to_csv() == serial.to_csv()
+    pids = [int(text.split()[-1]) for _, text in caught]
+    assert pids[0] == caller  # the reference
+    worker, cells = pids[1], pids[1:]
+    started = cells.count(worker)
+    assert worker != caller and 0 < started < 4
+    assert cells == [worker] * started + [caller] * (4 - started)
+
+
+def test_a_study_without_fork_runs_in_the_caller(monkeypatch):
+    pids = []
+    run = harness.run_simulation
+
+    def named_run(*args, **kwargs):
+        pids.append(os.getpid())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_simulation", named_run)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    report, _ = _study(monkeypatch, 1, small_experiment())
+    assert pids == [os.getpid()] * 5  # the reference, then the four cells
+    assert set(report.metadata["runtimes"]) == {"lxf1/0", "lxf1/1", "nt-v2/0", "nt-v2/1"}
+
+
+def test_study_workers_leave_one_cpu_to_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert harness._study_workers() == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert harness._study_workers() == 0
 
 
 # -- snapshots -----------------------------------------------------------------------

@@ -183,13 +183,11 @@ def test_module_uses_no_library_heuristic(module):
     assert library_heuristics(source) == []
 
 
-def test_fresh_import_loads_no_scipy():
-    # scipy and jsonschema are test oracles; the thread pool and
-    # numpy.polynomial are used by no run
-    unwanted = ("scipy", "jsonschema", "concurrent.futures", "numpy.polynomial")
+def fresh_modules(imports: str, prefixes: tuple) -> list:
+    """Modules under ``prefixes`` that a fresh interpreter holds after ``import <imports>``."""
     code = (
-        "import sys, ntcentral, ntcentral.cli\n"
-        f"print(sorted(m for m in sys.modules if m.startswith({unwanted!r})))\n"
+        f"import sys, {imports}\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n"
     )
     path = os.pathsep.join(filter(None, [str(SOURCE_DIR.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -199,7 +197,20 @@ def test_fresh_import_loads_no_scipy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_fresh_import_loads_no_scipy():
+    # scipy and jsonschema are test oracles; numpy.polynomial is used by no run
+    unwanted = ("scipy", "jsonschema", "numpy.polynomial")
+    assert fresh_modules("ntcentral, ntcentral.cli", unwanted) == []
+
+
+def test_fresh_import_loads_no_process_pool():
+    # only a convergence study with a worker process imports them, so run,
+    # compare and the figure commands start without them
+    unwanted = ("multiprocessing", "concurrent.futures")
+    assert fresh_modules("ntcentral, ntcentral.cli, ntcentral.harness", unwanted) == []
 
 
 def test_runtime_dependencies_exclude_scipy():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ntcentral.core import BoundaryCondition, extend_array
-from ntcentral.errors import ModelDefinitionError
+from ntcentral.errors import ConfigurationError, ModelDefinitionError
 from ntcentral.kernels import KernelSpec
 from ntcentral.limiters import slopes_of_extended
 from ntcentral.models import (
@@ -159,7 +159,7 @@ def test_garz_does_not_support_v2():
 def test_make_model_error_paths():
     with pytest.raises(ModelDefinitionError, match="unknown model"):
         make_model("burgers")
-    with pytest.raises(ModelDefinitionError, match="arrhenius"):
+    with pytest.raises(ConfigurationError, match="'arrhenius' takes no parameter 'viscosity'"):
         make_model("arrhenius", viscosity=0.1)
     with pytest.raises(ModelDefinitionError, match="forward-looking"):
         make_model("arrhenius", kernel="backward-power52")
