@@ -628,9 +628,9 @@ def _atomic_write(path: str, data: "str | bytes"):
 def _study_cell(exp: Experiment, level: int, spec: SchemeSpec, strict_cfl: bool, lam: float):
     """One (scheme, level) run of a study: ``(values, seconds, warnings)``.
 
-    The warnings the run issues are caught as ``(category, text)`` pairs for
-    the caller to issue again, wherever the run took place.  A run that
-    fails carries the ones it issued before failing as ``.warnings``.
+    The warnings the run gives are caught as ``(category, text)`` pairs for
+    the caller to give again, wherever the run took place.  A run that
+    fails carries the ones it gave before failing as ``.warnings``.
     """
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
@@ -642,8 +642,8 @@ def _study_cell(exp: Experiment, level: int, spec: SchemeSpec, strict_cfl: bool,
         except Exception as exc:
             exc.warnings = [(w.category, str(w.message)) for w in caught]
             raise
-    issued = [(w.category, str(w.message)) for w in caught]
-    return state.values, time.perf_counter() - start, issued
+    given = [(w.category, str(w.message)) for w in caught]
+    return state.values, time.perf_counter() - start, given
 
 
 def _study_workers() -> int:
@@ -710,8 +710,8 @@ def _study_runs(tasks: list, reference):
     return ref, outcomes
 
 
-def _issue(caught: list):
-    """Issue warnings caught in a study cell again, in the caller."""
+def _warn_again(caught: list):
+    """Give the warnings caught in a study cell again, in the caller."""
     for category, text in caught:
         warnings.warn(text, category, stacklevel=2)
 
@@ -741,10 +741,10 @@ def convergence_study(
     runtimes = {}
     for (_, n, spec, _, _), outcome in zip(tasks, outcomes):
         if isinstance(outcome, BaseException):
-            _issue(getattr(outcome, "warnings", []))
+            _warn_again(getattr(outcome, "warnings", []))
             raise outcome
         values, seconds, caught = outcome
-        _issue(caught)
+        _warn_again(caught)
         table = rows[spec.name]
         coarse_ref = restrict_values(reference, 2 ** (exp.reference_level - n))
         err = l1_error(values, coarse_ref, exp.grid_at(n).dx)
