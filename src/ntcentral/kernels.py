@@ -19,20 +19,23 @@ is one band too: the omega' band negated, with -omega(eta1) added to its
 first tap and omega(eta2) to its last.  Only the omega' part sees the slopes.
 
 Every band is applied by ``correlate_band``, which picks the direct sum or an
-FFT by a fixed work threshold (never a library heuristic) and caches the
-band's spectrum per transform length.  The transforms are ``numpy.fft``'s
-real FFTs (pocketfft, as in numpy 2.4); a padded input of n cells is
-transformed at ``fft_length(n)``, the smallest 5-smooth length, and the
-numerics fingerprint pins results to those lengths.  On a periodic grid the
-input is the N cells of one period (``PeriodicCells``) and is read
-circularly: the FFT side is an N-point transform against the band wrapped
-modulo N, the direct side sums over the period wrap-extended by the band's
-reach.  No ghost cells of band width are needed on either side.
+FFT by a fixed work threshold (never a library heuristic).  It takes all bands
+of one quadrature call (a ``BandStack``) at once, with the call's fields
+stacked as rows: they share one forward and one inverse transform, or one
+wrap extension or slice for the direct sum.  Only fields whose bands differ in
+reach, and so maybe in path, take a pass each.  The transforms are
+``numpy.fft``'s real FFTs (pocketfft, as in numpy 2.4), which round a stacked
+row as the row alone; a padded input of n cells is transformed at
+``fft_length(n)``, the smallest 5-smooth length, and the numerics fingerprint
+pins results to those lengths.  On a periodic grid the rows are the N cells
+of one period, read circularly: the FFT side is an N-point transform against
+the bands wrapped modulo N, the direct side sums over the period
+wrap-extended by the bands' reach.  No ghost cells of band width are needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -72,33 +75,48 @@ class Band:
     ``weights[i]`` multiplies the cell at offset ``i - n1`` relative to the
     evaluation cell.  The half-cell end intervals also see the slopes s of
     the reconstruction: with ``ends`` = (c0, c1), output j gains
-    c0 s[j - n1] - c1 s[j + n2].  ``spectra`` caches conj(rfft(weights,
-    nfft)) per transform length ``nfft``, and ``wrapped_spectra`` the same
-    for the band wrapped modulo a period of ``n`` cells; both are filled on
-    first use by ``correlate_band``.
+    c0 s[j - n1] - c1 s[j + n2].
     """
 
     n1: int
     n2: int
     weights: np.ndarray
     ends: tuple[float, float]
-    spectra: dict = field(default_factory=dict, init=False, repr=False)
-    wrapped_spectra: dict = field(default_factory=dict, init=False, repr=False)
 
-    def spectrum(self, nfft: int) -> np.ndarray:
-        s = self.spectra.get(nfft)
-        if s is None:
-            s = self.spectra[nfft] = np.conj(rfft(self.weights, nfft))
-        return s
 
-    def wrapped_spectrum(self, n: int) -> np.ndarray:
-        s = self.wrapped_spectra.get(n)
-        if s is None:
-            # offsets congruent modulo n read the same cell of the period
-            offsets = np.arange(-self.n1, self.n2 + 1) % n
-            wrapped = np.bincount(offsets, weights=self.weights, minlength=n)
-            s = self.wrapped_spectra[n] = np.conj(rfft(wrapped))
-        return s
+class BandStack:
+    """The bands of one quadrature call: for each kind, one band per field.
+
+    ``kinds[b][r]`` slides over row r of the call's stacked cell values.
+    ``ends`` holds their (c0, c1) as two (kinds, fields, 1) arrays and
+    ``kind_ends`` per kind as (fields, 1); one band or field gets floats.
+    ``spectra`` caches ``spectrum``.  A field's bands share one reach (n1,
+    n2); where fields differ in it, ``rows`` holds one stack per field.
+    """
+
+    def __init__(self, kinds):
+        self.kinds = tuple(tuple(kind) for kind in kinds)
+        self.n1, self.n2 = self.kinds[0][0].n1, self.kinds[0][0].n2
+        ends = np.array([[band.ends for band in kind] for kind in self.kinds])
+        self.ends = tuple(ends.ravel()) if ends.size == 2 else (ends[..., :1], ends[..., 1:])
+        self.kind_ends = [tuple(e[0]) if len(e) == 1 else (e[:, :1], e[:, 1:]) for e in ends]
+        split = any((b.n1, b.n2) != (self.n1, self.n2) for b in self.kinds[0])
+        self.rows = [BandStack([(b,) for b in row]) for row in zip(*self.kinds)] if split else None
+        self.spectra = {}
+
+    def spectrum(self, nfft: int, kind: int | None = None) -> np.ndarray:
+        """conj(rfft) of the bands at transform length ``nfft``, cached: of
+        every kind's bands wrapped modulo a period of ``nfft`` cells (``kind``
+        None), or of one kind's bands zero-padded to ``nfft``."""
+        key = nfft, kind
+        if key not in self.spectra:
+            if kind is None:  # offsets congruent modulo nfft read one cell of the period
+                offsets = np.arange(-self.n1, self.n2 + 1) % nfft
+                w = [[np.bincount(offsets, b.weights, nfft) for b in k] for k in self.kinds]
+            else:
+                w = [band.weights for band in self.kinds[kind]]
+            self.spectra[key] = np.conj(rfft(np.array(w), nfft))
+        return self.spectra[key]
 
 
 def _band_counts(spec: KernelSpec, dx: float, tol: float = 1e-9) -> tuple[int, int]:
@@ -159,33 +177,6 @@ def build_derivative_weights(spec: KernelSpec, dx: float) -> Band:
     return Band(n1=n1, n2=n2, weights=w, ends=ends)
 
 
-class PeriodicCells:
-    """The cell values of one period, read circularly by ``correlate_band``.
-
-    The forward transform and the last wrap extension are kept, so bands
-    applied to the same cells share them.
-    """
-
-    __slots__ = ("values", "_transform", "_wrapped")
-
-    def __init__(self, values: np.ndarray):
-        self.values = values
-        self._transform = None
-        self._wrapped = None
-
-    def transform(self) -> np.ndarray:
-        if self._transform is None:
-            self._transform = rfft(self.values)
-        return self._transform
-
-    def wrapped(self, left: int, right: int) -> np.ndarray:
-        """The cells wrap-extended by ``left`` and ``right`` ghost cells."""
-        if self._wrapped is None or self._wrapped[0] != (left, right):
-            ext = extend_array(self.values, left, right, BoundaryCondition.PERIODIC)
-            self._wrapped = ((left, right), ext)
-        return self._wrapped[1]
-
-
 @lru_cache(maxsize=256)
 def fft_length(n: int) -> int:
     """The smallest 2**a * 3**b * 5**c >= n, the transform length for n inputs."""
@@ -205,25 +196,56 @@ def fft_length(n: int) -> int:
 DIRECT_MAX_WORK = 2**18
 
 
-def correlate_band(u: "np.ndarray | PeriodicCells", band: Band) -> np.ndarray:
-    """Sliding sum of a band over 1-D cell values.
+def correlate_band(rows: np.ndarray, bands: BandStack, cuts=None, slopes=None):
+    """Sliding sums of one call's bands over its stacked cell values ``rows``.
 
-    A plain array carries the band's ghost cells: the valid part of
-    out[j] = sum_i u[j + i] * band.weights[i] is returned.  ``PeriodicCells``
-    of period n give out[j] = sum_i u[(j - n1 + i) mod n] * band.weights[i]
-    for j = 0..n-1.
+    With ``cuts`` of None each row holds the n cells of one period, read
+    circularly: out[b, r, j] = sum_i rows[r, (j - n1 + i) mod n] * w[i] for
+    j = 0..n-1, with w the weights of ``bands.kinds[b][r]``.  Otherwise the
+    rows carry ghost cells and kind b's output drops ``cuts[b]`` of them on
+    each side: out[b][r, j] = sum_i rows[r, cuts[b] - n1 + j + i] * w[i].
+    With ``slopes`` s, laid out as the rows, each band's ends (c0, c1) add
+    c0 s[j - n1] - c1 s[j + n2] to its output j, in one pass over all bands
+    (one per kind off the torus).
     """
-    w = band.weights
-    if isinstance(u, PeriodicCells):
-        n = u.values.size
-        if n * w.size <= DIRECT_MAX_WORK:
-            return np.correlate(u.wrapped(band.n1, band.n2), w, "valid")
-        return irfft(u.transform() * band.wrapped_spectrum(n), n)
-    n_out = u.size - w.size + 1
-    if n_out * w.size <= DIRECT_MAX_WORK:
-        return np.correlate(u, w, "valid")
-    nfft = fft_length(u.size)
-    return irfft(rfft(u, nfft) * band.spectrum(nfft), nfft)[:n_out]
+    if bands.rows is not None:  # fields whose bands differ in reach: one at a time
+        ss = [slopes] * len(rows) if slopes is None else slopes[:, None]
+        parts = [correlate_band(u, b, cuts, s) for u, b, s in zip(rows[:, None], bands.rows, ss)]
+        return [np.concatenate(k) for k in zip(*parts)] if cuts else np.concatenate(parts, axis=1)
+    n1, n2, n = bands.n1, bands.n2, rows.shape[-1]
+    taps = n1 + n2 + 1
+    if cuts is None:
+        if n * taps > DIRECT_MAX_WORK:
+            out = irfft(rfft(rows) * bands.spectrum(n), n)
+        else:
+            ext = extend_array(rows, n1, n2, BoundaryCondition.PERIODIC)
+            out = stack_rows([_direct_sums(ext, kind) for kind in bands.kinds])
+        if slopes is not None:
+            s, (c0, c1) = extend_array(slopes, n1, n2, BoundaryCondition.PERIODIC), bands.ends
+            out += c0 * s[..., :n] - c1 * s[..., n1 + n2 :]
+        return out
+    outs = []
+    for b, cut in enumerate(cuts):
+        window, n_out = rows[..., cut - n1 : n - cut + n2], n - 2 * cut
+        if n_out * taps <= DIRECT_MAX_WORK:
+            out = _direct_sums(window, bands.kinds[b])
+        else:
+            nfft = fft_length(window.shape[-1])
+            out = irfft(rfft(window, nfft) * bands.spectrum(nfft, b), nfft)[..., :n_out]
+        if slopes is not None:
+            s, (c0, c1) = slopes[..., cut - n1 : n - cut + n2], bands.kind_ends[b]
+            out += c0 * s[..., :n_out] - c1 * s[..., n1 + n2 :]
+        outs.append(out)
+    return outs
+
+
+def _direct_sums(us: np.ndarray, kind) -> np.ndarray:
+    return stack_rows([np.correlate(us[r], b.weights, "valid") for r, b in enumerate(kind)])
+
+
+def stack_rows(rows: list) -> np.ndarray:
+    """The rows as one array; a single row as a view, not a copy."""
+    return rows[0][None] if len(rows) == 1 else np.array(rows)
 
 
 # ---------------------------------------------------------------------------

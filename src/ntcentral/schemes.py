@@ -49,12 +49,7 @@ import numpy as np
 
 from .core import BoundaryCondition, Grid, extend_array
 from .errors import ConfigurationError
-from .kernels import (
-    PeriodicCells,
-    build_derivative_weights,
-    build_weights,
-    correlate_band,
-)
+from .kernels import BandStack, build_derivative_weights, build_weights, correlate_band, stack_rows
 from .limiters import NO_CLIP, ClipConfig, slopes_of_extended
 from .models import DerivedFieldHook, ModelDef
 
@@ -199,6 +194,13 @@ class Stepper:
                     "use slope_variant='v1'"
                 )
             self.dw = tuple(build_derivative_weights(k, dx) for k in model.kernels)
+        # convolved species that are consecutive rows of the state, as a slice
+        srcs = model.nonlocal_sources
+        hooks = any(isinstance(s, DerivedFieldHook) for s in srcs)
+        run = not hooks and srcs == tuple(range(srcs[0], srcs[-1] + 1))
+        self.species = slice(srcs[0], srcs[-1] + 1) if run else None
+        # the bands of a quadrature call: R alone, or R and its space derivative
+        self.bands = [BandStack([self.qw])] + ([BandStack([self.qw, self.dw])] if self.dw else [])
         # ghost cells each side of every array of the step, as tabled in the
         # module docstring; nm is the reach of the widest band, none on the torus
         self.periodic = self.bc is BoundaryCondition.PERIODIC
@@ -222,66 +224,47 @@ class Stepper:
             raise ConfigurationError(f"dt must be nonnegative, got {dt}")
         return v
 
-    def _convolved(self, vP: np.ndarray, sP: np.ndarray | None = None):
-        """Cell values of every convolved quantity at the state's margin.
+    def _rows(self, a: np.ndarray, hook_row) -> np.ndarray:
+        """One row per convolved quantity: the row of ``a`` of its species,
+        or ``hook_row(hook, i)`` for the derived field of row i.  Consecutive
+        species are one view of ``a``, as is a single row."""
+        if self.species is not None:
+            return a[self.species]
+        srcs = enumerate(self.model.nonlocal_sources)
+        rows = [hook_row(s, i) if isinstance(s, DerivedFieldHook) else a[s] for i, s in srcs]
+        return stack_rows(rows)
 
-        A species is a view of vP.  With the state's slopes ``sP`` the
-        quantities' slopes come too, else None.
-        """
-        srcs = self.model.nonlocal_sources
-        us = [s.value(vP) if isinstance(s, DerivedFieldHook) else vP[s] for s in srcs]
+    def _convolved(self, vP: np.ndarray, sP: np.ndarray | None = None):
+        """Cell values of every convolved quantity at the state's margin, and
+        with the state's slopes ``sP`` the quantities' slopes, else None."""
+        us = self._rows(vP, lambda hook, i: hook.value(vP))
         if sP is None:
             return us, None
-        sus = [
-            slopes_of_extended(u, self.grid.dx, self.clip)
-            if isinstance(s, DerivedFieldHook)
-            else sP[s]
-            for s, u in zip(srcs, us)
-        ]
-        return us, sus
+        return us, self._rows(sP, lambda h, i: slopes_of_extended(us[i], self.grid.dx, self.clip))
 
-    def _quadrature(self, us, sus, have: int, margin: int, dx_margin: int | None = None):
-        """Every nonlocal field of the cell values ``us``, at ``margin`` ghost cells.
+    def _quadrature(self, us, sus, have: int, margins: tuple) -> list:
+        """The nonlocal fields of the cell values ``us``, one array per margin.
 
-        ``us`` carry ``have`` ghost cells each side and their slopes ``sus``
-        carry ``have - 1``.  Every band (R, its space or its time derivative)
-        is one correlation plus, with slopes, its ``ends`` (c0, c1) times
-        them: output j gains c0 s[j - n1] - c1 s[j + n2].
-        ``sus`` of None applies the bands to cellwise values as they are.
-        With ``dx_margin`` the space derivatives of the fields come too, at
-        that margin, and the result is the pair (fields, derivatives).
+        ``us`` stacks one row per field with ``have`` ghost cells each side,
+        and the rows of their slopes ``sus`` carry ``have - 1``; the bands add
+        their ``ends`` times the slopes, and ``sus`` of None applies them to
+        cellwise values as they are.  One margin gives the fields, and a
+        second, at most the first, their space derivatives too.  All bands go
+        through one ``correlate_band``.
 
         Off the torus the bands slide over the ghost cells.  On the torus
-        each band reads the N cells of one period circularly, every output
-        is one period wrap-extended to its margin, and a field and its
-        space derivative share one forward transform.
+        they read the N cells of one period circularly, and every output is
+        one period wrap-extended to its margin.
         """
-        n = self.grid.cells
-        periodic = self.periodic
-        if periodic:
-            us = [PeriodicCells(u[..., have : have + n]) for u in us]
-            if sus is not None:
-                sus = [PeriodicCells(s[..., have - 1 : have - 1 + n]) for s in sus]
-
-        def apply(bands, m: int) -> np.ndarray:
-            n_out = n if periodic else n + 2 * m
-            out = np.empty((len(bands), n_out))
-            for l, band in enumerate(bands):
-                reach = band.n1 + band.n2
-                lo = have - m - band.n1  # first input cell of output 0, off the torus
-                u = us[l] if periodic else us[l][..., lo : lo + n_out + reach]
-                out[l] = correlate_band(u, band)
-                if sus is not None:
-                    if periodic:
-                        s = sus[l].wrapped(band.n1, band.n2)
-                    else:
-                        s = sus[l][..., lo - 1 : lo - 1 + n_out + reach]
-                    c0, c1 = band.ends
-                    out[l] += c0 * s[..., :n_out] - c1 * s[..., reach:]
-            return extend_array(out, m, m, self.bc) if periodic else out
-
-        fields = apply(self.qw, margin)
-        return fields if dx_margin is None else (fields, apply(self.dw, dx_margin))
+        n, bands, m = self.grid.cells, self.bands[len(margins) - 1], margins[0]
+        if self.periodic:
+            s = None if sus is None else sus[..., have - 1 : have - 1 + n]
+            out = correlate_band(us[..., have : have + n], bands, None, s)
+            out = extend_array(out, m, m, self.bc)
+            return [_crop(out[b], m, mk) for b, mk in enumerate(margins)]
+        if sus is not None:  # lay the cells out as their slopes
+            us, have = us[..., 1:-1], have - 1
+        return correlate_band(us, bands, [have - mk for mk in margins], sus)
 
     def _lxf_flux(self, FL, FR, uL, uR, lam: float) -> np.ndarray:
         """Lax-Friedrichs flux 0.5 (F_L + F_R) - theta / (2 lam) (u_R - u_L)."""
@@ -300,15 +283,13 @@ class Stepper:
         sP = slopes_of_extended(vP, dx, clip)  # margin PV - 1
         us, sus = self._convolved(vP, sP)
         v2 = self.spec.slope_variant == "v2"
-        if v2:
-            R_mr, dR_ms = self._quadrature(us, sus, PV, MR, MS)
-        else:
-            R_mr = self._quadrature(us, sus, PV, MR)
+        R_mr, *dR = self._quadrature(us, sus, PV, (MR, MS) if v2 else (MR,))
         v_mr = _crop(vP, PV, MR)
         v_ms = _crop(vP, PV, MS)
         R_ms = _crop(R_mr, MR, MS)
 
         if v2:
+            (dR_ms,) = dR
             sigma = np.empty_like(v_ms)
             factors = {}  # species sharing (V, grad_V) share V(R) and its derivative
             for k, (g, V, grad_V) in enumerate(model.flux):
@@ -327,11 +308,8 @@ class Stepper:
         sms = (S_ms if sourced else 0.0) - sigma
 
         # predict cell averages and nonlocal fields at the half step
-        integrands = [
-            src.time_integrand(v_ms, sms) if isinstance(src, DerivedFieldHook) else sms[src]
-            for src in model.nonlocal_sources
-        ]
-        Rt = self._quadrature(integrands, None, MS, MH)
+        integrands = self._rows(sms, lambda hook, i: hook.time_integrand(v_ms, sms))
+        (Rt,) = self._quadrature(integrands, None, MS, (MH,))
         v_h = half_step(_crop(v_ms, MS, MH), _crop(sms, MS, MH), dt)
         R_h = _crop(R_mr, MR, MH) + 0.5 * dt * Rt
         F_h = model.eval_flux(v_h, R_h)
@@ -374,7 +352,7 @@ class Stepper:
         PV, M1 = self.margins["pad"], self.margins["R"]
 
         vP = extend_array(v, PV, PV, self.bc)
-        R1 = self._quadrature(self._convolved(vP)[0], None, PV, M1)
+        (R1,) = self._quadrature(self._convolved(vP)[0], None, PV, (M1,))
         v1 = _crop(vP, PV, M1)
         F1 = model.eval_flux(v1, R1)
         H = self._lxf_flux(F1[..., :-1], F1[..., 1:], v1[..., :-1], v1[..., 1:], lam)
@@ -390,7 +368,7 @@ class Stepper:
 
         vP = extend_array(v, PV, PV, self.bc)
         sP = slopes_of_extended(vP, dx, clip)
-        R1 = self._quadrature(*self._convolved(vP, sP), PV, M1)
+        (R1,) = self._quadrature(*self._convolved(vP, sP), PV, (M1,))
         v1 = _crop(vP, PV, M1)
         s1 = _crop(sP, PV - 1, M1)
 

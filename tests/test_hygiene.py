@@ -241,9 +241,10 @@ TRACED_LAYERS = [
 ]
 
 
-# correlate_band calls per step and nonlocal field: R and its time
-# derivative (nt-v1), and its space derivative (nt-v2), R once per stage (lxf)
-BANDS_PER_FIELD = {"nt-v1": 2, "nt-v2": 3, "lxf1": 1, "lxf2": 2}
+# correlate_band calls per step, whatever the number of nonlocal fields: one
+# for R (with its space derivative under nt-v2) and one for its time
+# derivative (nt), R once per stage (lxf)
+QUADRATURES_PER_STEP = {"nt-v1": 2, "nt-v2": 2, "lxf1": 1, "lxf2": 2}
 
 
 def test_traced_layers_are_called_through_their_module_attributes(monkeypatch):
@@ -260,7 +261,6 @@ def test_traced_layers_are_called_through_their_module_attributes(monkeypatch):
         calls[attr] = 0
         monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
     for model, data in (("arrhenius", "arrhenius-sine"), ("multilane", "multilane-sine")):
-        m = len(make_model(model).nonlocal_sources)
         for bc in ("periodic", "zero"):
             for name, spec in (
                 ("nt-v1", SchemeSpec("nt", "v1")),
@@ -282,17 +282,17 @@ def test_traced_layers_are_called_through_their_module_attributes(monkeypatch):
                 )
                 run_simulation(exp, 0, record=False)  # one step: dt = 0.05 * dx
                 key = (model, bc, name)
-                assert calls["correlate_band"] == BANDS_PER_FIELD[name] * m, key
+                assert calls["correlate_band"] == QUADRATURES_PER_STEP[name], key
                 assert calls["flux_speed_estimate"] == 1, key
                 if name.startswith("nt"):
                     assert {a: n for a, n in calls.items() if n < 1} == {}, key
 
 
 def test_periodic_nt_v2_step_shares_one_forward_transform_per_field(monkeypatch):
-    # R and its space derivative read the same cells: one rfft serves both,
-    # and the time derivative's integrand takes the other; each field's three
-    # quadratures take one irfft each
-    calls = {"rfft": 0, "irfft": 0}
+    # each quadrature call stacks its fields: R and its space derivative take
+    # one rfft of the cells and one irfft of all band x field products, and
+    # the time derivative's integrand one of each, for one field as for two
+    calls = {"rfft": 0, "irfft": 0, "correlate_band": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -301,11 +301,10 @@ def test_periodic_nt_v2_step_shares_one_forward_transform_per_field(monkeypatch)
 
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    for owner, name in ((kernels, "rfft"), (kernels, "irfft"), (schemes, "correlate_band")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
     for model_name in ("arrhenius", "multilane"):
         model = make_model(model_name, eta=0.2)
-        m = len(model.nonlocal_sources)
         grid = Grid(-1.0, 1.0, 2560)
         stepper = Stepper(model, grid, "periodic", SchemeSpec("nt", "v2"))
         v = stepper.step(
@@ -314,6 +313,6 @@ def test_periodic_nt_v2_step_shares_one_forward_transform_per_field(monkeypatch)
             ).values,
             0.1 * grid.dx,
         )  # warm-up: the band spectra are computed on first use
-        calls.update(rfft=0, irfft=0)
+        calls.update(dict.fromkeys(calls, 0))
         stepper.step(v, 0.1 * grid.dx)
-        assert calls == {"rfft": 2 * m, "irfft": 3 * m}, model_name
+        assert calls == {"rfft": 2, "irfft": 2, "correlate_band": 2}, model_name

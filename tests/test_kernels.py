@@ -2,8 +2,9 @@
 
 The fields are evaluated by the stepper's own quadrature
 (``Stepper._quadrature``, which gives R, its space derivative and the time
-derivative band) on an ``arrhenius`` model carrying the kernel under test,
-with the inputs padded by ``extend_array`` as the stepper pads them.
+derivative band in one stacked pass) on an ``arrhenius`` model carrying the
+kernel under test, with the inputs padded by ``extend_array`` as the stepper
+pads them.
 """
 
 import dataclasses
@@ -14,14 +15,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate, special
 from scipy.fft import next_fast_len
 
+from ntcentral import kernels
 from ntcentral.core import BoundaryCondition, Grid, extend_array, init_cell_averages
 from ntcentral.errors import ConfigurationError, KernelDefinitionError
 from ntcentral.harness import resolve_profiles
 from ntcentral.kernels import (
     DIRECT_MAX_WORK,
     Band,
+    BandStack,
     KernelSpec,
-    PeriodicCells,
     build_derivative_weights,
     build_weights,
     builtin_kernel,
@@ -137,34 +139,80 @@ def test_derivative_weights_need_closed_form_derivative():
         build_derivative_weights(spec, 0.25)
 
 
+def _random_stack(rng, fields, kinds, n1, n2):
+    """``kinds`` rows of ``fields`` bands of reach (n1, n2), random weights, no ends."""
+    taps = n1 + n2 + 1
+    return BandStack(
+        [[Band(n1, n2, rng.random(taps), (0.0, 0.0)) for _ in range(fields)] for _ in range(kinds)]
+    )
+
+
+def _plain_sum(u, band, cut):
+    """sum_i u[cut - n1 + j + i] * w[i] over the outputs j that drop ``cut`` ghost cells."""
+    window = u[cut - band.n1 : u.size - cut + band.n2]
+    return sliding_window_view(window, band.weights.size) @ band.weights
+
+
 def test_correlate_band_matches_plain_sum():
+    # two fields and two kinds of band in one call, each kind at its own margin
     rng = np.random.default_rng(7)
     sides = set()
     for n_out in (40, 1280):
         for taps in (5, 129, 321):
-            band = Band(n1=0, n2=taps - 1, weights=rng.random(taps), ends=(0.0, 0.0))
-            u = rng.random(n_out + taps - 1)
-            plain = sliding_window_view(u, taps) @ band.weights
+            stack = _random_stack(rng, 2, 2, 0, taps - 1)
+            cuts = [taps - 1, taps]  # the second kind sits one cell further in
+            rows = rng.random((2, n_out + 2 * cuts[0]))
             direct = n_out * taps <= DIRECT_MAX_WORK
             sides.add(direct)
-            out = correlate_band(u, band)
-            np.testing.assert_allclose(out, plain, rtol=1e-13, atol=0)
+            outs = correlate_band(rows, stack, cuts)
+            for kind, cut, out in zip(stack.kinds, cuts, outs):
+                assert out.shape == (2, rows.shape[-1] - 2 * cut)
+                for u, band, row in zip(rows, kind, out):
+                    np.testing.assert_allclose(row, _plain_sum(u, band, cut), rtol=1e-13, atol=0)
             if direct:
-                assert band.spectra == {}
+                assert stack.spectra == {}
                 continue
-            # one spectrum per transform length, reused by the next call
-            (nfft, spectrum), = band.spectra.items()
-            np.testing.assert_allclose(correlate_band(u, band), plain, rtol=1e-13, atol=0)
-            assert list(band.spectra) == [nfft] and band.spectra[nfft] is spectrum
-            longer = rng.random(u.size + 1000)
+            # one spectrum per kind and transform length, reused by the next call
+            first = dict(stack.spectra)
+            assert [kind for _, kind in first] == [0, 1]
+            correlate_band(rows, stack, cuts)
+            assert stack.spectra == first
+            longer = rng.random((2, rows.shape[-1] + 1000))
+            outs = correlate_band(longer, stack, cuts)
             np.testing.assert_allclose(
-                correlate_band(longer, band),
-                sliding_window_view(longer, taps) @ band.weights,
-                rtol=1e-13,
-                atol=0,
+                outs[0][1], _plain_sum(longer[1], stack.kinds[0][1], cuts[0]), rtol=1e-13, atol=0
             )
-            assert len(band.spectra) == 2 and band.spectra[nfft] is spectrum
+            assert len(stack.spectra) == 4
+            assert all(stack.spectra[key] is spectrum for key, spectrum in first.items())
     assert sides == {True, False}
+
+
+def test_correlate_band_adds_the_slope_ends():
+    # output j gains c0 s[j - n1] - c1 s[j + n2], on the torus and off it
+    rng = np.random.default_rng(5)
+    n1, n2, cells = 3, 6, 50
+    bands = [
+        [Band(n1, n2, rng.random(n1 + n2 + 1), tuple(rng.random(2))) for _ in range(2)]
+        for _ in range(2)
+    ]
+    stack = BandStack(bands)
+    rows, slopes = rng.random((2, cells)), rng.random((2, cells))
+    plain = correlate_band(rows, stack)
+    with_ends = correlate_band(rows, stack, None, slopes)
+    for b, kind in enumerate(bands):
+        for r, band in enumerate(kind):
+            c0, c1 = band.ends
+            want = plain[b, r] + (c0 * np.roll(slopes[r], n1) - c1 * np.roll(slopes[r], -n2))
+            np.testing.assert_allclose(with_ends[b, r], want, rtol=1e-14)
+    cut = 8
+    plain = correlate_band(rows, stack, [cut, cut])
+    with_ends = correlate_band(rows, stack, [cut, cut], slopes)
+    j = np.arange(cut, cells - cut)
+    for b, kind in enumerate(bands):
+        for r, band in enumerate(kind):
+            c0, c1 = band.ends
+            want = plain[b][r] + (c0 * slopes[r, j - n1] - c1 * slopes[r, j + n2])
+            np.testing.assert_allclose(with_ends[b][r], want, rtol=1e-14)
 
 
 def _wrapped_plain_sum(u, band):
@@ -178,28 +226,43 @@ def _wrapped_plain_sum(u, band):
 )
 def test_circular_band_wider_than_the_period(cells, n1, n2):
     # the band reaches around the period more than once; each tap reads the
-    # cell its offset lands on modulo the period
+    # cell its offset lands on modulo the period, in a stacked call too
     rng = np.random.default_rng(cells + n1 + n2)
-    band = Band(n1=n1, n2=n2, weights=rng.random(n1 + n2 + 1), ends=(0.0, 0.0))
-    u = rng.random(cells)
-    direct = cells * band.weights.size <= DIRECT_MAX_WORK
-    out = correlate_band(PeriodicCells(u), band)
-    np.testing.assert_allclose(out, _wrapped_plain_sum(u, band), rtol=1e-13, atol=0)
-    assert list(band.wrapped_spectra) == ([] if direct else [cells])
+    stack = _random_stack(rng, 2, 1, n1, n2)
+    u = rng.random((2, cells))
+    direct = cells * (n1 + n2 + 1) <= DIRECT_MAX_WORK
+    out = correlate_band(u, stack)
+    assert out.shape == (1, 2, cells)
+    for row, band, want in zip(u, stack.kinds[0], out[0]):
+        np.testing.assert_allclose(want, _wrapped_plain_sum(row, band), rtol=1e-13, atol=0)
+    assert list(stack.spectra) == ([] if direct else [(cells, None)])
 
 
-def test_periodic_cells_share_one_forward_transform():
+def test_periodic_cells_share_one_forward_transform(monkeypatch):
+    # two fields of one period and two kinds of band: one rfft of both rows
+    # and one irfft of all four band x row products
     rng = np.random.default_rng(11)
-    cells = PeriodicCells(rng.random(2048))
-    bands = [Band(n1=0, n2=200, weights=rng.random(201), ends=(0.0, 0.0)) for _ in range(2)]
-    assert bands[0].n2 * cells.values.size > DIRECT_MAX_WORK
-    outs = [correlate_band(cells, bands[0])]
-    first = cells._transform
-    outs.append(correlate_band(cells, bands[1]))
-    assert first is not None and cells._transform is first
-    for band, out in zip(bands, outs):
-        np.testing.assert_allclose(out, _wrapped_plain_sum(cells.values, band), rtol=1e-13)
-        assert list(band.wrapped_spectra) == [2048]
+    cells = rng.random((2, 2048))
+    stack = _random_stack(rng, 2, 2, 0, 200)
+    assert 201 * cells.shape[-1] > DIRECT_MAX_WORK
+    correlate_band(cells, stack)  # the band spectra are computed on first use
+    calls = {"rfft": 0, "irfft": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
+    out = correlate_band(cells, stack)
+    assert calls == {"rfft": 1, "irfft": 1}
+    for kind, outs in zip(stack.kinds, out):
+        for u, band, row in zip(cells, kind, outs):
+            np.testing.assert_allclose(row, _wrapped_plain_sum(u, band), rtol=1e-13)
+    assert list(stack.spectra) == [(2048, None)]
 
 
 def test_stepper_quadrature_with_a_kernel_longer_than_the_domain():
@@ -212,7 +275,7 @@ def test_stepper_quadrature_with_a_kernel_longer_than_the_domain():
         qw = stepper.qw[0]
         assert qw.n2 > n and (n * qw.weights.size <= DIRECT_MAX_WORK) == (n == 16)
         u = np.random.default_rng(n).random((1, n))
-        R = stepper._quadrature([u[0]], None, 0, 0)
+        (R,) = stepper._quadrature(u, None, 0, (0,))
         np.testing.assert_allclose(R[0], _wrapped_plain_sum(u[0], qw), rtol=1e-13)
 
 
@@ -233,18 +296,17 @@ class Convolution:
         self.s = self.sP[..., cut : cut + n]  # limited slopes of the cells
 
     def field(self):
-        return self.stepper._quadrature([self.uP[0]], [self.sP[0]], self.pad, self.margin)
+        return self.stepper._quadrature(self.uP, self.sP, self.pad, (self.margin,))[0]
 
     def space_derivative(self):
-        _, dR = self.stepper._quadrature(
-            [self.uP[0]], [self.sP[0]], self.pad, self.margin, self.margin
-        )
+        margins = (self.margin, self.margin)
+        _, dR = self.stepper._quadrature(self.uP, self.sP, self.pad, margins)
         return dR
 
     def band_average(self, g):
         """The quadrature of ``g`` without slope corrections: the time-derivative band."""
         gP = extend_array(g, self.pad, self.pad, PER)
-        return self.stepper._quadrature([gP[0]], None, self.pad, self.margin)
+        return self.stepper._quadrature(gP, None, self.pad, (self.margin,))[0]
 
 
 def test_nonlocal_field_converges_to_analytic_convolution():
@@ -397,7 +459,7 @@ def test_space_derivative_matches_the_leibniz_formula(name, cells, bc):
     u = 0.5 + 0.4 * np.sin(np.pi * x) * np.exp(-4.0 * x**2)
     uP = extend_array(u, pad, pad, bc)
     sP = slopes_of_extended(uP, dx)  # margin pad - 1
-    _, dR = stepper._quadrature([uP], [sP], pad, margin, margin)
+    _, dR = stepper._quadrature(uP[None], sP[None], pad, (margin, margin))
     outputs = np.arange(-margin, cells + margin)
     if bc == "periodic":  # the formula reads a wrap extension as wide as it needs
         g = dw.n1 + dw.n2 + margin
@@ -421,6 +483,53 @@ def test_extended_evaluation_matches_wrapped_interior():
     np.testing.assert_allclose(ext[:, 3:-3], base, atol=1e-15)
     np.testing.assert_allclose(ext[:, :3], base[:, -3:], atol=1e-15)
     np.testing.assert_allclose(ext[:, -3:], base[:, :3], atol=1e-15)
+
+
+def _wrapped_to(a, m):
+    return np.pad(a, (m, m), mode="wrap")
+
+
+@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("cells", [80, 2000, 2560])
+def test_fields_with_kernels_of_different_reach(cells, bc):
+    # no preset convolves two fields with different kernels: each field then
+    # takes its own pass, and at 2000 cells the two take different paths
+    kernels = (builtin_kernel("linear", 0.2), builtin_kernel("constant", 0.1))
+    model = dataclasses.replace(make_model("multilane", eta=0.2), kernels=kernels)
+    grid = Grid(-1.0, 1.0, cells)
+    stepper = Stepper(model, grid, bc, SchemeSpec("nt", "v2"))
+    assert stepper.bands[1].rows is not None
+    M = stepper.margins
+    pad, MR, MS, MH = M["pad"], M["R"], M["flux"], M["half"]
+    n_out = cells + (0 if bc == "periodic" else 2 * MR)
+    paths = {n_out * q.weights.size <= DIRECT_MAX_WORK for q in stepper.qw}
+    assert paths == ({True} if cells == 80 else {True, False} if cells == 2000 else {False})
+    rng = np.random.default_rng(cells)
+    uP = rng.random((2, cells + 2 * pad))
+    sP = rng.random((2, cells + 2 * pad - 2))
+    gP = rng.random((2, cells + 2 * MS))
+    R, dR = stepper._quadrature(uP, sP, pad, (MR, MS))
+    (Rt,) = stepper._quadrature(gP, None, MS, (MH,))
+    for r in range(2):
+        cases = [(R, stepper.qw[r], MR), (dR, stepper.dw[r], MS)]
+        for out, band, m in cases:
+            c0, c1 = band.ends
+            if bc == "periodic":
+                u, s = uP[r, pad : pad + cells], sP[r, pad - 1 : pad - 1 + cells]
+                ends = c0 * np.roll(s, band.n1) - c1 * np.roll(s, -band.n2)
+                want = _wrapped_to(_wrapped_plain_sum(u, band) + ends, m)
+            else:
+                cut = pad - m
+                t = np.arange(cells + 2 * m) + cut - 1
+                ends = c0 * sP[r, t - band.n1] - c1 * sP[r, t + band.n2]
+                want = _plain_sum(uP[r], band, cut) + ends
+            assert np.abs(out[r] - want).max() <= 1e-13 * np.abs(want).max()
+        band = stepper.qw[r]
+        if bc == "periodic":
+            want = _wrapped_to(_wrapped_plain_sum(gP[r, MS : MS + cells], band), MH)
+        else:
+            want = _plain_sum(gP[r], band, MS - MH)
+        assert np.abs(Rt[r] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_kernel_support_validation():
