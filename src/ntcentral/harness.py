@@ -45,7 +45,7 @@ from .schemes import SchemeSpec, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
 # Bump when a solver change invalidates previously cached references.
-_CACHE_TAG = "ntc-7"
+_CACHE_TAG = "ntc-8"
 
 
 def _tagged_digest(doc) -> str:

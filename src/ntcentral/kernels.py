@@ -19,18 +19,16 @@ is one band too: the omega' band negated, with -omega(eta1) added to its
 first tap and omega(eta2) to its last.  Only the omega' part sees the slopes.
 
 Every band is applied by ``correlate_band``, which picks the direct sum or an
-FFT by a fixed work threshold (never a library heuristic).  It takes all bands
-of one quadrature call (a ``BandStack``) at once, with the call's fields
-stacked as rows: they share one forward and one inverse transform, or one
-wrap extension or slice for the direct sum.  Only fields whose bands differ in
-reach, and so maybe in path, take a pass each.  The transforms are
-``numpy.fft``'s real FFTs (pocketfft, as in numpy 2.4), which round a stacked
-row as the row alone; a padded input of n cells is transformed at
-``fft_length(n)``, the smallest 5-smooth length, and the numerics fingerprint
-pins results to those lengths.  On a periodic grid the rows are the N cells
-of one period, read circularly: the FFT side is an N-point transform against
-the bands wrapped modulo N, the direct side sums over the period
-wrap-extended by the bands' reach.  No ghost cells of band width are needed.
+FFT by fixed thresholds (``direct_path``, never a library heuristic).  A
+stepper keeps one ``BandStack``: kind 0 holds R's bands and, under nt-v2,
+kind 1 the space derivative's, one band per field.  A call takes the first k
+kinds with its fields stacked as rows, and all of them read one window (the N
+cells of one period on a periodic grid, else the ghost-padded cells of the
+widest output) through one set of direct sums or one forward and one inverse
+transform, and one pass of slope end corrections.  The transforms are
+``numpy.fft``'s (pocketfft, as in numpy 2.4), which round a stacked row as the
+row alone, against the bands wrapped modulo the transform length: N on the
+torus, else the smallest 5-smooth length ``fft_length(L)`` of the window.
 """
 
 from __future__ import annotations
@@ -44,6 +42,8 @@ from numpy.fft import irfft, rfft
 
 from .core import BoundaryCondition, extend_array
 from .errors import ConfigurationError, KernelDefinitionError
+
+_PERIODIC = BoundaryCondition.PERIODIC
 
 
 @dataclass(frozen=True)
@@ -85,38 +85,36 @@ class Band:
 
 
 class BandStack:
-    """The bands of one quadrature call: for each kind, one band per field.
+    """The bands of a stepper's quadrature calls: for each kind, one band per field.
 
-    ``kinds[b][r]`` slides over row r of the call's stacked cell values.
-    ``ends`` holds their (c0, c1) as two (kinds, fields, 1) arrays and
-    ``kind_ends`` per kind as (fields, 1); one band or field gets floats.
-    ``spectra`` caches ``spectrum``.  A field's bands share one reach (n1,
-    n2); where fields differ in it, ``rows`` holds one stack per field.
+    ``kinds[b][r]`` slides over row r of a call's stacked cell values.  A call
+    takes the first k kinds, whose (c0, c1) ``ends[k - 1]`` holds as (k,
+    fields, 1) arrays: (fields, 1) for kind 0 alone, floats for one band.  A
+    field's bands share one reach (n1, n2); where fields differ in it, ``rows``
+    holds one stack per field.  ``spectra`` caches ``spectrum``.
     """
 
     def __init__(self, kinds):
         self.kinds = tuple(tuple(kind) for kind in kinds)
         self.n1, self.n2 = self.kinds[0][0].n1, self.kinds[0][0].n2
         ends = np.array([[band.ends for band in kind] for kind in self.kinds])
-        self.ends = tuple(ends.ravel()) if ends.size == 2 else (ends[..., :1], ends[..., 1:])
-        self.kind_ends = [tuple(e[0]) if len(e) == 1 else (e[:, :1], e[:, 1:]) for e in ends]
+        self.ends = []
+        for e in [ends[0]] + [ends[:k] for k in range(2, len(ends) + 1)]:
+            self.ends.append(tuple(e.ravel().tolist()) if e.size == 2 else (e[..., :1], e[..., 1:]))
         split = any((b.n1, b.n2) != (self.n1, self.n2) for b in self.kinds[0])
         self.rows = [BandStack([(b,) for b in row]) for row in zip(*self.kinds)] if split else None
         self.spectra = {}
 
-    def spectrum(self, nfft: int, kind: int | None = None) -> np.ndarray:
-        """conj(rfft) of the bands at transform length ``nfft``, cached: of
-        every kind's bands wrapped modulo a period of ``nfft`` cells (``kind``
-        None), or of one kind's bands zero-padded to ``nfft``."""
-        key = nfft, kind
-        if key not in self.spectra:
-            if kind is None:  # offsets congruent modulo nfft read one cell of the period
-                offsets = np.arange(-self.n1, self.n2 + 1) % nfft
-                w = [[np.bincount(offsets, b.weights, nfft) for b in k] for k in self.kinds]
-            else:
-                w = [band.weights for band in self.kinds[kind]]
-            self.spectra[key] = np.conj(rfft(np.array(w), nfft))
-        return self.spectra[key]
+    def spectrum(self, nfft: int, k: int) -> np.ndarray:
+        """conj(rfft) of the first ``k`` kinds' bands wrapped modulo ``nfft``
+        cells, views of one array cached per ``nfft``."""
+        if nfft not in self.spectra:
+            # offsets congruent modulo nfft read one cell of the transform
+            offsets = np.arange(-self.n1, self.n2 + 1) % nfft
+            w = [[np.bincount(offsets, b.weights, nfft) for b in kind] for kind in self.kinds]
+            full = np.conj(rfft(np.array(w), nfft))
+            self.spectra[nfft] = [full[:j] for j in range(1, len(full) + 1)]
+        return self.spectra[nfft][k - 1]
 
 
 def _band_counts(spec: KernelSpec, dx: float, tol: float = 1e-9) -> tuple[int, int]:
@@ -192,60 +190,57 @@ def fft_length(n: int) -> int:
     return best
 
 
-# outputs x taps at or below which the direct sum beats the cached-spectrum FFT
-DIRECT_MAX_WORK = 2**18
+DIRECT_MAX_WORK, DIRECT_MAX_TAPS = 2**18, 64
 
 
-def correlate_band(rows: np.ndarray, bands: BandStack, cuts=None, slopes=None):
-    """Sliding sums of one call's bands over its stacked cell values ``rows``.
+def direct_path(outputs: int, taps: int, kinds: int) -> bool:
+    """Whether a call takes the direct sum, which costs about outputs x taps x kinds: up
+    to a fixed work, and for few taps at any length (the FFT's cost per output grows)."""
+    return taps * kinds <= DIRECT_MAX_TAPS or outputs * taps * kinds <= DIRECT_MAX_WORK
 
-    With ``cuts`` of None each row holds the n cells of one period, read
+
+def correlate_band(rows: np.ndarray, bands: BandStack, kinds: int, cut=None, slopes=None):
+    """Sliding sums of the first ``kinds`` kinds of ``bands`` over the stacked
+    cell values ``rows``, as one (kinds, rows, outputs) array.
+
+    With ``cut`` of None each row holds the n cells of one period, read
     circularly: out[b, r, j] = sum_i rows[r, (j - n1 + i) mod n] * w[i] for
     j = 0..n-1, with w the weights of ``bands.kinds[b][r]``.  Otherwise the
-    rows carry ghost cells and kind b's output drops ``cuts[b]`` of them on
-    each side: out[b][r, j] = sum_i rows[r, cuts[b] - n1 + j + i] * w[i].
-    With ``slopes`` s, laid out as the rows, each band's ends (c0, c1) add
-    c0 s[j - n1] - c1 s[j + n2] to its output j, in one pass over all bands
-    (one per kind off the torus).
+    rows carry ghost cells and the outputs drop ``cut`` of them on each side:
+    out[b, r, j] = sum_i rows[r, cut - n1 + j + i] * w[i].  With ``slopes``
+    s, laid out as the rows, each band's ends (c0, c1) add
+    c0 s[j - n1] - c1 s[j + n2] to its output j, in one pass over all bands.
     """
     if bands.rows is not None:  # fields whose bands differ in reach: one at a time
         ss = [slopes] * len(rows) if slopes is None else slopes[:, None]
-        parts = [correlate_band(u, b, cuts, s) for u, b, s in zip(rows[:, None], bands.rows, ss)]
-        return [np.concatenate(k) for k in zip(*parts)] if cuts else np.concatenate(parts, axis=1)
+        parts = zip(rows[:, None], bands.rows, ss)
+        return np.concatenate([correlate_band(u, b, kinds, cut, s) for u, b, s in parts], axis=1)
     n1, n2, n = bands.n1, bands.n2, rows.shape[-1]
-    taps = n1 + n2 + 1
-    if cuts is None:
-        if n * taps > DIRECT_MAX_WORK:
-            out = irfft(rfft(rows) * bands.spectrum(n), n)
-        else:
-            ext = extend_array(rows, n1, n2, BoundaryCondition.PERIODIC)
-            out = stack_rows([_direct_sums(ext, kind) for kind in bands.kinds])
-        if slopes is not None:
-            s, (c0, c1) = extend_array(slopes, n1, n2, BoundaryCondition.PERIODIC), bands.ends
-            out += c0 * s[..., :n] - c1 * s[..., n1 + n2 :]
-        return out
-    outs = []
-    for b, cut in enumerate(cuts):
-        window, n_out = rows[..., cut - n1 : n - cut + n2], n - 2 * cut
-        if n_out * taps <= DIRECT_MAX_WORK:
-            out = _direct_sums(window, bands.kinds[b])
-        else:
-            nfft = fft_length(window.shape[-1])
-            out = irfft(rfft(window, nfft) * bands.spectrum(nfft, b), nfft)[..., :n_out]
-        if slopes is not None:
-            s, (c0, c1) = slopes[..., cut - n1 : n - cut + n2], bands.kind_ends[b]
-            out += c0 * s[..., :n_out] - c1 * s[..., n1 + n2 :]
-        outs.append(out)
-    return outs
+    if cut is None:  # one period, wrap-extended by the bands' reach for direct sums
+        n_out, window = n, None
+    else:  # the ghost-padded cells the outputs read
+        n_out, window = n - 2 * cut, (..., slice(cut - n1, n - cut + n2))
+    if direct_path(n_out, n1 + n2 + 1, kinds):
+        us = extend_array(rows, n1, n2, _PERIODIC) if cut is None else rows[window]
+        out = _direct_sums(us, bands.kinds[:kinds])
+    elif cut is None:  # an n-point transform: output j at j
+        out = irfft(rfft(rows) * bands.spectrum(n, kinds), n)
+    else:  # the window zero-padded to the transform length: output j at n1 + j
+        us = rows[window]
+        nfft = fft_length(us.shape[-1])
+        out = irfft(rfft(us, nfft) * bands.spectrum(nfft, kinds), nfft)[..., n1 : n1 + n_out]
+    if slopes is not None:
+        s = extend_array(slopes, n1, n2, _PERIODIC) if cut is None else slopes[window]
+        c0, c1 = bands.ends[kinds - 1]
+        o = out[0] if kinds == 1 else out  # numpy passes over 2-D arrays cost less
+        o += c0 * s[..., :n_out] - c1 * s[..., n1 + n2 :]
+    return out
 
 
-def _direct_sums(us: np.ndarray, kind) -> np.ndarray:
-    return stack_rows([np.correlate(us[r], b.weights, "valid") for r, b in enumerate(kind)])
-
-
-def stack_rows(rows: list) -> np.ndarray:
-    """The rows as one array; a single row as a view, not a copy."""
-    return rows[0][None] if len(rows) == 1 else np.array(rows)
+def _direct_sums(us: np.ndarray, kinds) -> np.ndarray:
+    """(kinds, rows, outputs) of np.correlate; a single sum as a view, not a copy."""
+    sums = [[np.correlate(us[r], b.weights, "valid") for r, b in enumerate(kind)] for kind in kinds]
+    return sums[0][0][None, None] if len(sums) == len(sums[0]) == 1 else np.array(sums)
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def make_keyfitz_kranzer(eta: float = 1.0) -> ModelDef:
 
     def speed(R):
         w = 1.0 - R[0] ** 2 - R[1] ** 2
-        return w**3
+        return w * w * w  # np.power takes about 3x as long
 
     def grad_speed(R):
         w = 1.0 - R[0] ** 2 - R[1] ** 2

@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import BoundaryCondition, Grid, extend_array
 from .errors import ConfigurationError
-from .kernels import BandStack, build_derivative_weights, build_weights, correlate_band, stack_rows
+from .kernels import BandStack, build_derivative_weights, build_weights, correlate_band
 from .limiters import NO_CLIP, ClipConfig, slopes_of_extended
 from .models import DerivedFieldHook, ModelDef
 
@@ -199,8 +199,8 @@ class Stepper:
         hooks = any(isinstance(s, DerivedFieldHook) for s in srcs)
         run = not hooks and srcs == tuple(range(srcs[0], srcs[-1] + 1))
         self.species = slice(srcs[0], srcs[-1] + 1) if run else None
-        # the bands of a quadrature call: R alone, or R and its space derivative
-        self.bands = [BandStack([self.qw])] + ([BandStack([self.qw, self.dw])] if self.dw else [])
+        # kind 0 holds R's bands, kind 1 its space derivative's; a call takes the first k
+        self.bands = BandStack([self.qw, self.dw] if self.dw else [self.qw])
         # ghost cells each side of every array of the step, as tabled in the
         # module docstring; nm is the reach of the widest band, none on the torus
         self.periodic = self.bc is BoundaryCondition.PERIODIC
@@ -232,7 +232,7 @@ class Stepper:
             return a[self.species]
         srcs = enumerate(self.model.nonlocal_sources)
         rows = [hook_row(s, i) if isinstance(s, DerivedFieldHook) else a[s] for i, s in srcs]
-        return stack_rows(rows)
+        return rows[0][None] if len(rows) == 1 else np.array(rows)
 
     def _convolved(self, vP: np.ndarray, sP: np.ndarray | None = None):
         """Cell values of every convolved quantity at the state's margin, and
@@ -249,22 +249,23 @@ class Stepper:
         and the rows of their slopes ``sus`` carry ``have - 1``; the bands add
         their ``ends`` times the slopes, and ``sus`` of None applies them to
         cellwise values as they are.  One margin gives the fields, and a
-        second, at most the first, their space derivatives too.  All bands go
-        through one ``correlate_band``.
+        second, at most the first, their space derivatives too: both from one
+        ``correlate_band`` at the first margin.
 
         Off the torus the bands slide over the ghost cells.  On the torus
-        they read the N cells of one period circularly, and every output is
-        one period wrap-extended to its margin.
+        they read the N cells of one period circularly, and the output is
+        one period wrap-extended to the first margin.
         """
-        n, bands, m = self.grid.cells, self.bands[len(margins) - 1], margins[0]
-        if self.periodic:
-            s = None if sus is None else sus[..., have - 1 : have - 1 + n]
-            out = correlate_band(us[..., have : have + n], bands, None, s)
-            out = extend_array(out, m, m, self.bc)
-            return [_crop(out[b], m, mk) for b, mk in enumerate(margins)]
+        n, k, m = self.grid.cells, len(margins), margins[0]
         if sus is not None:  # lay the cells out as their slopes
             us, have = us[..., 1:-1], have - 1
-        return correlate_band(us, bands, [have - mk for mk in margins], sus)
+        if self.periodic:  # the N cells of one period
+            us, sus = us[..., have : have + n], None if sus is None else sus[..., have : have + n]
+            out = extend_array(correlate_band(us, self.bands, k, None, sus), m, m, self.bc)
+        else:
+            out = correlate_band(us, self.bands, k, have - m, sus)
+        # kind 0 sits at the first margin, and kind 1 (nt-v2's derivative) goes to its own
+        return [out[0]] if k == 1 else [out[0], _crop(out[1], m, margins[1])]
 
     def _lxf_flux(self, FL, FR, uL, uR, lam: float) -> np.ndarray:
         """Lax-Friedrichs flux 0.5 (F_L + F_R) - theta / (2 lam) (u_R - u_L)."""

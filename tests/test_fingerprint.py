@@ -26,7 +26,7 @@ from ntcentral.harness import resolve_profiles
 from ntcentral.models import MODEL_FACTORIES, make_model
 from ntcentral.schemes import SchemeSpec, Stepper
 
-CACHE_TAG = "ntc-7"
+CACHE_TAG = "ntc-8"
 DIGESTS = {
     ("arrhenius", "periodic"): "5a48724863ed1cecfae873b2dad911f28f5dbda1f67b348d228c888c5a4be6b5",
     ("arrhenius", "constant"): "25ce6d6466b2fcbd041addd7dbdeb33550c7f7506ca3fdb87d99e7f6ae9e5050",
@@ -34,15 +34,15 @@ DIGESTS = {
     ("garz", "periodic"): "9537c8827199b8be20e6b0f350b05662b00bd5bc67629a18a9ee1568058c3b02",
     ("garz", "constant"): "1bae8f8db7457738378b5e9e695f4b6121fc4cd5acd9939f3f85bf9b22f87acf",
     ("garz", "zero"): "d696183dee94e582d1122c6ae67c4e7769c06c18506c10d284dbe2d03e76101f",
-    ("keyfitz-kranzer", "periodic"): "467a82353c124e3879a30548fa6a906b638bd9b5fcb8ef3c25dc381b855e8d43",
-    ("keyfitz-kranzer", "constant"): "23f7999154837f40c5575efa79309ac1da05f70b263a087d5b3c3cc7a8574201",
-    ("keyfitz-kranzer", "zero"): "8e802ac4943dac23d020f7a0721926a34e14023c9553976f30e20af31eb90836",
+    ("keyfitz-kranzer", "periodic"): "e4f8d7d568b62296fc604d5a08683870923e8cac6b50d6258d99cec8ec710b88",
+    ("keyfitz-kranzer", "constant"): "0eddec399b8969461f76afc7185bb36b63d503f0a3a3d6e1c91c3bc17b7f6804",
+    ("keyfitz-kranzer", "zero"): "1e6bbfd171b575464a599b1bd2f0e6a125dde4c5b64e1d2aad32125f4bdf22d0",
     ("multilane", "periodic"): "867a47317b60cf14ae18b26c515195dfcde118d53eaa21b02a37bb9f6d660087",
     ("multilane", "constant"): "317b9bfd5624bbed7f9e3ecc9223e567919d50963abf62462ef17eecc8e62f6f",
     ("multilane", "zero"): "aec37573232f337e93a4e3257684a0a60d8085480dafe9c4b71a491f372a745e",
     ("nonlocal-euler", "periodic"): "c9e9c00f2e8612913fe867335aabddadaeedaed0c0af3ccb80fc3936d5ad88fe",
-    ("nonlocal-euler", "constant"): "8933f922f822b84df1d08307188d6941ae432ac46f30117101d3d9a56cae0bed",
-    ("nonlocal-euler", "zero"): "6167263dc9342e4351403a7644b353a21043eecc6bb1c7edecd66388b020695c",
+    ("nonlocal-euler", "constant"): "a32d2e98ac119faf665eeb292b804b8de7cd39b073fe593a3a64025e23a40623",
+    ("nonlocal-euler", "zero"): "2eb6b086d147bbbb076f66c060d89942b7fdea9b6283409cd81302b30626e7dd",
 }
 
 DATA = {

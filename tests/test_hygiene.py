@@ -288,10 +288,9 @@ def test_traced_layers_are_called_through_their_module_attributes(monkeypatch):
                     assert {a: n for a, n in calls.items() if n < 1} == {}, key
 
 
-def test_periodic_nt_v2_step_shares_one_forward_transform_per_field(monkeypatch):
-    # each quadrature call stacks its fields: R and its space derivative take
-    # one rfft of the cells and one irfft of all band x field products, and
-    # the time derivative's integrand one of each, for one field as for two
+def _count_nt_v2_step(monkeypatch, bc: str):
+    """{model: (calls, stepper)}: the rfft, irfft and correlate_band calls of
+    one warm nt-v2 step at 2560 cells, for one field (arrhenius) and two."""
     calls = {"rfft": 0, "irfft": 0, "correlate_band": 0}
 
     def counted(name, fn):
@@ -303,10 +302,11 @@ def test_periodic_nt_v2_step_shares_one_forward_transform_per_field(monkeypatch)
 
     for owner, name in ((kernels, "rfft"), (kernels, "irfft"), (schemes, "correlate_band")):
         monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    counts = {}
     for model_name in ("arrhenius", "multilane"):
         model = make_model(model_name, eta=0.2)
         grid = Grid(-1.0, 1.0, 2560)
-        stepper = Stepper(model, grid, "periodic", SchemeSpec("nt", "v2"))
+        stepper = Stepper(model, grid, bc, SchemeSpec("nt", "v2"))
         v = stepper.step(
             init_cell_averages(
                 harness.resolve_profiles(f"{model_name}-sine"), grid
@@ -315,4 +315,34 @@ def test_periodic_nt_v2_step_shares_one_forward_transform_per_field(monkeypatch)
         )  # warm-up: the band spectra are computed on first use
         calls.update(dict.fromkeys(calls, 0))
         stepper.step(v, 0.1 * grid.dx)
+        counts[model_name] = dict(calls), stepper
+    return counts
+
+
+def _spectrum_lengths(stepper):
+    """Check that each transform length caches one spectrum of all kinds, and
+    list the lengths."""
+    for views in stepper.bands.spectra.values():
+        assert [v.shape[0] for v in views] == [1, 2]
+        assert views[0].base is views[1].base
+    return sorted(stepper.bands.spectra)
+
+
+def test_periodic_nt_v2_step_shares_one_forward_transform_per_field(monkeypatch):
+    # each quadrature call stacks its fields: R and its space derivative take
+    # one rfft of the cells and one irfft of all band x field products, and
+    # the time derivative's integrand one of each, for one field as for two
+    for model_name, (calls, stepper) in _count_nt_v2_step(monkeypatch, "periodic").items():
         assert calls == {"rfft": 2, "irfft": 2, "correlate_band": 2}, model_name
+        assert _spectrum_lengths(stepper) == [2560], model_name
+
+
+@pytest.mark.parametrize("bc", ["constant", "zero"])
+def test_ghost_padded_nt_v2_step_shares_one_window_per_call(monkeypatch, bc):
+    # off the torus R and its space derivative read one ghost-padded window
+    # and share one transform pair, as the time derivative takes one: 2 + 2
+    for model_name, (calls, stepper) in _count_nt_v2_step(monkeypatch, bc).items():
+        assert calls == {"rfft": 2, "irfft": 2, "correlate_band": 2}, model_name
+        M, reach = stepper.margins, stepper.qw[0].weights.size - 1
+        windows = {kernels.fft_length(2560 + 2 * M[m] + reach) for m in ("R", "half")}
+        assert _spectrum_lengths(stepper) == sorted(windows), model_name

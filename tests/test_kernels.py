@@ -1,8 +1,8 @@
 """Kernel quadrature: weights, nonlocal fields and their derivatives.
 
 The fields are evaluated by the stepper's own quadrature
-(``Stepper._quadrature``, which gives R, its space derivative and the time
-derivative band in one stacked pass) on an ``arrhenius`` model carrying the
+(``Stepper._quadrature``, which gives R with its space derivative, or the
+time derivative band, in one stacked pass) on an ``arrhenius`` model carrying the
 kernel under test, with the inputs padded by ``extend_array`` as the stepper
 pads them.
 """
@@ -20,7 +20,6 @@ from ntcentral.core import BoundaryCondition, Grid, extend_array, init_cell_aver
 from ntcentral.errors import ConfigurationError, KernelDefinitionError
 from ntcentral.harness import resolve_profiles
 from ntcentral.kernels import (
-    DIRECT_MAX_WORK,
     Band,
     BandStack,
     KernelSpec,
@@ -28,6 +27,7 @@ from ntcentral.kernels import (
     build_weights,
     builtin_kernel,
     correlate_band,
+    direct_path,
     fft_length,
 )
 from ntcentral.limiters import slopes_of_extended
@@ -154,36 +154,42 @@ def _plain_sum(u, band, cut):
 
 
 def test_correlate_band_matches_plain_sum():
-    # two fields and two kinds of band in one call, each kind at its own margin
+    # two fields and two kinds of band in one call over one ghost-padded
+    # window, and the first kind alone
     rng = np.random.default_rng(7)
     sides = set()
     for n_out in (40, 1280):
         for taps in (5, 129, 321):
-            stack = _random_stack(rng, 2, 2, 0, taps - 1)
-            cuts = [taps - 1, taps]  # the second kind sits one cell further in
-            rows = rng.random((2, n_out + 2 * cuts[0]))
-            direct = n_out * taps <= DIRECT_MAX_WORK
+            n1 = taps // 4
+            stack = _random_stack(rng, 2, 2, n1, taps - 1 - n1)
+            cut = taps  # more ghost cells than the band reaches
+            rows = rng.random((2, n_out + 2 * cut))
+            direct = direct_path(n_out, taps, 2)
             sides.add(direct)
-            outs = correlate_band(rows, stack, cuts)
-            for kind, cut, out in zip(stack.kinds, cuts, outs):
-                assert out.shape == (2, rows.shape[-1] - 2 * cut)
-                for u, band, row in zip(rows, kind, out):
+            out = correlate_band(rows, stack, 2, cut)
+            assert out.shape == (2, 2, n_out)
+            for kind, outs in zip(stack.kinds, out):
+                for u, band, row in zip(rows, kind, outs):
                     np.testing.assert_allclose(row, _plain_sum(u, band, cut), rtol=1e-13, atol=0)
+            first = correlate_band(rows, stack, 1, cut)
+            assert first.shape == (1, 2, n_out)
+            np.testing.assert_allclose(first[0], out[0], rtol=1e-13, atol=0)
             if direct:
                 assert stack.spectra == {}
                 continue
-            # one spectrum per kind and transform length, reused by the next call
-            first = dict(stack.spectra)
-            assert [kind for _, kind in first] == [0, 1]
-            correlate_band(rows, stack, cuts)
-            assert stack.spectra == first
+            # one spectrum per transform length, of all kinds, reused by the next call
+            nfft = fft_length(n_out + taps - 1)
+            assert list(stack.spectra) == [nfft]
+            views = stack.spectra[nfft]
+            assert [v.shape[0] for v in views] == [1, 2] and views[0].base is views[1].base
+            correlate_band(rows, stack, 2, cut)
+            assert stack.spectra[nfft] is views
             longer = rng.random((2, rows.shape[-1] + 1000))
-            outs = correlate_band(longer, stack, cuts)
+            outs = correlate_band(longer, stack, 2, cut)
             np.testing.assert_allclose(
-                outs[0][1], _plain_sum(longer[1], stack.kinds[0][1], cuts[0]), rtol=1e-13, atol=0
+                outs[1][1], _plain_sum(longer[1], stack.kinds[1][1], cut), rtol=1e-13, atol=0
             )
-            assert len(stack.spectra) == 4
-            assert all(stack.spectra[key] is spectrum for key, spectrum in first.items())
+            assert len(stack.spectra) == 2
     assert sides == {True, False}
 
 
@@ -197,22 +203,29 @@ def test_correlate_band_adds_the_slope_ends():
     ]
     stack = BandStack(bands)
     rows, slopes = rng.random((2, cells)), rng.random((2, cells))
-    plain = correlate_band(rows, stack)
-    with_ends = correlate_band(rows, stack, None, slopes)
+    plain = correlate_band(rows, stack, 2)
+    with_ends = correlate_band(rows, stack, 2, None, slopes)
     for b, kind in enumerate(bands):
         for r, band in enumerate(kind):
             c0, c1 = band.ends
             want = plain[b, r] + (c0 * np.roll(slopes[r], n1) - c1 * np.roll(slopes[r], -n2))
             np.testing.assert_allclose(with_ends[b, r], want, rtol=1e-14)
     cut = 8
-    plain = correlate_band(rows, stack, [cut, cut])
-    with_ends = correlate_band(rows, stack, [cut, cut], slopes)
+    plain = correlate_band(rows, stack, 2, cut)
+    with_ends = correlate_band(rows, stack, 2, cut, slopes)
     j = np.arange(cut, cells - cut)
     for b, kind in enumerate(bands):
         for r, band in enumerate(kind):
             c0, c1 = band.ends
-            want = plain[b][r] + (c0 * slopes[r, j - n1] - c1 * slopes[r, j + n2])
-            np.testing.assert_allclose(with_ends[b][r], want, rtol=1e-14)
+            want = plain[b, r] + (c0 * slopes[r, j - n1] - c1 * slopes[r, j + n2])
+            np.testing.assert_allclose(with_ends[b, r], want, rtol=1e-14)
+    # one kind alone takes its ends as floats, for one field too
+    single = BandStack([bands[0][:1]])
+    assert all(isinstance(c, float) for c in single.ends[0])
+    with_ends = correlate_band(rows[:1], single, 1, cut, slopes[:1])
+    c0, c1 = bands[0][0].ends
+    want = plain[0, 0] + (c0 * slopes[0, j - n1] - c1 * slopes[0, j + n2])
+    np.testing.assert_allclose(with_ends[0, 0], want, rtol=1e-14)
 
 
 def _wrapped_plain_sum(u, band):
@@ -230,12 +243,12 @@ def test_circular_band_wider_than_the_period(cells, n1, n2):
     rng = np.random.default_rng(cells + n1 + n2)
     stack = _random_stack(rng, 2, 1, n1, n2)
     u = rng.random((2, cells))
-    direct = cells * (n1 + n2 + 1) <= DIRECT_MAX_WORK
-    out = correlate_band(u, stack)
+    direct = direct_path(cells, n1 + n2 + 1, 1)
+    out = correlate_band(u, stack, 1)
     assert out.shape == (1, 2, cells)
     for row, band, want in zip(u, stack.kinds[0], out[0]):
         np.testing.assert_allclose(want, _wrapped_plain_sum(row, band), rtol=1e-13, atol=0)
-    assert list(stack.spectra) == ([] if direct else [(cells, None)])
+    assert list(stack.spectra) == ([] if direct else [cells])
 
 
 def test_periodic_cells_share_one_forward_transform(monkeypatch):
@@ -244,8 +257,8 @@ def test_periodic_cells_share_one_forward_transform(monkeypatch):
     rng = np.random.default_rng(11)
     cells = rng.random((2, 2048))
     stack = _random_stack(rng, 2, 2, 0, 200)
-    assert 201 * cells.shape[-1] > DIRECT_MAX_WORK
-    correlate_band(cells, stack)  # the band spectra are computed on first use
+    assert not direct_path(cells.shape[-1], 201, 2)
+    correlate_band(cells, stack, 2)  # the band spectra are computed on first use
     calls = {"rfft": 0, "irfft": 0}
 
     def counted(name, fn):
@@ -257,12 +270,12 @@ def test_periodic_cells_share_one_forward_transform(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(kernels, name, counted(name, getattr(kernels, name)))
-    out = correlate_band(cells, stack)
+    out = correlate_band(cells, stack, 2)
     assert calls == {"rfft": 1, "irfft": 1}
     for kind, outs in zip(stack.kinds, out):
         for u, band, row in zip(cells, kind, outs):
             np.testing.assert_allclose(row, _wrapped_plain_sum(u, band), rtol=1e-13)
-    assert list(stack.spectra) == [(2048, None)]
+    assert list(stack.spectra) == [2048]
 
 
 def test_stepper_quadrature_with_a_kernel_longer_than_the_domain():
@@ -273,7 +286,7 @@ def test_stepper_quadrature_with_a_kernel_longer_than_the_domain():
         model = make_model("arrhenius", eta=2.5, kernel="constant")
         stepper = Stepper(model, grid, PER)
         qw = stepper.qw[0]
-        assert qw.n2 > n and (n * qw.weights.size <= DIRECT_MAX_WORK) == (n == 16)
+        assert qw.n2 > n and direct_path(n, qw.weights.size, 1) == (n == 16)
         u = np.random.default_rng(n).random((1, n))
         (R,) = stepper._quadrature(u, None, 0, (0,))
         np.testing.assert_allclose(R[0], _wrapped_plain_sum(u[0], qw), rtol=1e-13)
@@ -442,7 +455,7 @@ def _space_derivative_by_the_leibniz_formula(spec, u, s, g, n1, n2, dx, outputs)
     )
 
 
-@pytest.mark.parametrize("bc", ["periodic", "zero"])
+@pytest.mark.parametrize("bc", ["periodic", "zero", "constant"])
 @pytest.mark.parametrize("cells", [80, 2560])
 @pytest.mark.parametrize("name", KERNELS)
 def test_space_derivative_matches_the_leibniz_formula(name, cells, bc):
@@ -452,14 +465,16 @@ def test_space_derivative_matches_the_leibniz_formula(name, cells, bc):
     grid = Grid(-1.0, 1.0, cells)
     stepper = Stepper(model, grid, bc, SchemeSpec("nt", "v2"))
     dw, dx = stepper.dw[0], grid.dx
-    # 80 cells apply the band by the direct sum, 2560 cells by the FFT
-    assert (cells * dw.weights.size <= DIRECT_MAX_WORK) == (cells == 80)
-    pad, margin = stepper.margins["pad"], stepper.margins["flux"]
+    pad, MR, margin = stepper.margins["pad"], stepper.margins["R"], stepper.margins["flux"]
+    # 80 cells apply the bands by the direct sum, 2560 cells by the FFT; the
+    # derivative is read off R's window, as in a step, and cropped
+    outputs = cells + (0 if bc == "periodic" else 2 * MR)
+    assert direct_path(outputs, dw.weights.size, 2) == (cells == 80)
     x = grid.centers
     u = 0.5 + 0.4 * np.sin(np.pi * x) * np.exp(-4.0 * x**2)
     uP = extend_array(u, pad, pad, bc)
     sP = slopes_of_extended(uP, dx)  # margin pad - 1
-    _, dR = stepper._quadrature(uP[None], sP[None], pad, (margin, margin))
+    _, dR = stepper._quadrature(uP[None], sP[None], pad, (MR, margin))
     outputs = np.arange(-margin, cells + margin)
     if bc == "periodic":  # the formula reads a wrap extension as wide as it needs
         g = dw.n1 + dw.n2 + margin
@@ -489,21 +504,34 @@ def _wrapped_to(a, m):
     return np.pad(a, (m, m), mode="wrap")
 
 
+# the paths of each field's R with its space derivative, and of its time
+# derivative: at 1280 cells the two fields differ in the first, at 2000 in the second
+REACH_PATHS = {
+    80: ({True}, {True}),
+    1280: ({True, False}, {True}),
+    2000: ({False}, {True, False}),
+    2560: ({False}, {False}),
+}
+
+
 @pytest.mark.parametrize("bc", ["periodic", "zero"])
-@pytest.mark.parametrize("cells", [80, 2000, 2560])
+@pytest.mark.parametrize("cells", [80, 1280, 2000, 2560])
 def test_fields_with_kernels_of_different_reach(cells, bc):
     # no preset convolves two fields with different kernels: each field then
-    # takes its own pass, and at 2000 cells the two take different paths
+    # takes its own pass, and the two may take different paths
     kernels = (builtin_kernel("linear", 0.2), builtin_kernel("constant", 0.1))
     model = dataclasses.replace(make_model("multilane", eta=0.2), kernels=kernels)
     grid = Grid(-1.0, 1.0, cells)
     stepper = Stepper(model, grid, bc, SchemeSpec("nt", "v2"))
-    assert stepper.bands[1].rows is not None
+    assert stepper.bands.rows is not None
     M = stepper.margins
     pad, MR, MS, MH = M["pad"], M["R"], M["flux"], M["half"]
-    n_out = cells + (0 if bc == "periodic" else 2 * MR)
-    paths = {n_out * q.weights.size <= DIRECT_MAX_WORK for q in stepper.qw}
-    assert paths == ({True} if cells == 80 else {True, False} if cells == 2000 else {False})
+    ghosts = 0 if bc == "periodic" else 2
+    paths = tuple(
+        {direct_path(cells + ghosts * m, q.weights.size, kinds) for q in stepper.qw}
+        for m, kinds in ((MR, 2), (MH, 1))
+    )
+    assert paths == REACH_PATHS[cells]
     rng = np.random.default_rng(cells)
     uP = rng.random((2, cells + 2 * pad))
     sP = rng.random((2, cells + 2 * pad - 2))
