@@ -10,6 +10,7 @@ solutions are cached on disk because they dominate the cost of every study.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -102,8 +103,9 @@ _EXPR_NAMES = {
 }
 
 
+@functools.lru_cache(maxsize=256)
 def expression_profile(expr: str):
-    """Compile a one-variable expression like ``0.5+0.4*sin(pi*x)``.
+    """Compile a one-variable expression like ``0.5+0.4*sin(pi*x)``, once per text.
 
     Only the names in ``_EXPR_NAMES`` plus ``x`` are allowed; everything else
     is rejected so config files cannot smuggle in arbitrary code.
@@ -157,7 +159,7 @@ class Experiment:
     any run starts: the field values; that the model builds and the initial
     data gives one profile per species; that every scheme builds a
     ``Stepper`` on the coarsest grid (a whole number of cells, kernel
-    supports of whole cells, and v2 slopes only with ``grad_V``); and that
+    supports of whole cells, and v2 slopes only with ``dV``); and that
     the reference level has a finite, whole number of cells.
     """
 
@@ -536,7 +538,7 @@ def cache_directory() -> str:
 
 
 def _reference_spec(model: ModelDef) -> SchemeSpec:
-    """nt with the v2 slopes when the model gives ``grad_V``, v1 otherwise."""
+    """nt with the v2 slopes when the model gives ``dV``, v1 otherwise."""
     variant = "v2" if model.supports_v2 else "v1"
     return SchemeSpec(scheme="nt", slope_variant=variant, label="reference")
 
@@ -829,7 +831,6 @@ def entropy_residual(
             "the discrete entropy residual is only defined for scalar models"
         )
     stepper = Stepper(model, grid, bc, SchemeSpec("nt", slope_variant), clip)
-    g, V, _ = model.flux[0]
     dx = grid.dx
     J = grid.cells
     z = float(zeta)
@@ -837,6 +838,9 @@ def entropy_residual(
     v = np.array(values, dtype=float)
     if v.ndim == 1:
         v = v[None, :]
+    def flux(u, R):  # the one species' flux g(u) V(R)
+        return model.eval_flux(u[None], R)[0]
+
     residuals = []
     for dt, _ in _time_steps(t_final, time_ratio * dx):
         lam = dt / dx
@@ -853,18 +857,18 @@ def entropy_residual(
         Rh = f["half_R"]
         Sh = f["half_source"][0]
         ss = f["staggered_slopes"][0]
-        Fz = g(z + h) * V(Rh)
+        Fz = flux(z + h, Rh)
 
         # numerical entropy flux on interfaces j+1/2, j = -1 .. J-1
         uL, uR = at(c, -1, J + 1), at(c, 0, J + 1)
         hL, hR = at(h, -1, J + 1), at(h, 0, J + 1)
-        VL, VR = V(at(Rh, -1, J + 1)), V(at(Rh, 0, J + 1))
+        RL, RR = at(Rh, -1, J + 1), at(Rh, 0, J + 1)
         sLR = at(s, -1, J + 1) + at(s, 0, J + 1)
         ssI = at(ss, -1, J + 1, m - 1)
 
         def entropy_flux(a, b):
             return (0.25 * (a - b) + dx / 16.0 * sLR + dx / 8.0 * ssI) / lam + 0.5 * (
-                g(a + hL) * VL + g(b + hR) * VR
+                flux(a + hL, RL) + flux(b + hR, RR)
             )
 
         F = entropy_flux(np.maximum(uL, z), np.maximum(uR, z)) - entropy_flux(

@@ -5,17 +5,19 @@ averages of a species or of a derived quantity):
 
     d_t rho^k + d_x F_k(rho^k, R) = S_k(rho, R)
 
-Each definition gives every flux once, in the product form
-F_k = g_k(rho^k) * V_k(R) of the paper, as a triple ``(g, V, grad_V)``.
-``grad_V`` (the gradient of V in R) feeds the product-rule slope variant
-v2; it is ``None`` where V is not differentiable, and such a model runs
-with v1 only.  A definition also carries the source, the kernel and
-convolved quantity of every nonlocal term, and Lipschitz bounds over a
-state box used for time-step control.
+Each definition gives all fluxes at once, in the product form
+F_k = g_k(rho^k) * V_k(R) of the paper, as callables over the stacked state
+(the README has a five-line example): ``g(values)``, of ``values``' shape;
+``V(R)``, factors of shape (n,) when all species share one and (N, n) else;
+and ``dV(R, dR)``, the derivative of V along dR = d_x R for the product-rule
+slope variant v2, or ``None`` where V is not smooth (v1 only).  A definition
+also carries the source, the kernel and convolved quantity of every
+nonlocal term, and Lipschitz bounds over a state box for time-step control.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass, field
 from typing import Callable
@@ -52,9 +54,12 @@ class ModelDef:
     kernels: tuple[KernelSpec, ...]
     #: per nonlocal term: species index to convolve, or a DerivedFieldHook
     nonlocal_sources: tuple
-    #: per species: (g, V, grad_V) with F_k = g(rho_k) * V(R), R of shape
-    #: (m, n); grad_V(R) has R's shape, or is None where V is not smooth
-    flux: tuple
+    #: values (N, ..., n) -> g(values), same shape; the identity returns its argument
+    g: Callable
+    #: R (m, n) -> V(R) of shape (n,) or (N, n), the fluxes being g(values) * V(R)
+    V: Callable
+    #: (R, dR) -> the derivative of V along dR, V's shape; None where V is not smooth
+    dV: Callable | None = None
     #: (values, R) -> (N, n) source array, or None for conservation laws
     source: Callable | None = None
     #: (species_box (N,2), nonlocal_box (m,2)) -> Lipschitz bound of the flux
@@ -69,10 +74,6 @@ class ModelDef:
 
     def __post_init__(self):
         n, m = len(self.species), len(self.kernels)
-        if len(self.flux) != n:
-            raise ModelDefinitionError(
-                f"{self.name}: {len(self.flux)} flux entries for {n} species"
-            )
         if len(self.nonlocal_sources) != m:
             raise ModelDefinitionError(
                 f"{self.name}: {len(self.nonlocal_sources)} nonlocal sources "
@@ -86,6 +87,16 @@ class ModelDef:
                     f"{self.name}: nonlocal source {src!r} is neither a species "
                     "index nor a derived-field hook"
                 )
+        # the flux's rows, probed on two cells: g one per species, V and dV also one shared
+        with np.errstate(all="ignore"):
+            v, R = np.full((n, 2), 0.5), np.full((m, 2), 0.5)
+            rows = {"g": self.g(v), "V": self.V(R), "dV": self.dV and self.dV(R, R)}
+        for part, out in rows.items():
+            shapes = [(n, 2)] if part == "g" else [(n, 2), (2,)]
+            if out is not None and np.shape(out) not in shapes:
+                raise ModelDefinitionError(
+                    f"{self.name}: {part} gives shape {np.shape(out)} for {n} species on 2 cells"
+                )
 
     @property
     def n_species(self) -> int:
@@ -98,21 +109,13 @@ class ModelDef:
     @property
     def supports_v2(self) -> bool:
         """Whether the product-rule slope variant v2 can run on this model."""
-        return all(grad_V is not None for _, _, grad_V in self.flux)
+        return self.dV is not None
 
     def eval_flux(self, values: np.ndarray, R: np.ndarray) -> np.ndarray:
-        """Every species' flux g_k(values[k]) * V_k(R), each distinct V once.
-
-        ``values[k]`` may stack several states on the same cells, shape
-        (..., n), all taking the one V(R).
-        """
-        out = np.empty_like(values)
-        speeds = {}
-        for k, (g, V, _) in enumerate(self.flux):
-            if V not in speeds:
-                speeds[V] = V(R)
-            out[k] = g(values[k]) * speeds[V]
-        return out
+        """Every species' flux g(values) * V(R), with one call of V.  ``values``
+        may stack k states on the same cells, (N, k, n), all taking the one V(R)."""
+        V = self.V(R)  # one row per species takes a new axis for the k states
+        return self.g(values) * (V[:, None] if V.ndim + 1 == values.ndim == 3 else V)
 
 
 def _absmax(lo: float, hi: float) -> float:
@@ -137,10 +140,6 @@ def _identity(rho):
     return rho
 
 
-def _first(R):
-    return R[0]
-
-
 # ---------------------------------------------------------------------------
 # Keyfitz-Kranzer type system: two species advected by a common speed that
 # depends on the backward kernel averages of both.
@@ -153,11 +152,9 @@ def make_keyfitz_kranzer(eta: float = 1.0) -> ModelDef:
         w = 1.0 - R[0] ** 2 - R[1] ** 2
         return w * w * w  # np.power takes about 3x as long
 
-    def grad_speed(R):
+    def speed_along(R, dR):
         w = 1.0 - R[0] ** 2 - R[1] ** 2
-        return np.stack([-6.0 * R[0] * w**2, -6.0 * R[1] * w**2])
-
-    flux = (_identity, speed, grad_speed)
+        return -6.0 * R[0] * w**2 * dR[0] - 6.0 * R[1] * w**2 * dR[1]
 
     def lip_flux(sbox, nbox):
         # interval bounds: w = 1 - a^2 - b^2 has the exact range below, so
@@ -175,7 +172,7 @@ def make_keyfitz_kranzer(eta: float = 1.0) -> ModelDef:
         species=("rho1", "rho2"),
         kernels=(kernel, kernel),
         nonlocal_sources=(0, 1),
-        flux=(flux, flux),
+        g=_identity, V=speed, dV=speed_along,
         lip_flux=lip_flux,
         default_theta=1.0 / 3.0,
     )
@@ -198,8 +195,8 @@ def make_arrhenius(eta: float = 0.2, kernel: str = "constant") -> ModelDef:
     def V(R):
         return np.exp(-R[0])
 
-    def grad_V(R):
-        return -np.exp(-R[0])[None, :]
+    def dV(R, dR):
+        return -np.exp(-R[0]) * dR[0]
 
     def lip_flux(sbox, nbox):
         # exact maxima over [lo, hi]: |1 - 2r| is convex, so it peaks at an
@@ -216,7 +213,7 @@ def make_arrhenius(eta: float = 0.2, kernel: str = "constant") -> ModelDef:
         species=("rho",),
         kernels=(kspec,),
         nonlocal_sources=(0,),
-        flux=((g, V, grad_V),),
+        g=g, V=V, dV=dV,
         lip_flux=lip_flux,
         rho_min=0.0,
         rho_max=1.0,
@@ -230,24 +227,19 @@ def make_arrhenius(eta: float = 0.2, kernel: str = "constant") -> ModelDef:
 def make_multilane(eta: float = 0.5) -> ModelDef:
     kernel = builtin_kernel("linear", eta)
 
+    def speed(R):  # each lane its own
+        return 1.0 - R**2
+
     def exchange(values, R):
         rho1, rho2 = values
-        v1 = 1.0 - R[0] ** 2
-        v2 = 1.0 - R[1] ** 2
-        toward2 = v2 >= v1
-        s = (v2 - v1) * np.where(toward2, rho1 * (1.0 - rho2), rho2 * (1.0 - rho1))
-        return np.stack([-s, s])
+        v1, v2 = speed(R)
+        out = np.empty_like(values)
+        out[1] = (v2 - v1) * np.where(v2 >= v1, rho1 * (1.0 - rho2), rho2 * (1.0 - rho1))
+        np.negative(out[1], out=out[0])
+        return out
 
-    def lane_flux(k):
-        def V(R):
-            return 1.0 - R[k] ** 2
-
-        def grad_V(R):
-            out = np.zeros_like(R)
-            out[k] = -2.0 * R[k]
-            return out
-
-        return (_identity, V, grad_V)
+    def speed_along(R, dR):
+        return -2.0 * R * dR
 
     def lip_flux(sbox, nbox):
         (r1, r2), (p1, p2) = nbox.tolist(), sbox.tolist()
@@ -281,7 +273,7 @@ def make_multilane(eta: float = 0.5) -> ModelDef:
         species=("rho1", "rho2"),
         kernels=(kernel, kernel),
         nonlocal_sources=(0, 1),
-        flux=(lane_flux(0), lane_flux(1)),
+        g=_identity, V=speed, dV=speed_along,
         source=exchange,
         lip_flux=lip_flux,
         lip_source=lip_source,
@@ -305,11 +297,17 @@ def make_nonlocal_euler(eta: float = 0.05) -> ModelDef:
         out[1] = rho * (R[0] - u)
         return out
 
-    # u^2 / 2 as u^2 times the constant V = 1/2: one product, as for rho R
-    flux = (
-        (_identity, _first, np.ones_like),
-        (lambda u: u**2, lambda R: 0.5, np.zeros_like),
-    )
+    # (rho R, u^2 / 2) as g = (rho, u^2) times V = (R, 1/2)
+    def g(values):
+        out = np.empty_like(values)
+        out[0] = values[0]
+        np.square(values[1], out=out[1])
+        return out
+
+    def V(R):
+        out = np.full((2, *R.shape[1:]), 0.5)
+        out[0] = R[0]
+        return out
 
     def lip_flux(sbox, nbox):
         (r,), (p1, p2) = nbox.tolist(), sbox.tolist()
@@ -325,7 +323,7 @@ def make_nonlocal_euler(eta: float = 0.05) -> ModelDef:
         species=("rho", "u"),
         kernels=(kernel,),
         nonlocal_sources=(1,),
-        flux=flux,
+        g=g, V=V, dV=lambda R, dR: np.array([[1.0], [0.0]]) * dR[0],  # (dR, 0)
         source=relax,
         lip_flux=lip_flux,
         lip_source=lip_source,
@@ -366,8 +364,8 @@ def make_garz(eta: float = 0.1, kernel: str = "linear") -> ModelDef:
         species=("rho", "q"),
         kernels=(kspec,),
         nonlocal_sources=(hook,),
-        # R averages a derived, non-smooth velocity: no grad_V, so v1 only
-        flux=((_identity, _first, None), (_identity, _first, None)),
+        # R averages a derived, non-smooth velocity: no dV, so v1 only
+        g=_identity, V=lambda R: R[0],
         lip_flux=lip_flux,
         rho_min=0.0,
         snapshot_fields={
@@ -385,9 +383,13 @@ MODEL_FACTORIES: dict[str, Callable[..., ModelDef]] = {
 }
 
 
+_parameters = functools.cache(lambda factory: tuple(inspect.signature(factory).parameters))
+
+
 def model_parameters(name: str) -> tuple[str, ...]:
-    """The keyword parameters of a registered model, as its factory states them."""
-    return tuple(inspect.signature(MODEL_FACTORIES[name]).parameters)
+    """The keyword parameters of a registered model, as its factory states them
+    (read once per factory object)."""
+    return _parameters(MODEL_FACTORIES[name])
 
 
 def make_model(name: str, **params) -> ModelDef:
@@ -396,8 +398,8 @@ def make_model(name: str, **params) -> ModelDef:
         raise ModelDefinitionError(
             f"unknown model {name!r}; available: {sorted(MODEL_FACTORIES)}"
         )
+    keys = model_parameters(name)
     for key in params:
-        keys = model_parameters(name)
         if key not in keys:
             takers = [m for m in sorted(MODEL_FACTORIES) if key in model_parameters(m)]
             raise ConfigurationError(

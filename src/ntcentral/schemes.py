@@ -190,7 +190,7 @@ class Stepper:
         if self.spec.scheme == "nt" and self.spec.slope_variant == "v2":
             if not model.supports_v2:
                 raise ConfigurationError(
-                    f"model {model.name!r} gives no grad_V for its flux; "
+                    f"model {model.name!r} gives no dV for its flux; "
                     "use slope_variant='v1'"
                 )
             self.dw = tuple(build_derivative_weights(k, dx) for k in model.kernels)
@@ -289,17 +289,11 @@ class Stepper:
         v_ms = _crop(vP, PV, MS)
         R_ms = _crop(R_mr, MR, MS)
 
-        if v2:
-            (dR_ms,) = dR
-            sigma = np.empty_like(v_ms)
-            factors = {}  # species sharing (V, grad_V) share V(R) and its derivative
-            for k, (g, V, grad_V) in enumerate(model.flux):
-                if (V, grad_V) not in factors:
-                    factors[V, grad_V] = (V(R_ms), (grad_V(R_ms) * dR_ms).sum(axis=0))
-                V_ms, dV_ms = factors[V, grad_V]
-                g_mr = g(v_mr[k])
-                dg = slopes_of_extended(g_mr, dx)
-                sigma[k] = dg * V_ms + _crop(g_mr, MR, MS) * dV_ms
+        if v2:  # the product rule g' V + g dV, g' never clipped
+            g_mr = model.g(v_mr)
+            own = g_mr is v_mr and not clip.enabled  # the identity has the state's slopes
+            dg = _crop(sP, PV - 1, MS) if own else slopes_of_extended(g_mr, dx)
+            sigma = dg * model.V(R_ms) + _crop(g_mr, MR, MS) * model.dV(R_ms, dR[0])
         else:
             F_mr = model.eval_flux(v_mr, R_mr)
             sigma = slopes_of_extended(F_mr, dx, clip)

@@ -155,7 +155,7 @@ def test_settings_no_config_uses_are_unknown_keys(tmp_path, capsys, command, key
 
 
 def test_a_scheme_the_model_cannot_run_fails_before_the_reference(tmp_path, capsys):
-    # GARZ has no grad_V: an nt-v2 scheme is refused when the config is read,
+    # GARZ has no dV: an nt-v2 scheme is refused when the config is read,
     # not after converge has computed and cached the reference
     doc = {
         "model": "garz",
@@ -169,7 +169,7 @@ def test_a_scheme_the_model_cannot_run_fails_before_the_reference(tmp_path, caps
     assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("*.csv"))
     assert not list(tmp_path.glob("cache/ref-*.npy"))
-    assert f"{cfg}: model 'garz' gives no grad_V" in capsys.readouterr().err
+    assert f"{cfg}: model 'garz' gives no dV" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

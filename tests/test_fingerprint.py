@@ -23,6 +23,7 @@ import pytest
 from ntcentral import harness
 from ntcentral.core import BoundaryCondition, Grid, init_cell_averages
 from ntcentral.harness import resolve_profiles
+from ntcentral.limiters import NO_CLIP, ClipConfig
 from ntcentral.models import MODEL_FACTORIES, make_model
 from ntcentral.schemes import SchemeSpec, Stepper
 
@@ -57,17 +58,20 @@ STEPS = 3
 TIME_RATIO = 0.1
 
 
-def fingerprint(name: str, bc: str) -> str:
+def fingerprint(name: str, bc: str, specs=None, clip: ClipConfig = NO_CLIP) -> str:
+    """Digest of the states after STEPS steps of each spec, every scheme the
+    model supports by default."""
     model = make_model(name)
-    specs = [SchemeSpec("nt", "v1"), SchemeSpec("lxf1"), SchemeSpec("lxf2")]
-    if model.supports_v2:
-        specs.append(SchemeSpec("nt", "v2"))
+    if specs is None:
+        specs = [SchemeSpec("nt", "v1"), SchemeSpec("lxf1"), SchemeSpec("lxf2")]
+        if model.supports_v2:
+            specs.append(SchemeSpec("nt", "v2"))
     digest = hashlib.sha256()
     for cells in CELLS:
         grid = Grid(-1.0, 1.0, cells)
         v0 = init_cell_averages(resolve_profiles(DATA[name]), grid).values
         for spec in specs:
-            stepper = Stepper(model, grid, bc, spec)
+            stepper = Stepper(model, grid, bc, spec, clip)
             v = v0
             for _ in range(STEPS):
                 v = stepper.step(v, TIME_RATIO * grid.dx)
@@ -80,6 +84,25 @@ def fingerprint(name: str, bc: str) -> str:
 def test_numerics_fingerprint(name, bc):
     assert harness._CACHE_TAG == CACHE_TAG
     assert fingerprint(name, bc) == DIGESTS[name, bc]
+
+
+# nt-v2 with clipped slopes on the coupled models.  v2 never clips the slopes
+# of g(rho): with the identity g they equal the state's own slopes only when
+# clipping is off.  The cap C dx^delta = dx/4 binds on the sine data (slopes
+# up to 0.63 and 1.57), where the default cap sqrt(dx) would not.
+CLIP = ClipConfig(enabled=True, C=0.25, delta=1.0)
+CLIPPED_DIGESTS = {
+    ("keyfitz-kranzer", "periodic"): "caddff74ee9a26d7433a4cd4682dd77b589b4c69195aea7eb227f54dfc36e285",
+    ("keyfitz-kranzer", "zero"): "02fea1ad97a1d15d8703aa1297aedf0c54a7aae94352b1001456a5bbb84f910b",
+    ("multilane", "periodic"): "99047bb53d345256aff40b3dd3567dca3959123d70a91b5bde916aa9424d7188",
+    ("multilane", "zero"): "4b2978a208f43ca82aa9add00299349a5ad68502956fa4ddd6af73d479e598d4",
+}
+
+
+@pytest.mark.parametrize("name, bc", sorted(CLIPPED_DIGESTS))
+def test_clipped_product_rule_fingerprint(name, bc):
+    digest = fingerprint(name, bc, [SchemeSpec("nt", "v2")], CLIP)
+    assert digest == CLIPPED_DIGESTS[name, bc]
 
 
 ENTROPY_DIGESTS = {

@@ -85,6 +85,27 @@ def test_expression_profile_rejects_unknown_names():
         expression_profile("y + 1")
     with pytest.raises(ConfigurationError, match="bad initial-data"):
         expression_profile("0.5 +")
+    # a refused text is refused again on every call, not remembered as valid
+    with pytest.raises(ConfigurationError, match="unknown name"):
+        expression_profile("y + 1")
+
+
+def test_expression_profile_compiles_each_text_once(monkeypatch):
+    import builtins
+
+    compiled = []
+    real = builtins.compile
+
+    def counted(source, *args, **kw):
+        compiled.append(source)
+        return real(source, *args, **kw)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    text = "0.125 + 0.5 * cos(pi * x) ** 3"  # a text no other test uses
+    x = np.linspace(-1.0, 1.0, 5)
+    values = [expression_profile(text)(x) for _ in range(3)]
+    assert compiled.count(text) == 1
+    np.testing.assert_array_equal(values[0], values[2])
 
 
 def test_resolve_profiles_registry_and_errors():
@@ -173,7 +194,7 @@ def test_experiment_validation():
         (
             {"model": "garz", "initial_data": "garz-sine", "model_params": {},
              "schemes": (SchemeSpec("nt", "v2"),)},
-            "gives no grad_V",
+            "gives no dV",
         ),
         ({"safety": 1.5}, "CFL safety factor must lie in (0, 1]"),
         ({"model_params": {"eta": 0.07}}, "integer multiple"),

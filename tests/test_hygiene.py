@@ -201,8 +201,8 @@ def fresh_modules(imports: str, prefixes: tuple) -> list:
 
 
 def test_fresh_import_loads_no_scipy():
-    # scipy and jsonschema are test oracles; numpy.polynomial is used by no run
-    unwanted = ("scipy", "jsonschema", "numpy.polynomial")
+    # scipy, jsonschema and sympy are test oracles; numpy.polynomial is used by no run
+    unwanted = ("scipy", "jsonschema", "sympy", "numpy.polynomial")
     assert fresh_modules("ntcentral, ntcentral.cli", unwanted) == []
 
 
@@ -219,7 +219,7 @@ def test_runtime_dependencies_exclude_scipy():
     project = tomllib.loads(pyproject.read_text())["project"]
     assert project["dependencies"] == ["numpy>=2.0"]
     test_extra = project["optional-dependencies"]["test"]
-    for oracle in ("scipy", "jsonschema"):
+    for oracle in ("scipy", "jsonschema", "sympy"):
         assert any(d.startswith(oracle) for d in test_extra), oracle
 
 

@@ -1,4 +1,4 @@
-"""Model zoo consistency: shapes, flux triples, sources, validation."""
+"""Model zoo consistency: shapes, product-form fluxes, sources, validation."""
 
 import numpy as np
 import pytest
@@ -58,42 +58,48 @@ def test_eval_flux_is_g_times_v_with_each_v_once(name):
     model = make_model(name)
     values = _sample_values(model, seed=11)
     R = _convolved(model, values)
-    calls = []
+    V, calls = model.V, []
 
-    def counted(V):
-        def V_counted(R):
-            calls.append(V)
-            return V(R)
+    def V_counted(R):
+        calls.append(R)
+        return V(R)
 
-        return V_counted
-
-    counters = {V: counted(V) for _, V, _ in model.flux}
-    model.flux = tuple((g, counters[V], dV) for g, V, dV in model.flux)
+    model.V = V_counted
     F = model.eval_flux(values, R)
-    # Keyfitz-Kranzer's species share one speed, GARZ's one velocity average
-    shared = name in ("keyfitz-kranzer", "garz")
-    assert len(calls) == len(set(calls)) == (1 if shared else model.n_species)
-    for k, (g, V, _) in enumerate(model.flux):
-        np.testing.assert_array_equal(F[k], g(values[k]) * V(R))
+    assert len(calls) == 1
+    speeds = V(R)
+    # Keyfitz-Kranzer's species share one speed, GARZ's one velocity
+    # average, and Arrhenius has one species: a row of shape (n,)
+    shared = name in ("keyfitz-kranzer", "garz", "arrhenius")
+    assert speeds.shape == ((values.shape[1],) if shared else values.shape)
+    g_rows = model.g(values)
+    for k in range(model.n_species):
+        np.testing.assert_array_equal(F[k], g_rows[k] * (speeds if shared else speeds[k]))
+    # both faces of lxf2 take the one V(R)
+    faces = np.stack([values, values[:, ::-1]], axis=1)
+    F2 = model.eval_flux(faces, R)
+    assert len(calls) == 2 and F2.shape == faces.shape
+    np.testing.assert_array_equal(F2[:, 0], F)
 
 
 @pytest.mark.parametrize(
     "name", [n for n in sorted(MODEL_FACTORIES) if make_model(n).supports_v2]
 )
 def test_product_form_gradient_matches_finite_differences(name):
+    # dV(R, dR) is the derivative of V along dR: central differences of V
+    # along each field's own direction and along random mixed ones
     model = make_model(name)
     values = _sample_values(model, seed=7)
     R = _convolved(model, values)
+    rng = np.random.default_rng(7)
     eps = 1e-6
-    for k in range(model.n_species):
-        _, V, grad_V = model.flux[k]
-        grad = grad_V(R)
-        assert grad.shape == R.shape
-        for l in range(model.n_nonlocal):
-            bump = np.zeros_like(R)
-            bump[l] = eps
-            fd = (V(R + bump) - V(R - bump)) / (2.0 * eps)
-            np.testing.assert_allclose(grad[l], fd, rtol=1e-6, atol=1e-9)
+    unit = np.eye(model.n_nonlocal)[:, :, None] * np.ones_like(R)
+    directions = [*unit, *rng.standard_normal((3, *R.shape))]
+    for dR in directions:
+        dV = model.dV(R, dR)
+        fd = (model.V(R + eps * dR) - model.V(R - eps * dR)) / (2.0 * eps)
+        assert dV.shape == np.shape(model.V(R))
+        np.testing.assert_allclose(dV, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_multilane_exchange_conserves_total_density():
@@ -165,29 +171,54 @@ def test_make_model_error_paths():
         make_model("arrhenius", kernel="backward-power52")
 
 
+def test_model_parameters_are_read_afresh_for_a_replaced_factory(monkeypatch):
+    from ntcentral import models
+
+    assert models.model_parameters("arrhenius") == ("eta", "kernel")
+
+    def make_slow_arrhenius(eta: float = 0.2, slowdown: float = 1.0):
+        return models.make_arrhenius(eta)
+
+    monkeypatch.setitem(MODEL_FACTORIES, "arrhenius", make_slow_arrhenius)
+    assert models.model_parameters("arrhenius") == ("eta", "slowdown")
+    assert make_model("arrhenius", slowdown=2.0).name == "arrhenius"
+    with pytest.raises(ConfigurationError, match="takes no parameter 'kernel'"):
+        make_model("arrhenius", kernel="linear")
+
+
 def test_modeldef_cross_validation():
     k = KernelSpec(omega=lambda x: np.ones_like(np.asarray(x)), support=(0.0, 1.0))
-    flux = (lambda r: r, lambda R: R[0], None)
-    with pytest.raises(ModelDefinitionError, match="flux entries"):
-        ModelDef(
-            name="broken",
-            species=("a", "b"),
-            kernels=(k,),
-            nonlocal_sources=(0,),
-            flux=(flux,),
-        )
+    flux = {"g": lambda v: v, "V": lambda R: R[0]}
+    # a g or V with the wrong rows is refused when the model is built, before any step
+    for part, wrong, message in [
+        ("g", lambda v: v[:1], r"g gives shape \(1, 2\)"),
+        ("V", lambda R: np.ones((3, 2)), r"V gives shape \(3, 2\)"),
+        ("V", lambda R: 0.5, r"V gives shape \(\)"),
+        ("dV", lambda R, dR: dR, r"dV gives shape \(1, 2\)"),
+    ]:
+        with pytest.raises(ModelDefinitionError, match=message):
+            ModelDef(
+                name="broken",
+                species=("a", "b"),
+                kernels=(k,),
+                nonlocal_sources=(0,),
+                **{**flux, part: wrong},
+            )
     with pytest.raises(ModelDefinitionError, match="neither a species index"):
         ModelDef(
             name="broken",
             species=("a",),
             kernels=(k,),
             nonlocal_sources=(2,),
-            flux=(flux,),
+            **flux,
         )
-    model = ModelDef(
-        name="v1-only", species=("a",), kernels=(k,), nonlocal_sources=(0,), flux=(flux,)
-    )
+    model = ModelDef(name="v1-only", species=("a",), kernels=(k,), nonlocal_sources=(0,), **flux)
     assert not model.supports_v2
+    rows = ModelDef(
+        name="per-species", species=("a", "b"), kernels=(k,), nonlocal_sources=(0,),
+        g=lambda v: v, V=lambda R: np.stack([R[0], 2.0 * R[0]]), dV=lambda R, dR: np.stack([dR[0], 2.0 * dR[0]]),
+    )
+    assert rows.supports_v2
 
 
 # -- the Lipschitz bounds are sound interval bounds ---------------------------
@@ -281,3 +312,23 @@ def test_lipschitz_bounds_cover_every_partial_derivative(name):
             # the bound and the partials round differently: allow 1e-12 relative
             assert largest <= L * (1.0 + 1e-12), (sbox, nbox, largest, L)
             assert bound(*sub) <= L, (sbox, nbox, sub)
+
+
+def test_a_user_model_of_three_callables_runs_nt_v2():
+    # the model of the README and the models.py docstring: an identity g, a
+    # V shared by both species and its derivative along dR
+    from ntcentral.core import Grid
+    from ntcentral.kernels import builtin_kernel
+    from ntcentral.schemes import SchemeSpec, Stepper
+
+    k = builtin_kernel("linear", 0.5)
+    model = ModelDef("mine", ("a", "b"), (k, k), (0, 1), g=lambda v: v,
+                     V=lambda R: 1.0 - R[0] * R[1],
+                     dV=lambda R, dR: -(dR[0] * R[1] + R[0] * dR[1]))
+    assert model.supports_v2
+    grid = Grid(-1.0, 1.0, 40)
+    x = grid.centers
+    v = np.stack([0.4 + 0.2 * np.sin(np.pi * x), 0.3 + 0.1 * np.cos(np.pi * x)])
+    new = Stepper(model, grid, PER, SchemeSpec("nt", "v2")).step(v, 0.1 * grid.dx)
+    assert np.all(np.isfinite(new))
+    np.testing.assert_allclose(new.sum(axis=1), v.sum(axis=1), rtol=1e-14)
