@@ -92,11 +92,9 @@ class ModelDef:
             v, R = np.full((n, 2), 0.5), np.full((m, 2), 0.5)
             rows = {"g": self.g(v), "V": self.V(R), "dV": self.dV and self.dV(R, R)}
         for part, out in rows.items():
-            shapes = [(n, 2)] if part == "g" else [(n, 2), (2,)]
-            if out is not None and np.shape(out) not in shapes:
-                raise ModelDefinitionError(
-                    f"{self.name}: {part} gives shape {np.shape(out)} for {n} species on 2 cells"
-                )
+            shape = np.shape(out)
+            if out is not None and shape not in ([(n, 2)] if part == "g" else [(n, 2), (2,)]):
+                raise ModelDefinitionError(f"{self.name}: {part} gives {shape} for {n} species")
 
     @property
     def n_species(self) -> int:
@@ -154,7 +152,8 @@ def make_keyfitz_kranzer(eta: float = 1.0) -> ModelDef:
 
     def speed_along(R, dR):
         w = 1.0 - R[0] ** 2 - R[1] ** 2
-        return -6.0 * R[0] * w**2 * dR[0] - 6.0 * R[1] * w**2 * dR[1]
+        rows = -6.0 * R * w**2 * dR  # both terms of the sum in one pass
+        return rows[0] + rows[1]
 
     def lip_flux(sbox, nbox):
         # interval bounds: w = 1 - a^2 - b^2 has the exact range below, so
@@ -231,10 +230,11 @@ def make_multilane(eta: float = 0.5) -> ModelDef:
         return 1.0 - R**2
 
     def exchange(values, R):
-        rho1, rho2 = values
         v1, v2 = speed(R)
+        # rho1 (1 - rho2) toward lane 2, rho2 (1 - rho1) toward lane 1
+        moving = values * (1.0 - values)[::-1]
         out = np.empty_like(values)
-        out[1] = (v2 - v1) * np.where(v2 >= v1, rho1 * (1.0 - rho2), rho2 * (1.0 - rho1))
+        np.multiply(v2 - v1, np.where(v2 >= v1, moving[0], moving[1]), out=out[1])
         np.negative(out[1], out=out[0])
         return out
 

@@ -191,10 +191,10 @@ def test_modeldef_cross_validation():
     flux = {"g": lambda v: v, "V": lambda R: R[0]}
     # a g or V with the wrong rows is refused when the model is built, before any step
     for part, wrong, message in [
-        ("g", lambda v: v[:1], r"g gives shape \(1, 2\)"),
-        ("V", lambda R: np.ones((3, 2)), r"V gives shape \(3, 2\)"),
-        ("V", lambda R: 0.5, r"V gives shape \(\)"),
-        ("dV", lambda R, dR: dR, r"dV gives shape \(1, 2\)"),
+        ("g", lambda v: v[:1], r"g gives \(1, 2\) for 2 species"),
+        ("V", lambda R: np.ones((3, 2)), r"V gives \(3, 2\)"),
+        ("V", lambda R: 0.5, r"V gives \(\)"),
+        ("dV", lambda R, dR: dR, r"dV gives \(1, 2\)"),
     ]:
         with pytest.raises(ModelDefinitionError, match=message):
             ModelDef(
