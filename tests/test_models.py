@@ -215,8 +215,13 @@ def test_modeldef_cross_validation():
     model = ModelDef(name="v1-only", species=("a",), kernels=(k,), nonlocal_sources=(0,), **flux)
     assert not model.supports_v2
     rows = ModelDef(
-        name="per-species", species=("a", "b"), kernels=(k,), nonlocal_sources=(0,),
-        g=lambda v: v, V=lambda R: np.stack([R[0], 2.0 * R[0]]), dV=lambda R, dR: np.stack([dR[0], 2.0 * dR[0]]),
+        name="per-species",
+        species=("a", "b"),
+        kernels=(k,),
+        nonlocal_sources=(0,),
+        g=lambda v: v,
+        V=lambda R: np.stack([R[0], 2.0 * R[0]]),
+        dV=lambda R, dR: np.stack([dR[0], 2.0 * dR[0]]),
     )
     assert rows.supports_v2
 
@@ -315,8 +320,8 @@ def test_lipschitz_bounds_cover_every_partial_derivative(name):
 
 
 def test_a_user_model_of_three_callables_runs_nt_v2():
-    # the model of the README and the models.py docstring: an identity g, a
-    # V shared by both species and its derivative along dR
+    # the model of the README: an identity g, a V shared by both species
+    # and its derivative along dR
     from ntcentral.core import Grid
     from ntcentral.kernels import builtin_kernel
     from ntcentral.schemes import SchemeSpec, Stepper
