@@ -54,9 +54,10 @@ class ModelDef:
     kernels: tuple[KernelSpec, ...]
     #: per nonlocal term: species index to convolve, or a DerivedFieldHook
     nonlocal_sources: tuple
-    #: values (N, ..., n) -> g(values), same shape; the identity returns its argument
+    #: values (N, ..., n) -> g(values), same shape; an identity g returning its
+    #: argument lets nt-v2 reuse the state's limited slopes as the slopes of g
     g: Callable
-    #: R (m, n) -> V(R) of shape (n,) or (N, n), the fluxes being g(values) * V(R)
+    #: R (m, n) -> V(R) of shape (n,) or (N, n); the fluxes are g(values) * V(R)
     V: Callable
     #: (R, dR) -> the derivative of V along dR, V's shape; None where V is not smooth
     dV: Callable | None = None
@@ -387,8 +388,7 @@ _parameters = functools.cache(lambda factory: tuple(inspect.signature(factory).p
 
 
 def model_parameters(name: str) -> tuple[str, ...]:
-    """The keyword parameters of a registered model, as its factory states them
-    (read once per factory object)."""
+    """A registered model's keyword parameters, as its factory states them (read once)."""
     return _parameters(MODEL_FACTORIES[name])
 
 
