@@ -22,7 +22,6 @@ from .errors import ConfigurationError, NumericsError, SolverError
 from .harness import (
     CONVERGENCE_CSV_HEADER,
     Experiment,
-    MonitorLog,
     SchemeSpec,
     _atomic_write,
     compute_reference,
@@ -67,12 +66,7 @@ _EXPERIMENT_PROPERTIES = {
     "eta": {"type": "number", "exclusiveMinimum": 0},
     "kernel": {"type": "string"},
     "T": {"type": "number", "minimum": 0},
-    "initial_data": {
-        "anyOf": [
-            {"type": "string"},
-            {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        ]
-    },
+    "initial_data": {"type": ["string", "array"], "items": {"type": "string"}, "minItems": 1},
     "domain": {
         "type": "array",
         "items": {"type": "number"},
@@ -144,13 +138,14 @@ _PRESET_SCHEMA = {
 # error jsonschema's best_match would pick, with the same message and path,
 # with one deliberate difference: a `number` must be finite, so NaN, Infinity
 # and 1e400 (which Python's JSON reader accepts) fail here, not deep inside
-# the numerics.  An error is a tuple (path, message, keyword, matches_type,
-# context).
+# the numerics.  An error is a tuple (path, message, matches_type).
 
 _FLOAT_MAX = sys.float_info.max
 
 
-def _is_type(x, kind: str) -> bool:
+def _is_type(x, kind: "str | list[str]") -> bool:
+    if isinstance(kind, list):  # any of the kinds
+        return any(_is_type(x, k) for k in kind)
     if kind in ("number", "integer"):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             return False
@@ -163,7 +158,8 @@ def _is_type(x, kind: str) -> bool:
 def _type(kind, x):
     if not _is_type(x, kind):
         numeric = kind == "number" and isinstance(x, (int, float)) and not isinstance(x, bool)
-        yield f"{x!r} is {'not a finite number' if numeric else f'not of type {kind!r}'}"
+        shown = ", ".join(map(repr, kind if isinstance(kind, list) else [kind]))
+        yield f"{x!r} is {'not a finite number' if numeric else f'not of type {shown}'}"
 
 
 def _extras(x, schema):
@@ -208,12 +204,12 @@ _CHECKS = {
     ),
 }
 #: the keywords the walk implements; the two schemas may use no others
-_SCHEMA_KEYWORDS = frozenset(_CHECKS) | {"properties", "items", "anyOf"}
+_SCHEMA_KEYWORDS = frozenset(_CHECKS) | {"properties", "items"}
 
 
 def _errors(schema: dict, x, path: tuple = ()):
-    """Every error of ``x`` under ``schema`` as (path, message, keyword,
-    matches_type, context), in the order jsonschema yields them."""
+    """Every error of ``x`` under ``schema`` as (path, message, matches_type),
+    in the order jsonschema yields them."""
     for keyword, value in schema.items():
         if keyword == "properties":
             if isinstance(x, dict):
@@ -226,26 +222,15 @@ def _errors(schema: dict, x, path: tuple = ()):
                     yield from _errors(value, item, path + (i,))
         else:
             matches = "type" in schema and _is_type(x, schema["type"])
-            if keyword == "anyOf":  # context paths are relative to x
-                context = []
-                for sub in value:
-                    failed = list(_errors(sub, x))
-                    if not failed:
-                        break
-                    context += failed
-                else:
-                    message = f"{x!r} is not valid under any of the given schemas"
-                    yield path, message, keyword, matches, context
-            else:
-                for message in _CHECKS[keyword](value, x, schema):
-                    yield path, message, keyword, matches, []
+            for message in _CHECKS[keyword](value, x, schema):
+                yield path, message, matches
 
 
 def _relevance(error):
-    # best_match's order: shallower first, then the later sibling, then any
-    # keyword before anyOf, then an instance that fails its schema's type
-    path, _, keyword, matches, _ = error
-    return -len(path), path, keyword != "anyOf", not matches
+    # best_match's order: shallower first, then the later sibling, then an
+    # instance that fails its schema's type
+    path, _, matches = error
+    return -len(path), path, not matches
 
 
 def _best_match(errors) -> tuple | None:
@@ -253,14 +238,7 @@ def _best_match(errors) -> tuple | None:
     best = max(errors, key=_relevance, default=None)
     if best is None:
         return None
-    path = best[0]
-    while best[4]:  # descend into anyOf unless its two best alternatives tie
-        ranked = sorted(best[4], key=_relevance)
-        if len(ranked) > 1 and _relevance(ranked[0]) == _relevance(ranked[1]):
-            break
-        best = ranked[0]
-        path += best[0]
-    return path, best[1]
+    return best[0], best[1]
 
 
 @dataclass
@@ -401,17 +379,6 @@ def load_preset(name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _monitor_columns(species, log: MonitorLog):
-    """(header, columns) of a monitor table: time, then four per species."""
-    header, columns = ["t"], [log.times]
-    series = (("mass", log.mass), ("min", log.vmin), ("max", log.vmax), ("tv", log.tv))
-    for k, sp in enumerate(species):
-        for name, values in series:
-            header.append(f"{name}:{sp}")
-            columns.append(values[:, k])
-    return header, columns
-
-
 def _out_path(cfg: RunConfig, *parts: str) -> str:
     stem = "-".join(p for p in parts if p)
     return os.path.join(cfg.out_dir, f"{stem}.csv")
@@ -455,7 +422,7 @@ def cmd_run(cfg: RunConfig, strict_cfl: bool = False) -> int:
             )
             _emit(
                 _out_path(cfg, cfg.name, exp.name, spec.name, "monitor"),
-                csv_table(*_monitor_columns(model.species, log)),
+                csv_table(*log.csv_columns(model.species)),
             )
     return EXIT_OK
 

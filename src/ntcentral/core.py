@@ -97,7 +97,7 @@ class Grid:
 
 @dataclass
 class SystemState:
-    """Cell averages of every species at one time instant."""
+    """Cell averages of every species at one time instant: a run's final state."""
 
     values: np.ndarray  # shape (n_species, n_cells)
     time: float = 0.0
@@ -184,8 +184,8 @@ def extend_array(
 
 def init_cell_averages(
     profiles: "Callable | Sequence[Callable]", grid: Grid
-) -> SystemState:
-    """Project pointwise initial profiles onto cell averages.
+) -> np.ndarray:
+    """Project pointwise initial profiles onto cell averages, shape (species, cells).
 
     Each profile is a vectorised callable ``f(x)``.  Averages use a fixed
     5-point Gauss-Legendre rule per cell, exact for polynomials up to degree 9
@@ -208,23 +208,22 @@ def init_cell_averages(
             )
         mid = samples[:, 2]  # the node at the cell centre
         values[k] = mid + (samples - mid[:, None]) @ _GL_WEIGHTS
-    return SystemState(values, 0.0)
+    return values
 
 
-def total_mass(state: SystemState, grid: Grid) -> np.ndarray:
+def total_mass(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Per-species integral of the piecewise-constant solution."""
-    return grid.dx * state.values.sum(axis=1)
+    return grid.dx * values.sum(axis=1)
 
 
-def total_variation(state: SystemState, bc: BoundaryCondition) -> np.ndarray:
+def total_variation(values: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
     """Per-species total variation of the cell averages.
 
     Periodic runs include the wrap-around difference; the one-sided closures
     only count interior differences (a constant or zero extension adds no
     variation of its own at a flat boundary region).
     """
-    v = state.values
-    tv = np.abs(np.diff(v, axis=1)).sum(axis=1)
+    tv = np.abs(np.diff(values, axis=1)).sum(axis=1)
     if bc is BoundaryCondition.PERIODIC:
-        tv = tv + np.abs(v[:, 0] - v[:, -1])
+        tv = tv + np.abs(values[:, 0] - values[:, -1])
     return tv

@@ -334,7 +334,7 @@ def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
         )
     level = min(exp.levels)
     grid = exp.grid_at(level)
-    values = init_cell_averages(exp.profiles(), grid).values
+    values = init_cell_averages(exp.profiles(), grid)
     if BoundaryCondition.parse(exp.bc) is BoundaryCondition.ZERO:
         values = np.concatenate([s * values for s in np.linspace(0.0, 1.0, 9)], axis=1)
     sbox, nbox = bound_boxes(model, values, widen=0.1)
@@ -364,57 +364,64 @@ def flux_speed_estimate(
 
 
 class MonitorLog:
-    """Append-only per-step record of conserved and bounded quantities."""
+    """Append-only per-step record of conserved and bounded quantities.
+
+    The record is one table with a row per recorded state, in the column
+    order of the monitor CSV: ``t``, then ``mass``, ``min``, ``max`` and
+    ``tv`` of each species in turn.
+    """
 
     def __init__(self, grid: Grid, bc: "str | BoundaryCondition"):
         self.grid = grid
         self.bc = BoundaryCondition.parse(bc)
-        self._times: list[float] = []
-        self._mass: list[np.ndarray] = []
-        self._vmin: list[np.ndarray] = []
-        self._vmax: list[np.ndarray] = []
-        self._tv: list[np.ndarray] = []
+        self._rows: list[np.ndarray] = []
 
     def record(self, t: float, values: np.ndarray, box: np.ndarray | None = None):
         """Append the state at time ``t``.
 
         ``box`` is the per-species [min, max] of ``values`` (shape (N, 2))
         when the caller has already taken it, as :func:`run_simulation` does
-        once per step; the log keeps copies of its columns as ``vmin`` and
-        ``vmax``.
+        once per step; the log copies it into its ``min`` and ``max`` columns.
         """
-        if self._times and not t > self._times[-1]:
+        if self._rows and not t > self._rows[-1][0]:
             raise InputDataError(
-                f"monitor timestamps must increase: {t} after {self._times[-1]}"
+                f"monitor timestamps must increase: {t} after {self._rows[-1][0]}"
             )
         if box is None:
             box = _box(values)
-        state = SystemState(values, t)
-        self._times.append(float(t))
-        self._mass.append(total_mass(state, self.grid))
-        self._vmin.append(box[:, 0].copy())
-        self._vmax.append(box[:, 1].copy())
-        self._tv.append(total_variation(state, self.bc))
+        row = np.empty(1 + 4 * len(values))
+        row[0] = t
+        per_species = row[1:].reshape(len(values), 4)
+        per_species[:, 0] = total_mass(values, self.grid)
+        per_species[:, 1:3] = box
+        per_species[:, 3] = total_variation(values, self.bc)
+        self._rows.append(row)
+
+    def _table(self) -> np.ndarray:
+        """Every recorded row, shape (records, 1 + 4 * species)."""
+        if not self._rows:
+            return np.empty((0, 1))
+        return np.array(self._rows)
 
     @property
     def times(self) -> np.ndarray:
-        return np.asarray(self._times)
+        return self._table()[:, 0]
 
     @property
     def mass(self) -> np.ndarray:
-        return np.asarray(self._mass)
+        return self._table()[:, 1::4]
 
     @property
     def vmin(self) -> np.ndarray:
-        return np.asarray(self._vmin)
+        return self._table()[:, 2::4]
 
     @property
     def vmax(self) -> np.ndarray:
-        return np.asarray(self._vmax)
+        return self._table()[:, 3::4]
 
     @property
     def tv(self) -> np.ndarray:
-        return np.asarray(self._tv)
+        return self._table()[:, 4::4]
 
     def relative_mass_drift(self) -> float:
         """Worst relative change of any species mass over the record."""
@@ -422,6 +429,12 @@ class MonitorLog:
         ref = np.abs(mass[0])
         scale = np.maximum(ref, 1e-300)
         return float((np.abs(mass - mass[0]) / scale).max())
+
+    def csv_columns(self, species) -> tuple[list[str], list[np.ndarray]]:
+        """(header, columns) of the monitor CSV; ``species`` names the table's species."""
+        names = ("mass", "min", "max", "tv")
+        header = ["t"] + [f"{name}:{sp}" for sp in species for name in names]
+        return header, list(self._table().T)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +476,7 @@ def run_simulation(
     read three times: a non-finite state aborts with the step index (NaN
     propagates through min and max, and an infinity is a min or a max), the
     per-step CFL monitor (:func:`flux_speed_estimate`) warns once per run or
-    raises in strict mode, and the log records it as ``vmin``/``vmax``.
+    raises in strict mode, and the log records it as ``min``/``max``.
     """
     model = exp.build_model()
     grid = exp.grid_at(level)
@@ -472,7 +485,7 @@ def run_simulation(
     lam = time_ratio if time_ratio is not None else resolve_time_ratio(exp, model)
 
     limit = CFL_LIMIT  # the stability bound itself, not the safety-scaled target
-    v = init_cell_averages(exp.profiles(), grid).values
+    v = init_cell_averages(exp.profiles(), grid)
     monitor = MonitorLog(grid, exp.bc)
     if record:
         monitor.record(0.0, v)
@@ -517,13 +530,11 @@ def restrict_values(fine: np.ndarray, factor: int) -> np.ndarray:
     return fine.reshape(shape).mean(axis=-1)
 
 
-def l1_error(a, b, dx: float) -> float:
+def l1_error(a: np.ndarray, b: np.ndarray, dx: float) -> float:
     """Grid-weighted L1 distance, summed over species."""
-    av = a.values if isinstance(a, SystemState) else np.asarray(a)
-    bv = b.values if isinstance(b, SystemState) else np.asarray(b)
-    if av.shape != bv.shape:
-        raise InputDataError(f"shape mismatch: {av.shape} vs {bv.shape}")
-    return float(dx * np.abs(av - bv).sum())
+    if a.shape != b.shape:
+        raise InputDataError(f"shape mismatch: {a.shape} vs {b.shape}")
+    return float(dx * np.abs(a - b).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -592,10 +603,6 @@ CONVERGENCE_CSV_HEADER = "scheme,n,dx,l1_error,rate"
 class ConvergenceReport:
     """Per-scheme error/rate table of one experiment."""
 
-    name: str
-    time_ratio: float
-    base_dx: float
-    levels: tuple[int, ...]
     rows: "dict[str, list[tuple[int, float, float, float | None]]]"
     metadata: dict = field(default_factory=dict)
 
@@ -632,7 +639,8 @@ def _study_cell(exp: Experiment, level: int, spec: SchemeSpec, strict_cfl: bool,
 
     The warnings the run gives are caught as ``(category, text)`` pairs for
     the caller to give again, wherever the run took place.  A run that
-    fails carries the ones it gave before failing as ``.warnings``.
+    fails returns its exception, which carries the ones it gave before
+    failing as ``.warnings``.
     """
     start = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
@@ -643,7 +651,7 @@ def _study_cell(exp: Experiment, level: int, spec: SchemeSpec, strict_cfl: bool,
             )
         except Exception as exc:
             exc.warnings = [(w.category, str(w.message)) for w in caught]
-            raise
+            return exc
     given = [(w.category, str(w.message)) for w in caught]
     return state.values, time.perf_counter() - start, given
 
@@ -657,23 +665,15 @@ def _study_workers() -> int:
     return cpus - 1
 
 
-def _outcome(task: tuple):
-    """``_study_cell(*task)``, or the exception it raised."""
-    try:
-        return _study_cell(*task)
-    except Exception as exc:
-        return exc
-
-
 def _study_runs(tasks: list, reference):
     """``reference()`` and the outcome of every task in ``tasks``, in order.
 
-    An outcome is the result of ``_study_cell(*task)`` or the exception it
-    raised.  The tasks go to a pool of forked worker processes while the
-    caller computes the reference; the caller then runs, from the last task
-    backwards, every task that no worker has started.  With no worker, or
-    no ``fork`` start method, everything runs in the caller in serial order,
-    up to the first failure.  No worker outlives the call.
+    A task's outcome is what ``_study_cell(*task)`` returns.  The tasks go to
+    a pool of forked worker processes while the caller computes the
+    reference; the caller then runs, from the last task backwards, every
+    task that no worker has started.  With no worker, or no ``fork`` start
+    method, everything runs in the caller in serial order, up to the first
+    failure.  No worker outlives the call.
     """
     workers = min(_study_workers(), len(tasks))
     if workers > 0:
@@ -685,7 +685,7 @@ def _study_runs(tasks: list, reference):
         ref = reference()
         outcomes = []
         for task in tasks:
-            outcomes.append(_outcome(task))
+            outcomes.append(_study_cell(*task))
             if isinstance(outcomes[-1], BaseException):
                 break
         return ref, outcomes
@@ -703,10 +703,10 @@ def _study_runs(tasks: list, reference):
         outcomes = [None] * len(tasks)
         for i in reversed(range(len(tasks))):
             if futures[i].cancel():
-                outcomes[i] = _outcome(tasks[i])
+                outcomes[i] = _study_cell(*tasks[i])
         for i, future in enumerate(futures):
             if outcomes[i] is None:
-                outcomes[i] = future.exception() or future.result()
+                outcomes[i] = future.result()
     finally:
         pool.shutdown(cancel_futures=True)
     return ref, outcomes
@@ -767,14 +767,7 @@ def convergence_study(
         },
         "runtimes": runtimes,
     }
-    return ConvergenceReport(
-        name=exp.name or exp.model,
-        time_ratio=lam,
-        base_dx=exp.base_dx,
-        levels=tuple(exp.levels),
-        rows=rows,
-        metadata=metadata,
-    )
+    return ConvergenceReport(rows=rows, metadata=metadata)
 
 
 # ---------------------------------------------------------------------------

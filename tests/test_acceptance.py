@@ -293,9 +293,7 @@ def _check_multilane_positivity(problems):
 def _check_entropy_residual(problems):
     grid = Grid(-1.0, 1.0, 160)
     model = make_model("arrhenius", eta=0.2)
-    values = init_cell_averages(
-        lambda x: np.where(np.abs(x) <= 0.25, 1.0, 0.2), grid
-    ).values
+    values = init_cell_averages(lambda x: np.where(np.abs(x) <= 0.25, 1.0, 0.2), grid)
     res = entropy_residual(
         model, grid, values, zeta=0.6, t_final=0.15, time_ratio=0.2
     )

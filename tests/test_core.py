@@ -56,32 +56,32 @@ def test_init_is_exact_for_degree_nine_polynomials(unit_grid):
     # the 5-point rule integrates degree <= 9 exactly; compare with the
     # antiderivative x^10/10 evaluated on each cell
     g = unit_grid
-    state = init_cell_averages(lambda x: x**9, g)
+    values = init_cell_averages(lambda x: x**9, g)
     edges = interfaces(g)
     exact = (edges[1:] ** 10 - edges[:-1] ** 10) / (10.0 * g.dx)
-    np.testing.assert_allclose(state.values[0], exact, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(values[0], exact, rtol=0, atol=1e-14)
 
 
 def test_init_is_exact_for_interface_aligned_jump():
     # 0 is a cell interface of this grid, so the indicator of x > 0 projects
     # to exact {0, 1} averages even though the profile is discontinuous
     g = Grid(-1.0, 1.0, 8)
-    state = init_cell_averages(lambda x: np.where(x > 0.0, 1.0, 0.0), g)
-    np.testing.assert_array_equal(state.values[0], [0, 0, 0, 0, 1, 1, 1, 1])
+    values = init_cell_averages(lambda x: np.where(x > 0.0, 1.0, 0.0), g)
+    np.testing.assert_array_equal(values[0], [0, 0, 0, 0, 1, 1, 1, 1])
 
 
 def test_init_broadcasts_scalar_profiles(unit_grid):
-    state = init_cell_averages([lambda x: 0.75, lambda x: np.sin(np.pi * x)], unit_grid)
-    assert state.values.shape[0] == 2
-    np.testing.assert_array_equal(state.values[0], np.full(40, 0.75))
+    values = init_cell_averages([lambda x: 0.75, lambda x: np.sin(np.pi * x)], unit_grid)
+    assert values.shape[0] == 2
+    np.testing.assert_array_equal(values[0], np.full(40, 0.75))
 
 
 def test_init_smooth_profile_error_is_tiny(unit_grid):
     g = unit_grid
-    state = init_cell_averages(lambda x: np.sin(np.pi * x), g)
+    values = init_cell_averages(lambda x: np.sin(np.pi * x), g)
     edges = interfaces(g)
     exact = (np.cos(np.pi * edges[:-1]) - np.cos(np.pi * edges[1:])) / (np.pi * g.dx)
-    np.testing.assert_allclose(state.values[0], exact, atol=1e-12)
+    np.testing.assert_allclose(values[0], exact, atol=1e-12)
 
 
 def test_init_rejects_non_finite_data(unit_grid):
@@ -182,9 +182,9 @@ def test_boundary_condition_parse():
 
 def test_total_mass_and_variation():
     g = Grid(0.0, 1.0, 4)
-    state = SystemState(np.array([[1.0, 3.0, 0.0, 2.0]]))
-    np.testing.assert_allclose(total_mass(state, g), [1.5])
-    tv_per = total_variation(state, BoundaryCondition.PERIODIC)
+    values = np.array([[1.0, 3.0, 0.0, 2.0]])
+    np.testing.assert_allclose(total_mass(values, g), [1.5])
+    tv_per = total_variation(values, BoundaryCondition.PERIODIC)
     np.testing.assert_allclose(tv_per, [2 + 3 + 2 + 1])
-    tv_open = total_variation(state, BoundaryCondition.CONSTANT)
+    tv_open = total_variation(values, BoundaryCondition.CONSTANT)
     np.testing.assert_allclose(tv_open, [2 + 3 + 2])

@@ -69,7 +69,7 @@ def fingerprint(name: str, bc: str, specs=None, clip: ClipConfig = NO_CLIP) -> s
     digest = hashlib.sha256()
     for cells in CELLS:
         grid = Grid(-1.0, 1.0, cells)
-        v0 = init_cell_averages(resolve_profiles(DATA[name]), grid).values
+        v0 = init_cell_averages(resolve_profiles(DATA[name]), grid)
         for spec in specs:
             stepper = Stepper(model, grid, bc, spec, clip)
             v = v0
@@ -121,7 +121,7 @@ def entropy_fingerprint(bc: str, variant: str) -> str:
     digest = hashlib.sha256()
     for cells in CELLS:
         grid = Grid(-1.0, 1.0, cells)
-        v0 = init_cell_averages(resolve_profiles("arrhenius-sine"), grid).values
+        v0 = init_cell_averages(resolve_profiles("arrhenius-sine"), grid)
         for zeta in ZETAS:
             res = harness.entropy_residual(
                 model, grid, v0, zeta, STEPS * TIME_RATIO * grid.dx, TIME_RATIO, bc, variant

@@ -168,8 +168,8 @@ def test_registered_expressions_give_the_numpy_profiles_bit_for_bit(domain):
     assert sorted(harness.INITIAL_DATA) == sorted(LAMBDA_DATA)
     grid = Grid(*domain, 80)
     for name, profiles in LAMBDA_DATA.items():
-        want = init_cell_averages(profiles, grid).values
-        got = init_cell_averages(resolve_profiles(name), grid).values
+        want = init_cell_averages(profiles, grid)
+        got = init_cell_averages(resolve_profiles(name), grid)
         assert np.array_equal(got, want), name
 
 
@@ -278,7 +278,7 @@ def test_derived_time_ratio_is_the_cfl_formula(bc, positivity):
     )
     model = exp.build_model()
     grid = exp.grid_at(1)
-    values = init_cell_averages(exp.profiles(), grid).values
+    values = init_cell_averages(exp.profiles(), grid)
     if bc == "zero":
         values = np.concatenate([s * values for s in np.linspace(0.0, 1.0, 9)], axis=1)
     sbox, nbox = bound_boxes(model, values, widen=0.1)
@@ -300,7 +300,7 @@ def test_derived_time_ratio_passes_the_cfl_monitor(preset):
             e = dataclasses.replace(exp, time_ratio=None, bc=bc.value)
             model = e.build_model()
             grid = e.grid_at(min(e.levels))
-            v0 = init_cell_averages(e.profiles(), grid).values
+            v0 = init_cell_averages(e.profiles(), grid)
             lam = resolve_time_ratio(e, model)
             ratio = lam * flux_speed_estimate(model, v0)
             assert ratio <= CFL_LIMIT, (exp.name, bc, ratio / CFL_LIMIT)
@@ -432,6 +432,7 @@ def test_l1_error_hand_value():
 
 def test_monitor_log_requires_increasing_times():
     log = MonitorLog(Grid(0.0, 1.0, 4), "periodic")
+    assert len(log.times) == 0
     log.record(0.0, np.ones((1, 4)))
     log.record(0.5, np.ones((1, 4)))
     with pytest.raises(InputDataError, match="increase"):
@@ -448,7 +449,7 @@ def test_zero_time_run_returns_projected_data():
     state, log = run_simulation(exp, 0, SchemeSpec("nt", "v1"))
     from ntcentral.core import init_cell_averages
 
-    want = init_cell_averages(exp.profiles(), exp.grid_at(0)).values
+    want = init_cell_averages(exp.profiles(), exp.grid_at(0))
     np.testing.assert_array_equal(state.values, want)
     assert len(log.times) == 1
 
@@ -531,7 +532,7 @@ def test_monitor_ranges_are_those_of_every_recorded_state(monkeypatch, name):
         schemes=(SchemeSpec("nt", "v1"),),  # GARZ runs v1 only
     )
     _, log = run_simulation(exp, 0)
-    states.insert(0, init_cell_averages(exp.profiles(), exp.grid_at(0)).values)
+    states.insert(0, init_cell_averages(exp.profiles(), exp.grid_at(0)))
     assert len(log.times) == len(states) == 6
     np.testing.assert_array_equal(log.vmin, [v.min(axis=1) for v in states])
     np.testing.assert_array_equal(log.vmax, [v.max(axis=1) for v in states])
@@ -780,7 +781,7 @@ def test_total_variation_growth_bounded_under_refinement():
         assert tv[-1] < tv[0]
         growth = np.diff(tv) / tv[:-1] / np.diff(log.times)
         fitted.append(max(growth.max(), 0.0))
-        final = total_variation(state, BoundaryCondition.CONSTANT)[0]
+        final = total_variation(state.values, BoundaryCondition.CONSTANT)[0]
         assert final == pytest.approx(tv[-1])
     assert max(fitted) <= 0.5
     # refining the mesh by 4x must not inflate the growth constant
@@ -794,7 +795,7 @@ def test_entropy_residual_vanishes_for_out_of_range_reference():
     model = make_model("arrhenius", eta=0.2)
     from ntcentral.core import init_cell_averages
 
-    values = init_cell_averages(lambda x: 0.5 + 0.4 * np.sin(np.pi * x), grid).values
+    values = init_cell_averages(lambda x: 0.5 + 0.4 * np.sin(np.pi * x), grid)
     res = entropy_residual(
         model, grid, values, zeta=2.0, t_final=0.05, time_ratio=0.2
     )

@@ -308,9 +308,7 @@ def _count_nt_v2_step(monkeypatch, bc: str):
         grid = Grid(-1.0, 1.0, 2560)
         stepper = Stepper(model, grid, bc, SchemeSpec("nt", "v2"))
         v = stepper.step(
-            init_cell_averages(
-                harness.resolve_profiles(f"{model_name}-sine"), grid
-            ).values,
+            init_cell_averages(harness.resolve_profiles(f"{model_name}-sine"), grid),
             0.1 * grid.dx,
         )  # warm-up: the band spectra are computed on first use
         calls.update(dict.fromkeys(calls, 0))

@@ -62,7 +62,7 @@ def test_small_range_keyfitz_kranzer_kernels_build(eta):
     grid = Grid(-1.0, 1.0, 200)
     band = build_weights(builtin_kernel("backward-power52", eta), grid.dx)
     assert (band.n1, band.n2) == (round(eta / grid.dx), 0)
-    v0 = init_cell_averages(resolve_profiles("kk-sine"), grid).values
+    v0 = init_cell_averages(resolve_profiles("kk-sine"), grid)
     v = Stepper(model, grid, PER, SchemeSpec("nt", "v1")).step(v0, 0.1 * grid.dx)
     assert np.isfinite(v).all()
 
@@ -297,7 +297,7 @@ class Convolution:
 
     def __init__(self, n, eta, kernel, margin=0):
         self.grid = Grid(-1.0, 1.0, n)
-        self.u = init_cell_averages(lambda x: np.sin(np.pi * x), self.grid).values
+        self.u = init_cell_averages(lambda x: np.sin(np.pi * x), self.grid)
         model = make_model("arrhenius", eta=eta, kernel=kernel)
         cfg = SchemeSpec(scheme="nt", slope_variant="v2")
         self.stepper = Stepper(model, self.grid, PER, cfg)

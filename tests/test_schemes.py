@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ntcentral import schemes
-from ntcentral.core import BoundaryCondition, Grid, SystemState, init_cell_averages, total_mass
+from ntcentral.core import BoundaryCondition, Grid, init_cell_averages, total_mass
 from ntcentral.errors import ConfigurationError
 from ntcentral.models import make_model
 from ntcentral.schemes import SchemeSpec, Stepper
@@ -119,20 +119,19 @@ def test_state_shape_is_checked(eight_cell_setup):
 def test_periodic_mass_conservation(scheme):
     grid = Grid(-1.0, 1.0, 80)
     model = make_model("arrhenius", eta=0.2)
-    state = init_cell_averages(lambda x: 0.5 + 0.4 * np.sin(np.pi * x), grid)
+    v = init_cell_averages(lambda x: 0.5 + 0.4 * np.sin(np.pi * x), grid)
     stepper = Stepper(model, grid, PER, SchemeSpec(scheme=scheme))
-    v = state.values
-    m0 = total_mass(state, grid)
+    m0 = total_mass(v, grid)
     for _ in range(25):
         v = stepper.step(v, 0.2 * grid.dx)
-    m1 = total_mass(SystemState(v), grid)
+    m1 = total_mass(v, grid)
     np.testing.assert_allclose(m1, m0, rtol=1e-13)
 
 
 def test_multilane_exchange_conserves_combined_mass():
     grid = Grid(-1.0, 1.0, 64)
     model = make_model("multilane", eta=0.5)
-    state = init_cell_averages(
+    v = init_cell_averages(
         [
             lambda x: 0.5 + 0.5 * np.sin(np.pi * x),
             lambda x: 0.25 + 0.25 * np.cos(2 * np.pi * x),
@@ -140,12 +139,11 @@ def test_multilane_exchange_conserves_combined_mass():
         grid,
     )
     stepper = Stepper(model, grid, PER, SchemeSpec(scheme="nt", slope_variant="v2"))
-    v = state.values
-    m0 = total_mass(state, grid).sum()
-    per_species0 = total_mass(state, grid)
+    m0 = total_mass(v, grid).sum()
+    per_species0 = total_mass(v, grid)
     for _ in range(20):
         v = stepper.step(v, 0.045 * grid.dx)
-    m1 = total_mass(SystemState(v), grid)
+    m1 = total_mass(v, grid)
     assert m1.sum() == pytest.approx(m0, rel=1e-13)
     # the lane exchange really moves mass between the species
     assert abs(m1[0] - per_species0[0]) > 1e-6
@@ -238,14 +236,14 @@ def test_sup_norm_growth_is_controlled_under_refinement():
     growth = []
     for n in (80, 160):
         grid = Grid(-1.0, 1.0, n)
-        state = init_cell_averages(lambda x: 0.5 + 0.4 * np.sin(np.pi * x), grid)
-        v = state.values
+        v0 = init_cell_averages(lambda x: 0.5 + 0.4 * np.sin(np.pi * x), grid)
+        v = v0
         dt = 0.2 * grid.dx
         steps = int(round(T / dt))
         stepper = Stepper(model, grid, PER)
         for _ in range(steps):
             v = stepper.step(v, dt)
-        growth.append(np.abs(v).max() / np.abs(state.values).max())
+        growth.append(np.abs(v).max() / np.abs(v0).max())
     for g in growth:
         assert g <= np.exp(0.5 * T)
     assert abs(growth[1] - 1.0) <= abs(growth[0] - 1.0) + 0.01
@@ -300,7 +298,7 @@ def test_periodic_and_zero_closures_agree_on_compact_data(model_name, cells):
     # data that vanishes near both ends sees zeros through either closure, so
     # the torus quadrature and the band-width ghost margin must agree
     grid = Grid(-1.0, 1.0, cells)
-    v = init_cell_averages(_profiles(model_name, _compact_bump), grid).values
+    v = init_cell_averages(_profiles(model_name, _compact_bump), grid)
     for name, model, cfg in _runs(model_name):
         per = Stepper(model, grid, "periodic", cfg).step(v, 0.1 * grid.dx)
         zero = Stepper(model, grid, "zero", cfg).step(v, 0.1 * grid.dx)
@@ -316,7 +314,7 @@ PADS_ON_THE_TORUS = {"nt": 5, "lxf1": 1, "lxf2": 2}
 @pytest.mark.parametrize("model_name", MODELS)
 def test_periodic_step_commutes_with_a_shift(model_name, cells):
     grid = Grid(-1.0, 1.0, cells)
-    v = init_cell_averages(_profiles(model_name, _periodic_wave), grid).values
+    v = init_cell_averages(_profiles(model_name, _periodic_wave), grid)
     for name, model, cfg in _runs(model_name):
         stepper = Stepper(model, grid, PER, cfg)
         assert stepper.margins["pad"] == PADS_ON_THE_TORUS[cfg.scheme]
@@ -408,7 +406,7 @@ V_CALLS_PER_STEP = {"lxf1": 1, "nt-v1": 2, "nt-v2": 2, "lxf2": 2}
 @pytest.mark.parametrize("model_name", MODELS)
 def test_each_distinct_speed_is_evaluated_once_per_flux_evaluation(model_name):
     grid = Grid(-1.0, 1.0, 80)
-    v = init_cell_averages(_profiles(model_name, _periodic_wave), grid).values
+    v = init_cell_averages(_profiles(model_name, _periodic_wave), grid)
     for name, _, cfg in _runs(model_name):
         model = make_model(model_name, eta=0.25)
         calls = {"V": 0, "dV": 0}
