@@ -10,6 +10,7 @@ the same config produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import operator
 import os
@@ -478,6 +479,7 @@ def cmd_list_presets() -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ntcentral",

@@ -791,9 +791,25 @@ def csv_table(header, columns) -> str:
     The shortest round-trip form makes repeated runs byte-identical.
     """
     lines = [",".join(header)]
-    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
-    lines += map(",".join, zip(*cells))
+    lines += map(",".join, zip(*map(_column_text, columns)))
     return "\n".join(lines) + "\n"
+
+
+def _column_text(column):
+    """``repr`` of every entry of ``column``, formatted once per run of equal bits.
+
+    Runs are found on the bits, so -0.0, 0.0 and each NaN keep their own text.
+    A column where at least half the entries start a run is formatted entry by
+    entry, which is cheaper there.
+    """
+    c = np.ascontiguousarray(column, dtype=float)
+    bits = c.view(np.int64)
+    edges = bits[1:] != bits[:-1]  # edges[i]: entry i + 1 starts a run
+    if 2 * (1 + np.count_nonzero(edges)) >= c.size:
+        return map(repr, c.tolist())
+    starts = np.r_[0, np.flatnonzero(edges) + 1]
+    text = np.array([repr(v) for v in c[starts].tolist()], dtype=object)
+    return np.repeat(text, np.diff(starts, append=c.size)).tolist()
 
 
 # ---------------------------------------------------------------------------

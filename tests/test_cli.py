@@ -72,6 +72,21 @@ def test_list_presets(capsys):
     assert "table-arrhenius: arrhenius" in out and "fig-euler: nonlocal-euler" in out
 
 
+def test_a_bad_command_line_leaves_the_next_call_as_it_was(tmp_path, capsys):
+    cfg = write_config(tmp_path, tiny_doc())
+    outputs = []
+    for out in ("first", "second"):
+        assert main(["list-presets"]) == 0
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        snapshot = (tmp_path / out / "arrhenius-nt-v1.csv").read_bytes()
+        outputs.append((capsys.readouterr().out.replace(out, "<out>"), snapshot))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", cfg, "--no-such-flag"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+    assert outputs[1] == outputs[0]
+
+
 def test_a_preset_kind_is_an_unknown_key(tmp_path, capsys):
     doc = load_preset("fig-euler")
     doc["kind"] = "compare"

@@ -752,6 +752,49 @@ def test_snapshot_csv_includes_derived_columns():
     assert first[3] == pytest.approx(first[2] / first[1])
 
 
+def one_repr_per_entry(header, columns):
+    """The reference CSV writer: ``repr`` of every entry, one at a time."""
+    lines = [",".join(header)]
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns]
+    lines += map(",".join, zip(*cells))
+    return "\n".join(lines) + "\n"
+
+
+def _monitor_of_a_flat_state():
+    grid = Grid(0.0, 1.0, 8)
+    log = MonitorLog(grid, "periodic")
+    for t in (0.0, 0.1, 0.2, 0.3, 0.4):
+        log.record(t, np.stack([np.full(8, 0.5), np.full(8, -0.0)]))
+    return log.csv_columns(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "header, columns",
+    [
+        (["x", "y"], [np.empty(0), np.empty(0)]),
+        (["x", "y"], [np.array([0.25]), np.array([-0.0])]),
+        (["z"], [np.array([0.0] * 3 + [-0.0] * 3 + [0.0] * 2 + [-0.0] * 2)]),
+        (["s"], [np.array([np.nan] * 3 + [np.inf] * 3 + [-np.inf] * 3 + [5e-324] * 3)]),
+        (["n"], [np.array([0x7FF8000000000000] * 3 + [0x7FF8000000000001] * 3 + [0]).view(float)]),
+        (["first"], [np.array([1.5] * 5 + [2.0, 3.0])]),
+        (["last"], [np.array([2.0, 3.0] + [1.5] * 5)]),
+        (["distinct"], [np.linspace(0.0, 1.0, 7)]),
+        _monitor_of_a_flat_state(),
+    ],
+    ids=["no-rows", "one-row", "signed-zeros", "non-finite", "nan-payloads", "run-first",
+         "run-last", "distinct", "monitor"],
+)
+def test_csv_table_writes_what_one_repr_per_entry_writes(header, columns):
+    assert csv_table(header, columns) == one_repr_per_entry(header, columns)
+
+
+def test_csv_table_mixes_both_paths_in_one_table():
+    header, columns = _monitor_of_a_flat_state()
+    assert not columns[1].flags.c_contiguous  # a strided view of the monitor's table
+    kinds = {type(harness._column_text(c)) for c in columns}
+    assert kinds == {map, list}  # t is formatted entry by entry, the flat columns by runs
+
+
 # -- spec-level solution properties ---------------------------------------------------
 
 
