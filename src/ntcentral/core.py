@@ -213,17 +213,39 @@ def init_cell_averages(
 
 def total_mass(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Per-species integral of the piecewise-constant solution."""
-    return grid.dx * values.sum(axis=1)
+    return mass_of_sums(values.sum(axis=1), grid.dx)
 
 
-def total_variation(values: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Per-species total variation of the cell averages.
+def mass_of_sums(sums: np.ndarray, dx: float) -> np.ndarray:
+    """Masses from per-species sums of the cell averages, of any shape."""
+    return dx * sums
+
+
+def interior_variation(
+    values: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Per-species sum of |v[j+1] - v[j]| over neighbouring cells, into ``out``.
+
+    ``scratch``, of shape (species, cells - 1), holds the differences when given.
+    """
+    diff = np.subtract(values[:, 1:], values[:, :-1], out=scratch)
+    return np.abs(diff, out=diff).sum(axis=1, out=out)
+
+
+def variation_of_parts(
+    interior: np.ndarray, first: np.ndarray, last: np.ndarray, bc: BoundaryCondition
+) -> np.ndarray:
+    """Total variation from :func:`interior_variation` and the end cells, of any shape.
 
     Periodic runs include the wrap-around difference; the one-sided closures
     only count interior differences (a constant or zero extension adds no
     variation of its own at a flat boundary region).
     """
-    tv = np.abs(np.diff(values, axis=1)).sum(axis=1)
     if bc is BoundaryCondition.PERIODIC:
-        tv = tv + np.abs(values[:, 0] - values[:, -1])
-    return tv
+        return interior + np.abs(first - last)
+    return interior
+
+
+def total_variation(values: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
+    """Per-species total variation of the cell averages (see :func:`variation_of_parts`)."""
+    return variation_of_parts(interior_variation(values), values[:, 0], values[:, -1], bc)

@@ -29,9 +29,10 @@ from .core import (
     Grid,
     SystemState,
     init_cell_averages,
+    interior_variation,
+    mass_of_sums,
     max_stable_dt,
-    total_mass,
-    total_variation,
+    variation_of_parts,
 )
 from .errors import (
     CflViolationError,
@@ -268,12 +269,29 @@ class Experiment:
 # ---------------------------------------------------------------------------
 
 
-def _box(rows: np.ndarray) -> np.ndarray:
-    """[min, max] of every row, shape (rows, 2)."""
-    box = np.empty((rows.shape[0], 2))
-    rows.min(axis=1, out=box[:, 0])
-    rows.max(axis=1, out=box[:, 1])
+def _box(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """[min, max] of every row, shape (rows, 2), taken into ``out`` when given."""
+    box = np.empty((rows.shape[0], 2)) if out is None else out
+    np.minimum.reduce(rows, 1, None, box[:, 0])
+    np.maximum.reduce(rows, 1, None, box[:, 1])
     return box
+
+
+@functools.lru_cache(maxsize=64)
+def _box_plan(sources: tuple, species: int, rho_min, rho_max) -> tuple:
+    """What :func:`bound_boxes` reads of a model, found once per model shape.
+
+    The state-box rows that make up the stacked (state; nonlocal) box, every
+    species and then each nonlocal source (None when a source is a derived
+    field), then the lower and upper clamps of the state box as (species, 2)
+    arrays whose other column is -inf or inf (None without a bound).
+    """
+    rows = None
+    if not any(isinstance(src, DerivedFieldHook) for src in sources):
+        rows = np.array([*range(species), *sources], dtype=np.intp)
+    floor = None if rho_min is None else np.array([[rho_min, -np.inf]] * species)
+    ceiling = None if rho_max is None else np.array([[np.inf, rho_max]] * species)
+    return rows, floor, ceiling
 
 
 def bound_boxes(
@@ -290,26 +308,35 @@ def bound_boxes(
     state box is clamped to [rho_min, rho_max], and a derived field's row is
     the range of ``hook.value``.  ``box`` is the unwidened per-species
     [min, max] of ``values`` when the caller has already taken it; it is
-    read, never changed.
+    read, never changed.  The two boxes are the two parts of one new array.
     """
-    sbox = _box(values) if box is None else box.copy()
-    nbox = np.empty((model.n_nonlocal, 2))
-    for l, src in enumerate(model.nonlocal_sources):
-        if isinstance(src, DerivedFieldHook):
-            u = src.value(values)
-            nbox[l] = u.min(), u.max()
-        else:
-            nbox[l] = sbox[src]
+    species = model.n_species
+    rows, floor, ceiling = _box_plan(
+        tuple(model.nonlocal_sources), species, model.rho_min, model.rho_max
+    )
+    if box is None:
+        box = _box(values)
+    if rows is not None:
+        boxes = box.take(rows, axis=0)
+    else:
+        boxes = np.empty((species + model.n_nonlocal, 2))
+        boxes[:species] = box
+        for l, src in enumerate(model.nonlocal_sources, species):
+            if isinstance(src, DerivedFieldHook):
+                u = src.value(values)
+                boxes[l] = np.minimum.reduce(u, None), np.maximum.reduce(u, None)
+            else:
+                boxes[l] = box[src]
     if widen:
-        for b in (sbox, nbox):
-            pad = widen * (b[:, 1] - b[:, 0])
-            b[:, 0] -= pad
-            b[:, 1] += pad
-    if model.rho_min is not None:
-        np.maximum(sbox[:, 0], model.rho_min, out=sbox[:, 0])
-    if model.rho_max is not None:
-        np.minimum(sbox[:, 1], model.rho_max, out=sbox[:, 1])
-    return sbox, nbox
+        pad = widen * (boxes[:, 1] - boxes[:, 0])
+        boxes[:, 0] -= pad
+        boxes[:, 1] += pad
+    sbox = boxes[:species]
+    if floor is not None:
+        np.maximum(sbox, floor, out=sbox)
+    if ceiling is not None:
+        np.minimum(sbox, ceiling, out=sbox)
+    return sbox, boxes[species:]
 
 
 def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
@@ -366,15 +393,42 @@ def flux_speed_estimate(
 class MonitorLog:
     """Append-only per-step record of conserved and bounded quantities.
 
-    The record is one table with a row per recorded state, in the column
-    order of the monitor CSV: ``t``, then ``mass``, ``min``, ``max`` and
-    ``tv`` of each species in turn.
+    Each record writes its time, and each species' cell sum, [min, max]
+    box, summed absolute differences of neighbouring cells
+    (:func:`core.interior_variation`) and end cells, into one array per
+    quantity with a row per record.  ``dx`` and the periodic wrap-around
+    term are applied once, when the table is read (:func:`core.mass_of_sums`,
+    :func:`core.variation_of_parts`).  The table has a row per recorded
+    state, in the column order of the monitor CSV: ``t``, then ``mass``,
+    ``min``, ``max`` and ``tv`` of each species in turn.
     """
+
+    _FIRST_ROWS = 64
 
     def __init__(self, grid: Grid, bc: "str | BoundaryCondition"):
         self.grid = grid
         self.bc = BoundaryCondition.parse(bc)
-        self._rows: list[np.ndarray] = []
+        self._count = 0
+
+    def _start(self, values: np.ndarray):
+        """Size the arrays for states of ``values``' shape."""
+        species, cells = self._shape = values.shape
+        rows = self._FIRST_ROWS
+        self._times = np.empty(rows)
+        self._sums = np.empty((rows, species))
+        self._boxes = np.empty((rows, species, 2))
+        self._interior = np.empty((rows, species))
+        self._ends = np.empty((rows, species, 2))
+        self._diff = np.empty((species, max(cells - 1, 0)))
+        # columns 0 and cells - 1; a 1-cell state's one column is both
+        self._end_stride = max(cells - 1, 1)
+
+    def _grow(self):
+        for name in ("_times", "_sums", "_boxes", "_interior", "_ends"):
+            old = getattr(self, name)
+            new = np.empty((2 * len(old),) + old.shape[1:])
+            new[: len(old)] = old
+            setattr(self, name, new)
 
     def record(self, t: float, values: np.ndarray, box: np.ndarray | None = None):
         """Append the state at time ``t``.
@@ -383,25 +437,44 @@ class MonitorLog:
         when the caller has already taken it, as :func:`run_simulation` does
         once per step; the log copies it into its ``min`` and ``max`` columns.
         """
-        if self._rows and not t > self._rows[-1][0]:
+        k = self._count
+        if not k:
+            self._start(values)
+        elif not t > self._last:
+            raise InputDataError(f"monitor timestamps must increase: {t} after {self._last}")
+        if values.shape != self._shape:
             raise InputDataError(
-                f"monitor timestamps must increase: {t} after {self._rows[-1][0]}"
+                f"monitor states must keep one shape: {values.shape} after {self._shape}"
             )
+        if k == len(self._times):
+            self._grow()
+        self._times[k] = t
+        values.sum(axis=1, out=self._sums[k])
         if box is None:
-            box = _box(values)
-        row = np.empty(1 + 4 * len(values))
-        row[0] = t
-        per_species = row[1:].reshape(len(values), 4)
-        per_species[:, 0] = total_mass(values, self.grid)
-        per_species[:, 1:3] = box
-        per_species[:, 3] = total_variation(values, self.bc)
-        self._rows.append(row)
+            _box(values, self._boxes[k])
+        else:
+            self._boxes[k] = box
+        interior_variation(values, self._interior[k], self._diff)
+        self._ends[k] = values[:, :: self._end_stride]
+        self._last = t
+        self._count = k + 1
 
-    def _table(self) -> np.ndarray:
-        """Every recorded row, shape (records, 1 + 4 * species)."""
-        if not self._rows:
-            return np.empty((0, 1))
-        return np.array(self._rows)
+    def _table(self, species: int = 0) -> np.ndarray:
+        """Every recorded row, shape (records, 1 + 4 * species); ``species``
+        sizes the table of an empty log."""
+        k = self._count
+        if not k:
+            return np.empty((0, 1 + 4 * species))
+        table = np.empty((k, 1 + 4 * self._shape[0]))
+        table[:, 0] = self._times[:k]
+        per_species = table[:, 1:].reshape(k, self._shape[0], 4)
+        per_species[..., 0] = mass_of_sums(self._sums[:k], self.grid.dx)
+        per_species[..., 1:3] = self._boxes[:k]
+        ends = self._ends[:k]
+        per_species[..., 3] = variation_of_parts(
+            self._interior[:k], ends[..., 0], ends[..., 1], self.bc
+        )
+        return table
 
     @property
     def times(self) -> np.ndarray:
@@ -425,6 +498,8 @@ class MonitorLog:
 
     def relative_mass_drift(self) -> float:
         """Worst relative change of any species mass over the record."""
+        if not self._count:
+            raise InputDataError("the monitor log is empty: no state was recorded")
         mass = self.mass
         ref = np.abs(mass[0])
         scale = np.maximum(ref, 1e-300)
@@ -434,7 +509,7 @@ class MonitorLog:
         """(header, columns) of the monitor CSV; ``species`` names the table's species."""
         names = ("mass", "min", "max", "tv")
         header = ["t"] + [f"{name}:{sp}" for sp in species for name in names]
-        return header, list(self._table().T)
+        return header, list(self._table(len(species)).T)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +547,12 @@ def run_simulation(
     """Advance one (scheme, level) pair from t=0 to t_final.
 
     Returns ``(SystemState, MonitorLog)``; the log is empty when ``record``
-    is off.  Each new state's per-species [min, max] box is taken once and
-    read three times: a non-finite state aborts with the step index (NaN
-    propagates through min and max, and an infinity is a min or a max), the
-    per-step CFL monitor (:func:`flux_speed_estimate`) warns once per run or
-    raises in strict mode, and the log records it as ``min``/``max``.
+    is off.  Each new state's per-species [min, max] box is taken once, into
+    one buffer of the run, and read three times: a non-finite state aborts
+    with the step index (NaN propagates through min, max and the box's sum,
+    and an infinity is a min or a max), the per-step CFL monitor
+    (:func:`flux_speed_estimate`) warns once per run or raises in strict
+    mode, and the log records it as ``min``/``max``.
     """
     model = exp.build_model()
     grid = exp.grid_at(level)
@@ -486,15 +562,17 @@ def run_simulation(
 
     limit = CFL_LIMIT  # the stability bound itself, not the safety-scaled target
     v = init_cell_averages(exp.profiles(), grid)
+    box = np.empty((model.n_species, 2))  # every state's box, taken into this one buffer
     monitor = MonitorLog(grid, exp.bc)
     if record:
-        monitor.record(0.0, v)
+        monitor.record(0.0, v, _box(v, box))
 
     warned = False
     for i, (dt, t) in enumerate(_time_steps(exp.t_final, lam * grid.dx)):
         v = stepper.step(v, dt)
-        box = _box(v)
-        if not np.isfinite(box).all():
+        _box(v, box)
+        # a finite sum proves every entry finite; the entries are read only when it is not
+        if not math.isfinite(sum(box.ravel().tolist())) and not np.isfinite(box).all():
             raise NumericsError(
                 f"non-finite state after step {i + 1} (t={t:.6g})", step=i + 1
             )

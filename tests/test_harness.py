@@ -18,6 +18,7 @@ from ntcentral.core import (
     BoundaryCondition,
     Grid,
     init_cell_averages,
+    total_mass,
     total_variation,
 )
 from ntcentral.errors import (
@@ -439,6 +440,51 @@ def test_monitor_log_requires_increasing_times():
         log.record(0.5, np.ones((1, 4)))
     assert len(log.times) == 2
     assert log.relative_mass_drift() == 0.0
+
+
+def test_an_unrecorded_run_returns_an_empty_log():
+    _, log = run_simulation(small_experiment(), 0, record=False)
+    header, columns = log.csv_columns(["rho"])
+    assert header == ["t", "mass:rho", "min:rho", "max:rho", "tv:rho"]
+    assert [len(c) for c in columns] == [0] * 5
+    header, columns = log.csv_columns(["a", "b"])
+    assert len(header) == len(columns) == 9 and all(len(c) == 0 for c in columns)
+    with pytest.raises(InputDataError, match="monitor log is empty"):
+        log.relative_mass_drift()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("bc", [bc.value for bc in BoundaryCondition])
+@pytest.mark.parametrize("species, cells", [(1, 1), (2, 1), (1, 2), (2, 2), (2, 7), (1, 1100), (2, 3000)])
+def test_monitor_log_is_the_core_diagnostics_bit_for_bit(rng, bc, species, cells):
+    # 300 records pass the log's first capacity, and the log is read halfway.
+    # Grid needs 4 cells; the log reads only its dx, so any state width works.
+    grid = Grid(0.0, 1.0, 4)
+    log = MonitorLog(grid, bc)
+    states = []
+    for k in range(300):
+        v = rng.normal(size=(species, cells)) * 10.0 ** rng.integers(-3, 4)
+        v[rng.random(v.shape) < 0.3] = 0.0
+        v[rng.random(v.shape) < 0.3] = -0.0
+        if k % 7 == 0:
+            v[:] = -0.0  # an all-negative-zero state
+        states.append(v)
+        log.record(0.01 * k, v, None if k % 2 else np.stack([v.min(axis=1), v.max(axis=1)], 1))
+        if k == 150:
+            assert len(log.times) == 151
+    bc_enum = BoundaryCondition.parse(bc)
+    want = {
+        "mass": [total_mass(v, grid) for v in states],
+        "vmin": [v.min(axis=1) for v in states],
+        "vmax": [v.max(axis=1) for v in states],
+        "tv": [total_variation(v, bc_enum) for v in states],
+    }
+    for name, rows in want.items():
+        np.testing.assert_array_equal(_bits(getattr(log, name)), _bits(rows), err_msg=name)
+    np.testing.assert_array_equal(log.times, 0.01 * np.arange(300))
 
 
 # -- simulation runs --------------------------------------------------------------

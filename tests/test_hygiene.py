@@ -239,6 +239,8 @@ TRACED_LAYERS = [
     (schemes, "nonstaggered_projection"),
     (harness, "flux_speed_estimate"),
 ]
+# and these class attributes, once per step and once per recorded state
+TRACED_METHODS = [(harness.MonitorLog, "record"), (Stepper, "step")]
 
 
 # correlate_band calls per step, whatever the number of nonlocal fields: one
@@ -257,7 +259,7 @@ def test_traced_layers_are_called_through_their_module_attributes(monkeypatch):
 
         return wrapper
 
-    for owner, attr in TRACED_LAYERS:
+    for owner, attr in TRACED_LAYERS + TRACED_METHODS:
         calls[attr] = 0
         monkeypatch.setattr(owner, attr, counted(attr, getattr(owner, attr)))
     for model, data in (("arrhenius", "arrhenius-sine"), ("multilane", "multilane-sine")):
@@ -284,8 +286,13 @@ def test_traced_layers_are_called_through_their_module_attributes(monkeypatch):
                 key = (model, bc, name)
                 assert calls["correlate_band"] == QUADRATURES_PER_STEP[name], key
                 assert calls["flux_speed_estimate"] == 1, key
+                assert (calls["step"], calls["record"]) == (1, 0), key
                 if name.startswith("nt"):
-                    assert {a: n for a, n in calls.items() if n < 1} == {}, key
+                    assert {a: n for a, n in calls.items() if n < 1 and a != "record"} == {}, key
+                calls.update(dict.fromkeys(calls, 0))
+                run_simulation(exp, 0, record=True)  # the initial state and the step's
+                assert (calls["step"], calls["record"]) == (1, 2), key
+                assert calls["flux_speed_estimate"] == 1, key
 
 
 def _count_nt_v2_step(monkeypatch, bc: str):
