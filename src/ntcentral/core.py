@@ -226,20 +226,29 @@ def interior_variation(
 ) -> np.ndarray:
     """Per-species sum of |v[j+1] - v[j]| over neighbouring cells, into ``out``.
 
-    ``scratch``, of shape (species, cells - 1), holds the differences when given.
+    The differences are taken over the flattened state in one pass, into
+    ``scratch`` (a C-contiguous array of ``values``' shape) when given; the
+    last column, which holds the differences across species, is not summed.
     """
-    diff = np.subtract(values[:, 1:], values[:, :-1], out=scratch)
-    return np.abs(diff, out=diff).sum(axis=1, out=out)
+    if scratch is None:
+        scratch = np.empty(values.shape)
+    flat, diff = values.reshape(-1), scratch.reshape(-1)
+    np.subtract(flat[1:], flat[:-1], diff[:-1])
+    np.abs(diff, diff)
+    return np.add.reduce(scratch[:, :-1], 1, None, out)
 
 
 def variation_of_parts(
-    interior: np.ndarray, first: np.ndarray, last: np.ndarray, bc: BoundaryCondition
+    interior: np.ndarray,
+    first: np.ndarray | None,
+    last: np.ndarray | None,
+    bc: BoundaryCondition,
 ) -> np.ndarray:
     """Total variation from :func:`interior_variation` and the end cells, of any shape.
 
     Periodic runs include the wrap-around difference; the one-sided closures
     only count interior differences (a constant or zero extension adds no
-    variation of its own at a flat boundary region).
+    variation of its own at a flat boundary region), so they read no end cells.
     """
     if bc is BoundaryCondition.PERIODIC:
         return interior + np.abs(first - last)

@@ -281,17 +281,26 @@ def _box(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def _box_plan(sources: tuple, species: int, rho_min, rho_max) -> tuple:
     """What :func:`bound_boxes` reads of a model, found once per model shape.
 
-    The state-box rows that make up the stacked (state; nonlocal) box, every
-    species and then each nonlocal source (None when a source is a derived
-    field), then the lower and upper clamps of the state box as (species, 2)
-    arrays whose other column is -inf or inf (None without a bound).
+    The rows of the state box that make up the nonlocal box (a slice when
+    the sources are consecutive species, an index array otherwise, None when
+    a source is a derived field), then the lower and upper clamps of the
+    state box as (species, 2) arrays whose other column is -inf or inf (None
+    without a bound).
     """
     rows = None
     if not any(isinstance(src, DerivedFieldHook) for src in sources):
-        rows = np.array([*range(species), *sources], dtype=np.intp)
+        first = sources[0] if sources else 0
+        consecutive = sources == tuple(range(first, first + len(sources)))
+        rows = slice(first, first + len(sources)) if consecutive else np.array(sources, np.intp)
     floor = None if rho_min is None else np.array([[rho_min, -np.inf]] * species)
     ceiling = None if rho_max is None else np.array([[np.inf, rho_max]] * species)
     return rows, floor, ceiling
+
+
+def _widened(box: np.ndarray, widen: float) -> np.ndarray:
+    """A new box with each side of every [lo, hi] moved out by ``widen`` times its width."""
+    pad = widen * (box[:, 1:] - box[:, :1])
+    return box + pad * np.array([-1.0, 1.0])
 
 
 def bound_boxes(
@@ -307,36 +316,34 @@ def bound_boxes(
     integrand, so a species' nonlocal row is its state row, taken before the
     state box is clamped to [rho_min, rho_max], and a derived field's row is
     the range of ``hook.value``.  ``box`` is the unwidened per-species
-    [min, max] of ``values`` when the caller has already taken it; it is
-    read, never changed.  The two boxes are the two parts of one new array.
+    [min, max] of ``values`` when the caller has already taken it.  Without
+    widening or a clamp, the returned boxes are ``box`` and rows of it, so
+    neither the caller nor the reader may change them.
     """
-    species = model.n_species
     rows, floor, ceiling = _box_plan(
-        tuple(model.nonlocal_sources), species, model.rho_min, model.rho_max
+        tuple(model.nonlocal_sources), model.n_species, model.rho_min, model.rho_max
     )
     if box is None:
         box = _box(values)
     if rows is not None:
-        boxes = box.take(rows, axis=0)
+        nbox = box[rows]
     else:
-        boxes = np.empty((species + model.n_nonlocal, 2))
-        boxes[:species] = box
-        for l, src in enumerate(model.nonlocal_sources, species):
+        nbox = np.empty((model.n_nonlocal, 2))
+        for l, src in enumerate(model.nonlocal_sources):
             if isinstance(src, DerivedFieldHook):
                 u = src.value(values)
-                boxes[l] = np.minimum.reduce(u, None), np.maximum.reduce(u, None)
+                nbox[l, 0] = np.minimum.reduce(u, None)
+                nbox[l, 1] = np.maximum.reduce(u, None)
             else:
-                boxes[l] = box[src]
+                nbox[l] = box[src]
+    sbox = box
     if widen:
-        pad = widen * (boxes[:, 1] - boxes[:, 0])
-        boxes[:, 0] -= pad
-        boxes[:, 1] += pad
-    sbox = boxes[:species]
+        sbox, nbox = _widened(sbox, widen), _widened(nbox, widen)
     if floor is not None:
-        np.maximum(sbox, floor, out=sbox)
+        sbox = np.maximum(sbox, floor)
     if ceiling is not None:
-        np.minimum(sbox, ceiling, out=sbox)
-    return sbox, boxes[species:]
+        sbox = np.minimum(sbox, ceiling)
+    return sbox, nbox
 
 
 def resolve_time_ratio(exp: Experiment, model: ModelDef | None = None) -> float:
@@ -395,10 +402,10 @@ class MonitorLog:
 
     Each record writes its time, and each species' cell sum, [min, max]
     box, summed absolute differences of neighbouring cells
-    (:func:`core.interior_variation`) and end cells, into one array per
-    quantity with a row per record.  ``dx`` and the periodic wrap-around
-    term are applied once, when the table is read (:func:`core.mass_of_sums`,
-    :func:`core.variation_of_parts`).  The table has a row per recorded
+    (:func:`core.interior_variation`) and, on the torus, end cells, into one
+    array per quantity with a row per record.  ``dx`` and the periodic
+    wrap-around term are applied once, when the table is read
+    (:func:`core.mass_of_sums`, :func:`core.variation_of_parts`).  The table has a row per recorded
     state, in the column order of the monitor CSV: ``t``, then ``mass``,
     ``min``, ``max`` and ``tv`` of each species in turn.
     """
@@ -418,17 +425,21 @@ class MonitorLog:
         self._sums = np.empty((rows, species))
         self._boxes = np.empty((rows, species, 2))
         self._interior = np.empty((rows, species))
-        self._ends = np.empty((rows, species, 2))
-        self._diff = np.empty((species, max(cells - 1, 0)))
+        self._diff = np.empty((species, cells))
+        # only the wrap-around difference reads the end cells
+        self._ends = None
+        if self.bc is BoundaryCondition.PERIODIC:
+            self._ends = np.empty((rows, species, 2))
         # columns 0 and cells - 1; a 1-cell state's one column is both
         self._end_stride = max(cells - 1, 1)
 
     def _grow(self):
         for name in ("_times", "_sums", "_boxes", "_interior", "_ends"):
             old = getattr(self, name)
-            new = np.empty((2 * len(old),) + old.shape[1:])
-            new[: len(old)] = old
-            setattr(self, name, new)
+            if old is not None:
+                new = np.empty((2 * len(old),) + old.shape[1:])
+                new[: len(old)] = old
+                setattr(self, name, new)
 
     def record(self, t: float, values: np.ndarray, box: np.ndarray | None = None):
         """Append the state at time ``t``.
@@ -449,13 +460,14 @@ class MonitorLog:
         if k == len(self._times):
             self._grow()
         self._times[k] = t
-        values.sum(axis=1, out=self._sums[k])
+        np.add.reduce(values, 1, None, self._sums[k])
         if box is None:
             _box(values, self._boxes[k])
         else:
             self._boxes[k] = box
         interior_variation(values, self._interior[k], self._diff)
-        self._ends[k] = values[:, :: self._end_stride]
+        if self._ends is not None:
+            self._ends[k] = values[:, :: self._end_stride]
         self._last = t
         self._count = k + 1
 
@@ -470,10 +482,10 @@ class MonitorLog:
         per_species = table[:, 1:].reshape(k, self._shape[0], 4)
         per_species[..., 0] = mass_of_sums(self._sums[:k], self.grid.dx)
         per_species[..., 1:3] = self._boxes[:k]
-        ends = self._ends[:k]
-        per_species[..., 3] = variation_of_parts(
-            self._interior[:k], ends[..., 0], ends[..., 1], self.bc
-        )
+        first = last = None
+        if self._ends is not None:
+            first, last = self._ends[:k, :, 0], self._ends[:k, :, 1]
+        per_species[..., 3] = variation_of_parts(self._interior[:k], first, last, self.bc)
         return table
 
     @property
@@ -550,9 +562,10 @@ def run_simulation(
     is off.  Each new state's per-species [min, max] box is taken once, into
     one buffer of the run, and read three times: a non-finite state aborts
     with the step index (NaN propagates through min, max and the box's sum,
-    and an infinity is a min or a max), the per-step CFL monitor
+    and an infinity is a min or a max), the log records it as
+    ``min``/``max``, and then the per-step CFL monitor
     (:func:`flux_speed_estimate`) warns once per run or raises in strict
-    mode, and the log records it as ``min``/``max``.
+    mode.
     """
     model = exp.build_model()
     grid = exp.grid_at(level)
@@ -576,6 +589,8 @@ def run_simulation(
             raise NumericsError(
                 f"non-finite state after step {i + 1} (t={t:.6g})", step=i + 1
             )
+        if record:
+            monitor.record(t, v, box)
         speed = flux_speed_estimate(model, v, box)
         if lam * speed > limit * (1.0 + 1e-9):
             message = (
@@ -588,8 +603,6 @@ def run_simulation(
             if not warned:
                 warnings.warn(message, RuntimeWarning, stacklevel=2)
                 warned = True
-        if record:
-            monitor.record(t, v, box)
     return SystemState(v, exp.t_final), monitor
 
 

@@ -254,6 +254,56 @@ def test_nonlocal_bounds_cover_derived_quantities():
     assert box[0, 0] < v.min() and box[0, 1] > v.max()
 
 
+def bound_boxes_row_by_row(model, values, widen):
+    """The per-source loop that ``bound_boxes`` replaced, kept as its reference."""
+    sbox = np.stack([values.min(axis=1), values.max(axis=1)], axis=1)
+    nbox = np.empty((model.n_nonlocal, 2))
+    for l, src in enumerate(model.nonlocal_sources):
+        if isinstance(src, DerivedFieldHook):
+            u = src.value(values)
+            nbox[l] = u.min(), u.max()
+        else:
+            nbox[l] = sbox[src]
+    for b in (sbox, nbox):
+        pad = widen * (b[:, 1] - b[:, 0])
+        b[:, 0] -= pad
+        b[:, 1] += pad
+    if model.rho_min is not None:
+        np.maximum(sbox[:, 0], model.rho_min, out=sbox[:, 0])
+    if model.rho_max is not None:
+        np.minimum(sbox[:, 1], model.rho_max, out=sbox[:, 1])
+    return sbox, nbox
+
+
+@pytest.mark.parametrize("widen", [0.0, 0.1])
+@pytest.mark.parametrize(
+    "name, sources",
+    [
+        ("arrhenius", None),  # one species, clamped on both sides
+        ("nonlocal-euler", None),  # one source, not the first species
+        ("garz", None),  # a derived field
+        ("multilane", None),  # consecutive sources, clamped
+        ("multilane", (1, 0)),  # sources out of order
+        ("multilane", (1, 1)),  # one species convolved twice
+    ],
+)
+def test_bound_boxes_are_the_row_by_row_boxes_bit_for_bit(rng, name, sources, widen):
+    model = make_model(name)
+    if sources is not None:
+        model = dataclasses.replace(model, nonlocal_sources=sources)
+    for _ in range(20):
+        values = rng.uniform(-0.5, 1.5, size=(model.n_species, 9))
+        values[rng.random(values.shape) < 0.3] = -0.0
+        want = bound_boxes_row_by_row(model, values, widen)
+        box = harness._box(values)
+        given = box.copy()
+        for got in (bound_boxes(model, values, widen), bound_boxes(model, values, widen, box)):
+            for g, w in zip(got, want):
+                assert g.shape == w.shape
+                np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+        np.testing.assert_array_equal(box.view(np.int64), given.view(np.int64))
+
+
 def test_resolve_time_ratio_explicit_and_derived():
     assert resolve_time_ratio(small_experiment()) == 0.2
     exp = small_experiment(time_ratio=None)
