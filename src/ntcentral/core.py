@@ -213,12 +213,7 @@ def init_cell_averages(
 
 def total_mass(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Per-species integral of the piecewise-constant solution."""
-    return mass_of_sums(values.sum(axis=1), grid.dx)
-
-
-def mass_of_sums(sums: np.ndarray, dx: float) -> np.ndarray:
-    """Masses from per-species sums of the cell averages, of any shape."""
-    return dx * sums
+    return grid.dx * values.sum(axis=1)
 
 
 def interior_variation(

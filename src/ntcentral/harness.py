@@ -30,7 +30,6 @@ from .core import (
     SystemState,
     init_cell_averages,
     interior_variation,
-    mass_of_sums,
     max_stable_dt,
     variation_of_parts,
 )
@@ -42,7 +41,7 @@ from .errors import (
     NumericsError,
 )
 from .limiters import NO_CLIP, ClipConfig
-from .models import DerivedFieldHook, ModelDef, make_model
+from .models import ModelDef, make_model
 from .schemes import SchemeSpec, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
@@ -277,26 +276,6 @@ def _box(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return box
 
 
-@functools.lru_cache(maxsize=64)
-def _box_plan(sources: tuple, species: int, rho_min, rho_max) -> tuple:
-    """What :func:`bound_boxes` reads of a model, found once per model shape.
-
-    The rows of the state box that make up the nonlocal box (a slice when
-    the sources are consecutive species, an index array otherwise, None when
-    a source is a derived field), then the lower and upper clamps of the
-    state box as (species, 2) arrays whose other column is -inf or inf (None
-    without a bound).
-    """
-    rows = None
-    if not any(isinstance(src, DerivedFieldHook) for src in sources):
-        first = sources[0] if sources else 0
-        consecutive = sources == tuple(range(first, first + len(sources)))
-        rows = slice(first, first + len(sources)) if consecutive else np.array(sources, np.intp)
-    floor = None if rho_min is None else np.array([[rho_min, -np.inf]] * species)
-    ceiling = None if rho_max is None else np.array([[np.inf, rho_max]] * species)
-    return rows, floor, ceiling
-
-
 def _widened(box: np.ndarray, widen: float) -> np.ndarray:
     """A new box with each side of every [lo, hi] moved out by ``widen`` times its width."""
     pad = widen * (box[:, 1:] - box[:, :1])
@@ -320,25 +299,17 @@ def bound_boxes(
     widening or a clamp, the returned boxes are ``box`` and rows of it, so
     neither the caller nor the reader may change them.
     """
-    rows, floor, ceiling = _box_plan(
-        tuple(model.nonlocal_sources), model.n_species, model.rho_min, model.rho_max
-    )
     if box is None:
         box = _box(values)
+    rows = model.source_rows
     if rows is not None:
         nbox = box[rows]
     else:
-        nbox = np.empty((model.n_nonlocal, 2))
-        for l, src in enumerate(model.nonlocal_sources):
-            if isinstance(src, DerivedFieldHook):
-                u = src.value(values)
-                nbox[l, 0] = np.minimum.reduce(u, None)
-                nbox[l, 1] = np.maximum.reduce(u, None)
-            else:
-                nbox[l] = box[src]
+        nbox = _box(model.source_stack(values, lambda hook, i: hook.value(values)))
     sbox = box
     if widen:
         sbox, nbox = _widened(sbox, widen), _widened(nbox, widen)
+    floor, ceiling = model.box_clamps
     if floor is not None:
         sbox = np.maximum(sbox, floor)
     if ceiling is not None:
@@ -404,10 +375,10 @@ class MonitorLog:
     box, summed absolute differences of neighbouring cells
     (:func:`core.interior_variation`) and, on the torus, end cells, into one
     array per quantity with a row per record.  ``dx`` and the periodic
-    wrap-around term are applied once, when the table is read
-    (:func:`core.mass_of_sums`, :func:`core.variation_of_parts`).  The table has a row per recorded
-    state, in the column order of the monitor CSV: ``t``, then ``mass``,
-    ``min``, ``max`` and ``tv`` of each species in turn.
+    wrap-around term (:func:`core.variation_of_parts`) are applied once, when
+    the table is read.  The table has a row per recorded state, in the
+    column order of the monitor CSV: ``t``, then ``mass``, ``min``, ``max``
+    and ``tv`` of each species in turn.
     """
 
     _FIRST_ROWS = 64
@@ -480,7 +451,7 @@ class MonitorLog:
         table = np.empty((k, 1 + 4 * self._shape[0]))
         table[:, 0] = self._times[:k]
         per_species = table[:, 1:].reshape(k, self._shape[0], 4)
-        per_species[..., 0] = mass_of_sums(self._sums[:k], self.grid.dx)
+        per_species[..., 0] = self.grid.dx * self._sums[:k]
         per_species[..., 1:3] = self._boxes[:k]
         first = last = None
         if self._ends is not None:
@@ -648,7 +619,6 @@ def _reference_spec(model: ModelDef) -> SchemeSpec:
 def compute_reference(
     exp: Experiment,
     time_ratio: float | None = None,
-    use_cache: bool = True,
 ) -> np.ndarray:
     """Cell averages of the fine reference run, cached on disk."""
     model = exp.build_model()
@@ -662,7 +632,7 @@ def compute_reference(
     key = _tagged_digest(key_doc)
     path = os.path.join(cache_directory(), f"ref-{key}.npy")
     expected = (model.n_species, exp.cells_at(exp.reference_level))
-    if use_cache and os.path.exists(path):
+    if os.path.exists(path):
         try:
             values = np.load(path, allow_pickle=False)
             if values.shape == expected:
@@ -672,13 +642,12 @@ def compute_reference(
     state, _ = run_simulation(
         exp, exp.reference_level, spec, record=False, time_ratio=lam
     )
-    if use_cache:
-        npy = io.BytesIO()
-        np.save(npy, state.values)
-        try:
-            _atomic_write(path, npy.getvalue())
-        except OSError:
-            pass  # a failed cache write is not fatal: the reference is still returned
+    npy = io.BytesIO()
+    np.save(npy, state.values)
+    try:
+        _atomic_write(path, npy.getvalue())
+    except OSError:
+        pass  # a failed cache write is not fatal: the reference is still returned
     return state.values
 
 
@@ -811,7 +780,6 @@ def _warn_again(caught: list):
 
 def convergence_study(
     exp: Experiment,
-    use_cache: bool = True,
     strict_cfl: bool = False,
 ) -> ConvergenceReport:
     """Errors and observed orders of every scheme against the fine reference.
@@ -828,7 +796,7 @@ def convergence_study(
     model = exp.build_model()
     lam = resolve_time_ratio(exp, model)
     tasks = [(exp, n, spec, strict_cfl, lam) for spec in exp.schemes for n in exp.levels]
-    reference, outcomes = _study_runs(tasks, lambda: compute_reference(exp, lam, use_cache))
+    reference, outcomes = _study_runs(tasks, lambda: compute_reference(exp, lam))
 
     rows: dict[str, list] = {spec.name: [] for spec in exp.schemes}
     runtimes = {}

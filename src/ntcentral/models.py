@@ -12,7 +12,14 @@ F_k = g_k(rho^k) * V_k(R) of the paper, as callables over the stacked state
 and ``dV(R, dR)``, the derivative of V along dR = d_x R for the product-rule
 slope variant v2, or ``None`` where V is not smooth (v1 only).  A definition
 also carries the source, the kernel and convolved quantity of every
-nonlocal term, and Lipschitz bounds over a state box for time-step control.
+nonlocal term (at least one), and Lipschitz bounds over a state box for
+time-step control.
+
+The model states once what depends only on its shape: the state rows its
+nonlocal terms read (``source_rows``), the one routine that stacks a row per
+term (``source_stack``), and the clamps of a state box to [rho_min, rho_max]
+(``box_clamps``).  The stepper and the CFL boxes read these, and no other
+module tells a species term from a derived field.
 """
 
 from __future__ import annotations
@@ -75,6 +82,8 @@ class ModelDef:
 
     def __post_init__(self):
         n, m = len(self.species), len(self.kernels)
+        if not m:
+            raise ModelDefinitionError(f"{self.name}: a model needs at least one nonlocal term")
         if len(self.nonlocal_sources) != m:
             raise ModelDefinitionError(
                 f"{self.name}: {len(self.nonlocal_sources)} nonlocal sources "
@@ -109,6 +118,38 @@ class ModelDef:
     def supports_v2(self) -> bool:
         """Whether the product-rule slope variant v2 can run on this model."""
         return self.dV is not None
+
+    @functools.cached_property
+    def source_rows(self) -> "slice | np.ndarray | None":
+        """The state rows the nonlocal terms convolve: a slice when they are
+        consecutive species, an index array for other species, None when a
+        term convolves a derived field."""
+        srcs = tuple(self.nonlocal_sources)
+        if any(isinstance(src, DerivedFieldHook) for src in srcs):
+            return None
+        run = range(srcs[0], srcs[0] + len(srcs))
+        return slice(run.start, run.stop) if srcs == tuple(run) else np.array(srcs, np.intp)
+
+    def source_stack(self, a: np.ndarray, hook_row) -> np.ndarray:
+        """One row per nonlocal term: the row of ``a`` of its species, or
+        ``hook_row(hook, i)`` for the derived field of term i.  Consecutive
+        species are one view of ``a``, as is a single row."""
+        rows = self.source_rows
+        if rows is not None:
+            return a[rows]
+        rows = []  # a loop, not a comprehension: this runs on every step of a derived field
+        for i, src in enumerate(self.nonlocal_sources):
+            rows.append(hook_row(src, i) if isinstance(src, DerivedFieldHook) else a[src])
+        return rows[0][None] if len(rows) == 1 else np.array(rows)
+
+    @functools.cached_property
+    def box_clamps(self) -> tuple:
+        """(floor, ceiling) that clamp a state box to [rho_min, rho_max]: (N, 2)
+        arrays whose other column is -inf or inf, None without a bound."""
+        n, lo, hi = self.n_species, self.rho_min, self.rho_max
+        floor = None if lo is None else np.array([[lo, -np.inf]] * n)
+        ceiling = None if hi is None else np.array([[np.inf, hi]] * n)
+        return floor, ceiling
 
     def eval_flux(self, values: np.ndarray, R: np.ndarray) -> np.ndarray:
         """Every species' flux g(values) * V(R), with one call of V.  ``values``

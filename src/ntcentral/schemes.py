@@ -51,7 +51,7 @@ from .core import BoundaryCondition, Grid, extend_array
 from .errors import ConfigurationError
 from .kernels import BandStack, build_derivative_weights, build_weights, correlate_band
 from .limiters import NO_CLIP, ClipConfig, slopes_of_extended
-from .models import DerivedFieldHook, ModelDef
+from .models import ModelDef
 
 SCHEMES = ("nt", "lxf1", "lxf2")
 SLOPE_VARIANTS = ("v1", "v2")
@@ -194,11 +194,6 @@ class Stepper:
                     "use slope_variant='v1'"
                 )
             self.dw = tuple(build_derivative_weights(k, dx) for k in model.kernels)
-        # convolved species that are consecutive rows of the state, as a slice
-        srcs = model.nonlocal_sources
-        hooks = any(isinstance(s, DerivedFieldHook) for s in srcs)
-        run = not hooks and srcs == tuple(range(srcs[0], srcs[-1] + 1))
-        self.species = slice(srcs[0], srcs[-1] + 1) if run else None
         # kind 0 holds R's bands, kind 1 its space derivative's; a call takes the first k
         self.bands = BandStack([self.qw, self.dw] if self.dw else [self.qw])
         # ghost cells each side of every array of the step, as tabled in the
@@ -224,23 +219,14 @@ class Stepper:
             raise ConfigurationError(f"dt must be nonnegative, got {dt}")
         return v
 
-    def _rows(self, a: np.ndarray, hook_row) -> np.ndarray:
-        """One row per convolved quantity: the row of ``a`` of its species,
-        or ``hook_row(hook, i)`` for the derived field of row i.  Consecutive
-        species are one view of ``a``, as is a single row."""
-        if self.species is not None:
-            return a[self.species]
-        srcs = enumerate(self.model.nonlocal_sources)
-        rows = [hook_row(s, i) if isinstance(s, DerivedFieldHook) else a[s] for i, s in srcs]
-        return rows[0][None] if len(rows) == 1 else np.array(rows)
-
     def _convolved(self, vP: np.ndarray, sP: np.ndarray | None = None):
         """Cell values of every convolved quantity at the state's margin, and
         with the state's slopes ``sP`` the quantities' slopes, else None."""
-        us = self._rows(vP, lambda hook, i: hook.value(vP))
+        stack = self.model.source_stack
+        us = stack(vP, lambda hook, i: hook.value(vP))
         if sP is None:
             return us, None
-        return us, self._rows(sP, lambda h, i: slopes_of_extended(us[i], self.grid.dx, self.clip))
+        return us, stack(sP, lambda h, i: slopes_of_extended(us[i], self.grid.dx, self.clip))
 
     def _quadrature(self, us, sus, have: int, margins: tuple) -> list:
         """The nonlocal fields of the cell values ``us``, one array per margin.
@@ -303,7 +289,7 @@ class Stepper:
         sms = (S_ms if sourced else 0.0) - sigma
 
         # predict cell averages and nonlocal fields at the half step
-        integrands = self._rows(sms, lambda hook, i: hook.time_integrand(v_ms, sms))
+        integrands = model.source_stack(sms, lambda hook, i: hook.time_integrand(v_ms, sms))
         (Rt,) = self._quadrature(integrands, None, MS, (MH,))
         v_h = half_step(_crop(v_ms, MS, MH), _crop(sms, MS, MH), dt)
         R_h = _crop(R_mr, MR, MH) + 0.5 * dt * Rt

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ntcentral.core import Grid
+from ntcentral.models import make_model
 
 
 def pytest_collection_modifyitems(session, config, items):
@@ -18,3 +21,17 @@ def unit_grid():
 @pytest.fixture
 def rng():
     return np.random.default_rng(871233)
+
+
+@pytest.fixture
+def with_sources():
+    """Builds the zoo model ``name`` whose nonlocal terms convolve ``sources``,
+    one copy of its kernel each; "hook" stands for its own first term."""
+
+    def build(name: str, sources: tuple):
+        model = make_model(name)
+        sources = tuple(model.nonlocal_sources[0] if s == "hook" else s for s in sources)
+        kernels = model.kernels[:1] * len(sources)
+        return dataclasses.replace(model, kernels=kernels, nonlocal_sources=sources)
+
+    return build

@@ -24,7 +24,7 @@ from ntcentral import harness
 from ntcentral.core import BoundaryCondition, Grid, init_cell_averages
 from ntcentral.harness import resolve_profiles
 from ntcentral.limiters import NO_CLIP, ClipConfig
-from ntcentral.models import MODEL_FACTORIES, make_model
+from ntcentral.models import MODEL_FACTORIES, ModelDef, make_model
 from ntcentral.schemes import SchemeSpec, Stepper
 
 CACHE_TAG = "ntc-8"
@@ -58,10 +58,9 @@ STEPS = 3
 TIME_RATIO = 0.1
 
 
-def fingerprint(name: str, bc: str, specs=None, clip: ClipConfig = NO_CLIP) -> str:
+def fingerprint(model: ModelDef, bc: str, specs=None, clip: ClipConfig = NO_CLIP) -> str:
     """Digest of the states after STEPS steps of each spec, every scheme the
     model supports by default."""
-    model = make_model(name)
     if specs is None:
         specs = [SchemeSpec("nt", "v1"), SchemeSpec("lxf1"), SchemeSpec("lxf2")]
         if model.supports_v2:
@@ -69,7 +68,7 @@ def fingerprint(name: str, bc: str, specs=None, clip: ClipConfig = NO_CLIP) -> s
     digest = hashlib.sha256()
     for cells in CELLS:
         grid = Grid(-1.0, 1.0, cells)
-        v0 = init_cell_averages(resolve_profiles(DATA[name]), grid)
+        v0 = init_cell_averages(resolve_profiles(DATA[model.name]), grid)
         for spec in specs:
             stepper = Stepper(model, grid, bc, spec, clip)
             v = v0
@@ -83,7 +82,7 @@ def fingerprint(name: str, bc: str, specs=None, clip: ClipConfig = NO_CLIP) -> s
 @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
 def test_numerics_fingerprint(name, bc):
     assert harness._CACHE_TAG == CACHE_TAG
-    assert fingerprint(name, bc) == DIGESTS[name, bc]
+    assert fingerprint(make_model(name), bc) == DIGESTS[name, bc]
 
 
 # nt-v2 with clipped slopes on the coupled models.  v2 never clips the slopes
@@ -101,8 +100,30 @@ CLIPPED_DIGESTS = {
 
 @pytest.mark.parametrize("name, bc", sorted(CLIPPED_DIGESTS))
 def test_clipped_product_rule_fingerprint(name, bc):
-    digest = fingerprint(name, bc, [SchemeSpec("nt", "v2")], CLIP)
+    digest = fingerprint(make_model(name), bc, [SchemeSpec("nt", "v2")], CLIP)
     assert digest == CLIPPED_DIGESTS[name, bc]
+
+
+# Nonlocal terms that are not consecutive species: multilane's lanes swapped
+# and one lane convolved twice, and GARZ's velocity beside its density, each
+# term with its own copy of the model's kernel.  nt-v2 runs where dV exists.
+SOURCED_DIGESTS = {
+    ("multilane", (1, 0), "periodic"): "ed7d19bae394f4b509bc4fe824713f7c44cef320fb60e77a3b76411528924d7c",
+    ("multilane", (1, 0), "zero"): "576a57208841af5a4523594346535362e1c155d1ec3803de3d483215e301fe3c",
+    ("multilane", (1, 1), "periodic"): "de4978c033229c353ecfc6439f1c6d69255fb30d2ff69b876440424002a2925a",
+    ("multilane", (1, 1), "zero"): "d30577509944a482e9d3d9fdd77d90a4c1953b45dd6258e20b869637ab89cdcb",
+    ("garz", ("hook", 0), "periodic"): "f76d8ea1d6565d0cf1b8405f5ff00e2b4a6bac0a884c956302f68e894fbab6ea",
+    ("garz", ("hook", 0), "zero"): "ba124283a32ad45132d4dcab118e5671a533f6f56346ebcf7f1c83fb162fea16",
+}
+
+
+@pytest.mark.parametrize("name, sources, bc", list(SOURCED_DIGESTS))
+def test_reordered_and_derived_sources_fingerprint(with_sources, name, sources, bc):
+    model = with_sources(name, sources)
+    specs = [SchemeSpec("nt", "v1"), SchemeSpec("lxf2")]
+    if model.supports_v2:
+        specs.append(SchemeSpec("nt", "v2"))
+    assert fingerprint(model, bc, specs) == SOURCED_DIGESTS[name, sources, bc]
 
 
 ENTROPY_DIGESTS = {

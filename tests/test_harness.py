@@ -5,6 +5,7 @@ import glob
 import multiprocessing
 import os
 import re
+import tempfile
 import time
 import warnings
 
@@ -285,12 +286,11 @@ def bound_boxes_row_by_row(model, values, widen):
         ("multilane", None),  # consecutive sources, clamped
         ("multilane", (1, 0)),  # sources out of order
         ("multilane", (1, 1)),  # one species convolved twice
+        ("garz", ("hook", 0)),  # a derived field beside a species, two kernels
     ],
 )
-def test_bound_boxes_are_the_row_by_row_boxes_bit_for_bit(rng, name, sources, widen):
-    model = make_model(name)
-    if sources is not None:
-        model = dataclasses.replace(model, nonlocal_sources=sources)
+def test_bound_boxes_are_the_row_by_row_boxes_bit_for_bit(rng, with_sources, name, sources, widen):
+    model = make_model(name) if sources is None else with_sources(name, sources)
     for _ in range(20):
         values = rng.uniform(-0.5, 1.5, size=(model.n_species, 9))
         values[rng.random(values.shape) < 0.3] = -0.0
@@ -651,23 +651,14 @@ def test_reference_cache_roundtrip(tmp_path, monkeypatch):
     np.testing.assert_allclose(third, first)
 
 
-def test_reference_ignores_cache_when_disabled(tmp_path, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
-    exp = small_experiment(levels=(0,), reference_level=2)
-    a = compute_reference(exp, use_cache=False)
-    assert not glob.glob(os.path.join(str(tmp_path), "*.npy"))
-    b = compute_reference(exp, use_cache=True)
-    np.testing.assert_array_equal(a, b)
-
-
 def test_a_cache_that_cannot_be_written_does_not_stop_the_reference(tmp_path, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setenv(CACHE_ENV, str(blocker / "cache"))  # a directory under a file
     exp = small_experiment(levels=(0,), reference_level=2)
-    np.testing.assert_array_equal(
-        compute_reference(exp), compute_reference(exp, use_cache=False)
-    )
+    unwritten = compute_reference(exp)
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "fresh"))
+    np.testing.assert_array_equal(unwritten, compute_reference(exp))
 
 
 # -- convergence studies ------------------------------------------------------------
@@ -705,10 +696,12 @@ def test_convergence_study_needs_two_levels():
 def _study(monkeypatch, workers, exp, **kw):
     """(report or raised error, [(category, text) of every warning]) of one study."""
     monkeypatch.setattr(harness, "_study_workers", lambda: workers)
-    with warnings.catch_warnings(record=True) as caught:
+    # an empty cache: every study computes its reference and gives its warnings
+    with tempfile.TemporaryDirectory() as cache, warnings.catch_warnings(record=True) as caught:
+        monkeypatch.setenv(CACHE_ENV, cache)
         warnings.simplefilter("always")
         try:
-            out = convergence_study(exp, use_cache=False, **kw)
+            out = convergence_study(exp, **kw)
         except NumericsError as exc:
             out = exc
     assert multiprocessing.active_children() == []  # no worker outlives the study

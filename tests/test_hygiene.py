@@ -1,6 +1,7 @@
 """Static checks of the package source.
 
-No unused imports or parameters, a resolvable __all__, no numerics chosen
+No unused imports or parameters, a resolvable __all__, one module that
+tells a derived-field nonlocal term from a species one, no numerics chosen
 by a library heuristic (scipy.signal's direct/FFT ``method="auto"``), no
 scipy on the import path (numpy alone runs the package; scipy stays a test
 oracle), and every layer the benchmark's tracer times still reached through
@@ -181,6 +182,37 @@ def test_library_heuristic_detector_flags_and_spares():
 def test_module_uses_no_library_heuristic(module):
     source = (SOURCE_DIR / module).read_text()
     assert library_heuristics(source) == []
+
+
+def identifiers(source: str) -> set[str]:
+    """Every name a module imports, reads or takes as an attribute, quoted
+    annotations included."""
+    tree = ast.parse(source)
+    found = _annotation_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rpartition(".")[2])
+    return found
+
+
+def test_identifier_detector_flags_and_spares():
+    hook = "DerivedFieldHook"
+    assert hook in identifiers("from .models import DerivedFieldHook as H\n")
+    assert hook in identifiers("from . import models\nmodels.DerivedFieldHook\n")
+    assert hook in identifiers("def f(h: 'DerivedFieldHook'): pass\n")
+    assert hook not in identifiers("x = 'a DerivedFieldHook in a string'\n")
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_the_models_module_names_the_derived_field_hook(module):
+    # which nonlocal terms read a derived field is the model's to state once
+    # (ModelDef.source_rows and source_stack), not each caller's to work out
+    names = identifiers((SOURCE_DIR / module).read_text())
+    assert ("DerivedFieldHook" in names) == (module == "models.py")
 
 
 def fresh_modules(imports: str, prefixes: tuple) -> list:

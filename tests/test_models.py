@@ -212,6 +212,8 @@ def test_modeldef_cross_validation():
             nonlocal_sources=(2,),
             **flux,
         )
+    with pytest.raises(ModelDefinitionError, match="local: a model needs at least one nonlocal"):
+        ModelDef(name="local", species=("a",), kernels=(), nonlocal_sources=(), **flux)
     model = ModelDef(name="v1-only", species=("a",), kernels=(k,), nonlocal_sources=(0,), **flux)
     assert not model.supports_v2
     rows = ModelDef(
