@@ -111,10 +111,6 @@ class ModelDef:
         return len(self.species)
 
     @property
-    def n_nonlocal(self) -> int:
-        return len(self.kernels)
-
-    @property
     def supports_v2(self) -> bool:
         """Whether the product-rule slope variant v2 can run on this model."""
         return self.dV is not None

@@ -258,7 +258,7 @@ def test_nonlocal_bounds_cover_derived_quantities():
 def bound_boxes_row_by_row(model, values, widen):
     """The per-source loop that ``bound_boxes`` replaced, kept as its reference."""
     sbox = np.stack([values.min(axis=1), values.max(axis=1)], axis=1)
-    nbox = np.empty((model.n_nonlocal, 2))
+    nbox = np.empty((len(model.kernels), 2))
     for l, src in enumerate(model.nonlocal_sources):
         if isinstance(src, DerivedFieldHook):
             u = src.value(values)

@@ -37,7 +37,7 @@ def test_factory_shapes_and_bounds(name):
     model = make_model(name)
     values = _sample_values(model)
     conv = _convolved(model, values)
-    assert conv.shape == (model.n_nonlocal, values.shape[1])
+    assert conv.shape == (len(model.kernels), values.shape[1])
     R = conv.copy()  # cellwise stand-in for the kernel average
     F = model.eval_flux(values, R)
     assert F.shape == values.shape
@@ -93,7 +93,7 @@ def test_product_form_gradient_matches_finite_differences(name):
     R = _convolved(model, values)
     rng = np.random.default_rng(7)
     eps = 1e-6
-    unit = np.eye(model.n_nonlocal)[:, :, None] * np.ones_like(R)
+    unit = np.eye(len(model.kernels))[:, :, None] * np.ones_like(R)
     directions = [*unit, *rng.standard_normal((3, *R.shape))]
     for dR in directions:
         dV = model.dV(R, dR)
@@ -306,7 +306,7 @@ def test_lipschitz_bounds_cover_every_partial_derivative(name):
     rng = np.random.default_rng(20261018)
     for _ in range(300):
         sbox = _random_box(rng, model.n_species)
-        nbox = _random_box(rng, model.n_nonlocal)
+        nbox = _random_box(rng, len(model.kernels))
         values, R = _points_in(rng, sbox, 64), _points_in(rng, nbox, 64)
         args = (*values, *R)
         sub = [_within(b, np.sort(rng.random((len(b), 2)), axis=1)) for b in (sbox, nbox)]
