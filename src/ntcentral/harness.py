@@ -107,13 +107,18 @@ _EXPR_NAMES = {
 def expression_profile(expr: str):
     """Compile a one-variable expression like ``0.5+0.4*sin(pi*x)``, once per text.
 
-    Only the names in ``_EXPR_NAMES`` plus ``x`` are allowed; everything else
-    is rejected so config files cannot smuggle in arbitrary code.
+    Only the names in ``_EXPR_NAMES`` plus ``x`` are allowed, and no lambda or
+    comprehension, whose names the check would not see, so config files
+    cannot smuggle in arbitrary code.
     """
     try:
         code = compile(expr, "<initial-data>", "eval")
     except SyntaxError as exc:
         raise ConfigurationError(f"bad initial-data expression {expr!r}: {exc}") from None
+    if any(isinstance(const, type(code)) for const in code.co_consts):
+        raise ConfigurationError(
+            f"initial-data expression {expr!r} defines a function or comprehension"
+        )
     for name in code.co_names:
         if name != "x" and name not in _EXPR_NAMES:
             raise ConfigurationError(
@@ -180,6 +185,11 @@ class Experiment:
     name: str = ""
 
     def __post_init__(self):
+        # NaN fails every comparison below and inf passes them (a None time_ratio is derived)
+        for name in ("t_final", "time_ratio", "base_dx", "domain"):
+            value = getattr(self, name)
+            if not all(map(math.isfinite, value if name == "domain" else [value or 0.0])):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         if self.t_final < 0.0:
             raise ConfigurationError(f"t_final must be >= 0, got {self.t_final}")
         if not self.domain[1] > self.domain[0]:
@@ -729,46 +739,37 @@ def _study_runs(tasks: list, reference):
     """``reference()`` and the outcome of every task in ``tasks``, in order.
 
     A task's outcome is what ``_study_cell(*task)`` returns.  The tasks go to
-    a pool of forked worker processes while the caller computes the
-    reference; the caller then runs, from the last task backwards, every
-    task that no worker has started.  With no worker, or no ``fork`` start
-    method, everything runs in the caller in serial order, up to the first
-    failure.  No worker outlives the call.
+    a pool of forked worker processes, given a spare CPU and ``fork``, while
+    the caller computes the reference; the caller then runs, from the last
+    task backwards, every task that no worker has started (with no pool,
+    every task).  No worker outlives the call.
     """
+    pool = None
     workers = min(_study_workers(), len(tasks))
     if workers > 0:
         import multiprocessing
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            workers = 0
-    if workers == 0:
-        ref = reference()
-        outcomes = []
-        for task in tasks:
-            outcomes.append(_study_cell(*task))
-            if isinstance(outcomes[-1], BaseException):
-                break
-        return ref, outcomes
+        if "fork" in multiprocessing.get_all_start_methods():
+            import concurrent.futures
 
-    import concurrent.futures
-
-    # fork, not spawn: the workers keep the caller's module state, and a
-    # script without a __main__ guard is not imported again
-    pool = concurrent.futures.ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork")
-    )
+            # fork, not spawn: the workers keep the caller's module state, and a
+            # script without a __main__ guard is not imported again
+            pool = concurrent.futures.ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")
+            )
     try:
-        futures = [pool.submit(_study_cell, *task) for task in tasks]
+        futures = [pool.submit(_study_cell, *task) if pool else None for task in tasks]
         ref = reference()
         outcomes = [None] * len(tasks)
         for i in reversed(range(len(tasks))):
-            if futures[i].cancel():
+            if futures[i] is None or futures[i].cancel():
                 outcomes[i] = _study_cell(*tasks[i])
         for i, future in enumerate(futures):
             if outcomes[i] is None:
                 outcomes[i] = future.result()
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return ref, outcomes
 
 
@@ -900,12 +901,9 @@ def entropy_residual(
         )
     stepper = Stepper(model, grid, bc, SchemeSpec("nt", slope_variant), clip)
     dx = grid.dx
-    J = grid.cells
     z = float(zeta)
 
-    v = np.array(values, dtype=float)
-    if v.ndim == 1:
-        v = v[None, :]
+    v = np.atleast_2d(np.array(values, dtype=float))
     def flux(u, R):  # the one species' flux g(u) V(R)
         return model.eval_flux(u[None], R)[0]
 
@@ -913,30 +911,22 @@ def entropy_residual(
     for dt, _ in _time_steps(t_final, time_ratio * dx):
         lam = dt / dx
         new, f = stepper.step_with_fields(v, dt)
-        m = f["margins"]["half"]  # cell j at index j + m; interface j+1/2 of ss at j + m - 1
-
-        def at(a, k, n=J, m=m):
-            """Entries j + k, j = 0 .. n - 1, of ``a``, whose entry j sits at index j + m."""
-            return a[..., m + k : m + k + n]
-
+        # cells -1 .. J (cell j at index j + 1) and interfaces -1/2 .. J-1/2
         c = f["values"][0]
         s = f["slopes"][0]
-        h = 0.5 * dt * (f["source"][0] - f["sigma"][0])
+        h = 0.5 * dt * f["source_minus_sigma"][0]
         Rh = f["half_R"]
         Sh = f["half_source"][0]
         ss = f["staggered_slopes"][0]
         Fz = flux(z + h, Rh)
 
-        # numerical entropy flux on interfaces j+1/2, j = -1 .. J-1
-        uL, uR = at(c, -1, J + 1), at(c, 0, J + 1)
-        hL, hR = at(h, -1, J + 1), at(h, 0, J + 1)
-        RL, RR = at(Rh, -1, J + 1), at(Rh, 0, J + 1)
-        sLR = at(s, -1, J + 1) + at(s, 0, J + 1)
-        ssI = at(ss, -1, J + 1, m - 1)
+        # numerical entropy flux on the interfaces
+        uL, uR = c[:-1], c[1:]
+        sLR = s[:-1] + s[1:]
 
         def entropy_flux(a, b):
-            return (0.25 * (a - b) + dx / 16.0 * sLR + dx / 8.0 * ssI) / lam + 0.5 * (
-                flux(a + hL, RL) + flux(b + hR, RR)
+            return (0.25 * (a - b) + dx / 16.0 * sLR + dx / 8.0 * ss) / lam + 0.5 * (
+                flux(a + h[:-1], Rh[..., :-1]) + flux(b + h[1:], Rh[..., 1:])
             )
 
         F = entropy_flux(np.maximum(uL, z), np.maximum(uR, z)) - entropy_flux(
@@ -944,14 +934,14 @@ def entropy_residual(
         )
 
         bracket = (
-            dx / 16.0 * (at(s, 1) - at(s, -1))
-            + dx / 8.0 * (at(ss, 0, J, m - 1) - at(ss, -1, J, m - 1))
-            + 0.5 * lam * (at(Fz, 1) - at(Fz, -1))
-            - 0.25 * dt * (at(Sh, 1) + 2.0 * at(Sh, 0) + at(Sh, -1))
+            dx / 16.0 * (s[2:] - s[:-2])
+            + dx / 8.0 * (ss[1:] - ss[:-1])
+            + 0.5 * lam * (Fz[2:] - Fz[:-2])
+            - 0.25 * dt * (Sh[2:] + 2.0 * Sh[1:-1] + Sh[:-2])
         )
         lhs = (
             np.abs(new[0] - z)
-            - np.abs(at(c, 0) - z)
+            - np.abs(c[1:-1] - z)
             + np.sign(new[0] - z) * bracket
             + lam * (F[1:] - F[:-1])
         )

@@ -28,8 +28,9 @@ band-width margin: each quadrature reads its input on the N cells of one
 period circularly, and its output is wrap-extended to the stencil margin.
 
 ``Stepper.margins`` states the ghost cells on each side of the step's
-arrays once per scheme, and ``step_with_fields`` publishes them.  With nm
-the reach of the widest band (at least 1) off the torus and 0 on it:
+arrays once per scheme, and ``step_with_fields`` crops its fields to cells
+-1 .. J.  With nm the reach of the widest band (at least 1) off the torus
+and 0 on it:
 
     scheme  pad (state)  R         flux (flux slopes, source)  half (half step)
     nt      5 + 2 * nm   4 + nm    3 + nm                      3
@@ -304,23 +305,18 @@ class Stepper:
         ss = slopes_of_extended(A, dx, clip)
 
         # interfaces j-1/2, j in [0, J]
-        new = nonstaggered_projection(A[..., MH - 1 : MH + J], ss[..., MH - 2 : MH + J - 1], dx)
+        ss_w = ss[..., MH - 2 : MH + J - 1]
+        new = nonstaggered_projection(A[..., MH - 1 : MH + J], ss_w, dx)
         if not collect:
             return new, None
-        if not sourced:
-            S_ms, S_h = np.zeros_like(v_ms), np.zeros_like(v_h)
         fields = {
-            "margins": dict(M),
-            "values": c3,
-            "slopes": s3,
-            "sigma": _crop(sigma, MS, MH),
-            "source": _crop(S_ms, MS, MH),
-            "half_values": v_h,
-            "half_R": R_h,
-            "half_flux": F_h,
-            "half_source": S_h,
-            "staggered": A,
-            "staggered_slopes": ss,
+            "values": _crop(c3, MH, 1),
+            "slopes": _crop(s3, MH, 1),
+            "source_minus_sigma": _crop(sms, MS, 1),
+            "half_R": _crop(R_h, MH, 1),
+            "half_flux": _crop(F_h, MH, 1),
+            "half_source": _crop(S_h, MH, 1) if sourced else np.zeros((v.shape[0], J + 2)),
+            "staggered_slopes": ss_w,
         }
         return new, fields
 
@@ -389,10 +385,11 @@ class Stepper:
     def step_with_fields(self, values: np.ndarray, dt: float):
         """Central-scheme step that also returns the intermediate fields.
 
-        The returned dict carries the reconstruction, half-step and staggered
-        arrays for diagnostics such as the discrete entropy residual, and
-        under ``"margins"`` the dict of their ghost margins (``pad``, ``R``,
-        ``flux`` and ``half``, as in :attr:`margins`).
+        For diagnostics such as the discrete entropy residual, the dict holds
+        ``values``, ``slopes``, ``source_minus_sigma``, ``half_R``, ``half_flux``
+        and ``half_source`` (zero without sources) on cells -1 .. J, cell j at
+        index j + 1, and ``staggered_slopes`` on interfaces -1/2 .. J - 1/2,
+        interface j - 1/2 at index j.
         """
         if self.spec.scheme != "nt":
             raise ConfigurationError(

@@ -4,9 +4,10 @@ Each (model, boundary condition) pair is run for three steps of every
 scheme it supports, at 80 cells (every band by the direct sum) and at 2560
 cells (every band by the FFT).  The digest covers the bytes of each state.
 The discrete entropy residual, which reads the step's intermediate fields
-at offsets of its own, is pinned the same way on Arrhenius: its per-step
-values on a clean run are round-off, so any change to those offsets or to
-the arithmetic behind them moves a digest.
+on the window ``Stepper.step_with_fields`` publishes (cells -1 .. J), is
+pinned the same way on Arrhenius: its per-step values on a clean run are
+round-off, so any change to that window or to the arithmetic behind it
+moves a digest.
 A change that moves any result by one ulp changes a digest, and then the
 cached references (keyed by ``harness._CACHE_TAG``) may be stale too: so
 the digests and the tag are pinned side by side, and neither can move

@@ -87,6 +87,20 @@ def test_expression_profile_rejects_unknown_names():
         expression_profile("y + 1")
     with pytest.raises(ConfigurationError, match="bad initial-data"):
         expression_profile("0.5 +")
+    # names inside a lambda, generator or comprehension belong to a code
+    # object of its own; Python 3.12 inlines list comprehensions, whose
+    # names the name check then sees
+    for expr, message in [
+        ("x + 0*(lambda: 1)()", "function or comprehension"),
+        ("x + 0*(t for t in (1.0,))", "function or comprehension"),
+        ("x + 0*[t for t in (1.0,)][0]", "function or comprehension|unknown name"),
+        (
+            "x + 0*[[1.0 for c in ().__class__.__base__.__subclasses__()] for t in (1,)][0][0]",
+            "function or comprehension|unknown name",
+        ),
+    ]:
+        with pytest.raises(ConfigurationError, match=message):
+            expression_profile(expr)
     # a refused text is refused again on every call, not remembered as valid
     with pytest.raises(ConfigurationError, match="unknown name"):
         expression_profile("y + 1")
@@ -202,6 +216,13 @@ def test_experiment_validation():
         ({"model_params": {"eta": 0.07}}, "integer multiple"),
         ({"reference_level": 2000}, "level 2000 is too fine"),
         ({"domain": (-1.0, 1.01)}, "whole number of cells"),
+        ({"t_final": float("nan")}, "t_final must be finite"),
+        ({"t_final": float("inf")}, "t_final must be finite"),
+        ({"time_ratio": float("inf")}, "time_ratio must be finite"),
+        ({"time_ratio": float("nan")}, "time_ratio must be finite"),
+        ({"base_dx": float("nan")}, "base_dx must be finite"),
+        ({"domain": (0.0, float("inf"))}, "domain must be finite"),
+        ({"domain": (float("-inf"), 1.0)}, "domain must be finite"),
     ],
 )
 def test_an_experiment_that_cannot_run_fails_when_built(change, message):

@@ -1,11 +1,12 @@
 """Static checks of the package source.
 
 No unused imports or parameters, a resolvable __all__, one module that
-tells a derived-field nonlocal term from a species one, no numerics chosen
-by a library heuristic (scipy.signal's direct/FFT ``method="auto"``), no
-scipy on the import path (numpy alone runs the package; scipy stays a test
-oracle), and every layer the benchmark's tracer times still reached through
-its module attribute.
+tells a derived-field nonlocal term from a species one, one function that
+turns text into code (the checked initial-data expressions), no numerics
+chosen by a library heuristic (scipy.signal's direct/FFT ``method="auto"``),
+no scipy on the import path (numpy alone runs the package; scipy stays a
+test oracle), and every layer the benchmark's tracer times still reached
+through its module attribute.
 """
 
 import ast
@@ -213,6 +214,49 @@ def test_only_the_models_module_names_the_derived_field_hook(module):
     # (ModelDef.source_rows and source_stack), not each caller's to work out
     names = identifiers((SOURCE_DIR / module).read_text())
     assert ("DerivedFieldHook" in names) == (module == "models.py")
+
+
+def code_runners(source: str) -> list[str]:
+    """``definition: name`` of every call of eval, exec or compile, bare or
+    through ``builtins``, by the top-level definition it sits in."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                name = f.attr if f.value.id == "builtins" else None
+            else:
+                name = getattr(f, "id", None)
+            if name in ("eval", "exec", "compile"):
+                found.append(f"{getattr(top, 'name', '<module>')}: {name}")
+    return sorted(found)
+
+
+def test_code_runner_detector_flags_and_spares():
+    source = (
+        "import builtins, re\n"
+        "exec('x = 1')\n"
+        "def f(s):\n"
+        "    def g():\n"
+        "        return eval(s)\n"
+        "    return re.compile(s), g, s.eval()\n"
+        "class C:\n"
+        "    def m(self, s):\n"
+        "        return builtins.compile(s, '', 'eval')\n"
+    )
+    assert code_runners(source) == ["<module>: exec", "C: compile", "f: eval"]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_only_the_expression_profile_turns_text_into_code(module):
+    # config text reaches eval on one path, the one that checks its names
+    found = code_runners((SOURCE_DIR / module).read_text())
+    if module == "harness.py":
+        assert found == ["expression_profile: compile", "expression_profile: eval"]
+    else:
+        assert found == []
 
 
 def fresh_modules(imports: str, prefixes: tuple) -> list:

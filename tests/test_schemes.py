@@ -216,12 +216,13 @@ def test_step_with_fields_returns_consistent_margins(eight_cell_setup):
     new, fields = stepper.step_with_fields(u[None, :], dt)
     np.testing.assert_array_equal(new, stepper.step(u[None, :], dt))
     J = grid.cells
-    assert fields["margins"] == stepper.margins == {"pad": 5, "R": 4, "flux": 3, "half": 3}
-    m = fields["margins"]["half"]
-    assert fields["values"].shape[-1] == J + 2 * m
-    assert fields["staggered"].shape[-1] == J + 2 * m - 1
-    assert fields["staggered_slopes"].shape[-1] == J + 2 * m - 3
-    assert fields["half_flux"].shape[-1] == J + 2 * m
+    # cells -1 .. J, and the staggered slopes on interfaces -1/2 .. J-1/2
+    cellwise = ("values", "slopes", "source_minus_sigma", "half_R", "half_flux", "half_source")
+    assert sorted(fields) == sorted(cellwise + ("staggered_slopes",))
+    for name in cellwise:
+        assert fields[name].shape[-1] == J + 2, name
+    assert fields["staggered_slopes"].shape[-1] == J + 1
+    np.testing.assert_array_equal(fields["values"][0, 1:-1], u)
     with pytest.raises(ConfigurationError):
         Stepper(model, grid, PER, SchemeSpec(scheme="lxf1")).step_with_fields(
             u[None, :], dt
@@ -361,23 +362,20 @@ def _nt_runs(model_name):
         yield variant, model, SchemeSpec(scheme="nt", slope_variant=variant)
 
 
-@pytest.mark.parametrize("bc", ["periodic", "constant"])
+@pytest.mark.parametrize("bc", ["periodic", "constant", "zero"])
 @pytest.mark.parametrize("model_name", MODELS)
 def test_projection_equals_the_cellwise_formula(model_name, bc, rng):
     grid = Grid(-1.0, 1.0, 80)
     dt = 0.1 * grid.dx
     v = _random_state(model_name, grid.cells, rng)
-    J = grid.cells
     for variant, model, cfg in _nt_runs(model_name):
         new, f = Stepper(model, grid, bc, cfg).step_with_fields(v, dt)
-        m = f["margins"]["half"]
-        cells = slice(m - 1, m + J + 1)  # cells -1 .. J
         want = oracle_projection(
-            f["values"][..., cells],
-            f["slopes"][..., cells],
-            f["staggered_slopes"][..., m - 2 : m + J - 1],  # interfaces -1/2 .. J-1/2
-            f["half_flux"][..., cells],
-            f["half_source"][..., cells],
+            f["values"],
+            f["slopes"],
+            f["staggered_slopes"],
+            f["half_flux"],
+            f["half_source"],
             dt,
             grid.dx,
         )
