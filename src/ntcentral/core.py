@@ -1,4 +1,4 @@
-"""Grids, states, boundary handling, the CFL step size and basic diagnostics.
+"""Grids, states, boundary handling, the CFL step size and initial averages.
 
 All solution data lives in plain ``(n_species, n_cells)`` float64 arrays of
 cell averages.  Boundary conditions are realised by padding those arrays with
@@ -209,47 +209,3 @@ def init_cell_averages(
         mid = samples[:, 2]  # the node at the cell centre
         values[k] = mid + (samples - mid[:, None]) @ _GL_WEIGHTS
     return values
-
-
-def total_mass(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Per-species integral of the piecewise-constant solution."""
-    return grid.dx * values.sum(axis=1)
-
-
-def interior_variation(
-    values: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-species sum of |v[j+1] - v[j]| over neighbouring cells, into ``out``.
-
-    The differences are taken over the flattened state in one pass, into
-    ``scratch`` (a C-contiguous array of ``values``' shape) when given; the
-    last column, which holds the differences across species, is not summed.
-    """
-    if scratch is None:
-        scratch = np.empty(values.shape)
-    flat, diff = values.reshape(-1), scratch.reshape(-1)
-    np.subtract(flat[1:], flat[:-1], diff[:-1])
-    np.abs(diff, diff)
-    return np.add.reduce(scratch[:, :-1], 1, None, out)
-
-
-def variation_of_parts(
-    interior: np.ndarray,
-    first: np.ndarray | None,
-    last: np.ndarray | None,
-    bc: BoundaryCondition,
-) -> np.ndarray:
-    """Total variation from :func:`interior_variation` and the end cells, of any shape.
-
-    Periodic runs include the wrap-around difference; the one-sided closures
-    only count interior differences (a constant or zero extension adds no
-    variation of its own at a flat boundary region), so they read no end cells.
-    """
-    if bc is BoundaryCondition.PERIODIC:
-        return interior + np.abs(first - last)
-    return interior
-
-
-def total_variation(values: np.ndarray, bc: BoundaryCondition) -> np.ndarray:
-    """Per-species total variation of the cell averages (see :func:`variation_of_parts`)."""
-    return variation_of_parts(interior_variation(values), values[:, 0], values[:, -1], bc)

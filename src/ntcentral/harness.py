@@ -10,6 +10,7 @@ solutions are cached on disk because they dominate the cost of every study.
 
 from __future__ import annotations
 
+import ast
 import functools
 import hashlib
 import io
@@ -29,9 +30,7 @@ from .core import (
     Grid,
     SystemState,
     init_cell_averages,
-    interior_variation,
     max_stable_dt,
-    variation_of_parts,
 )
 from .errors import (
     CflViolationError,
@@ -45,6 +44,7 @@ from .models import ModelDef, make_model
 from .schemes import SchemeSpec, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
+MAX_STEPS, MAX_CELLS = 10**9, 2**31  # a run past either is refused, not left to run for years
 # Bump when a solver change invalidates previously cached references.
 _CACHE_TAG = "ntc-8"
 
@@ -101,6 +101,7 @@ _EXPR_NAMES = {
     "pi": np.pi,
     "e": np.e,
 }
+_DEFINITIONS = (ast.Lambda, ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp)
 
 
 @functools.lru_cache(maxsize=256)
@@ -108,26 +109,34 @@ def expression_profile(expr: str):
     """Compile a one-variable expression like ``0.5+0.4*sin(pi*x)``, once per text.
 
     Only the names in ``_EXPR_NAMES`` plus ``x`` are allowed, and no lambda or
-    comprehension, whose names the check would not see, so config files
-    cannot smuggle in arbitrary code.
+    comprehension, so config files cannot smuggle in arbitrary code.  Integer
+    constants are read as floats, so ``9**9**9`` overflows instead of running
+    for ever, and an expression that fails to evaluate is a config error.
     """
     try:
-        code = compile(expr, "<initial-data>", "eval")
-    except SyntaxError as exc:
+        tree = ast.parse(expr, "<initial-data>", "eval")
+        for node in ast.walk(tree):  # breadth first: a definition before the names in it
+            if isinstance(node, _DEFINITIONS):
+                raise ConfigurationError(
+                    f"initial-data expression {expr!r} defines a function or comprehension"
+                )
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "x")
+            if name != "x" and name not in _EXPR_NAMES:
+                raise ConfigurationError(
+                    f"initial-data expression {expr!r} uses unknown name {name!r}"
+                )
+            if type(node) is ast.Constant and type(node.value) is int:
+                node.value = float(node.value)  # OverflowError beyond the floats
+        code = compile(tree, "<initial-data>", "eval")
+    except (SyntaxError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad initial-data expression {expr!r}: {exc}") from None
-    if any(isinstance(const, type(code)) for const in code.co_consts):
-        raise ConfigurationError(
-            f"initial-data expression {expr!r} defines a function or comprehension"
-        )
-    for name in code.co_names:
-        if name != "x" and name not in _EXPR_NAMES:
-            raise ConfigurationError(
-                f"initial-data expression {expr!r} uses unknown name {name!r}"
-            )
 
     def profile(x):
-        out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
-        return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x))
+        try:
+            out = eval(code, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
+            return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x))
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad initial-data expression {expr!r}: {exc}") from None
 
     return profile
 
@@ -234,10 +243,10 @@ class Experiment:
     def cells_at(self, level: int) -> int:
         dx = self.base_dx * 2.0 ** (-level)
         cells = (self.domain[1] - self.domain[0]) / dx if dx > 0.0 else math.inf
-        if not math.isfinite(cells):
+        if not cells <= MAX_CELLS:
             raise ConfigurationError(
-                f"level {level:g} is too fine: dx = {self.base_dx} * 2**-{level:g} "
-                "underflows"
+                f"level {level:g} is too fine: the domain {self.domain} at dx = "
+                f"{self.base_dx} * 2**-{level:g} is {cells:.3g} cells, more than {MAX_CELLS}"
             )
         if abs(cells - round(cells)) > 1e-9 * cells:
             raise ConfigurationError(
@@ -382,13 +391,13 @@ class MonitorLog:
     """Append-only per-step record of conserved and bounded quantities.
 
     Each record writes its time, and each species' cell sum, [min, max]
-    box, summed absolute differences of neighbouring cells
-    (:func:`core.interior_variation`) and, on the torus, end cells, into one
-    array per quantity with a row per record.  ``dx`` and the periodic
-    wrap-around term (:func:`core.variation_of_parts`) are applied once, when
-    the table is read.  The table has a row per recorded state, in the
-    column order of the monitor CSV: ``t``, then ``mass``, ``min``, ``max``
-    and ``tv`` of each species in turn.
+    box, summed absolute differences of neighbouring cells and, on the
+    torus, end cells, into one array per quantity with a row per record.
+    ``dx`` and the periodic wrap-around difference are applied once, when
+    the table is read, so off the torus ``tv`` counts interior differences
+    only.  The table has a row per recorded state, in the column order of
+    the monitor CSV: ``t``, then ``mass``, ``min``, ``max`` and ``tv`` of
+    each species in turn.
     """
 
     _FIRST_ROWS = 64
@@ -446,7 +455,10 @@ class MonitorLog:
             _box(values, self._boxes[k])
         else:
             self._boxes[k] = box
-        interior_variation(values, self._interior[k], self._diff)
+        # differences over the flattened state; the last column's, across species, go unsummed
+        flat, diff = values.reshape(-1), self._diff.reshape(-1)[:-1]
+        np.abs(np.subtract(flat[1:], flat[:-1], diff), diff)
+        np.add.reduce(self._diff[:, :-1], 1, None, self._interior[k])
         if self._ends is not None:
             self._ends[k] = values[:, :: self._end_stride]
         self._last = t
@@ -463,10 +475,10 @@ class MonitorLog:
         per_species = table[:, 1:].reshape(k, self._shape[0], 4)
         per_species[..., 0] = self.grid.dx * self._sums[:k]
         per_species[..., 1:3] = self._boxes[:k]
-        first = last = None
+        tv = self._interior[:k]
         if self._ends is not None:
-            first, last = self._ends[:k, :, 0], self._ends[:k, :, 1]
-        per_species[..., 3] = variation_of_parts(self._interior[:k], first, last, self.bc)
+            tv = tv + np.abs(self._ends[:k, :, 0] - self._ends[:k, :, 1])
+        per_species[..., 3] = tv
         return table
 
     @property
@@ -489,15 +501,6 @@ class MonitorLog:
     def tv(self) -> np.ndarray:
         return self._table()[:, 4::4]
 
-    def relative_mass_drift(self) -> float:
-        """Worst relative change of any species mass over the record."""
-        if not self._count:
-            raise InputDataError("the monitor log is empty: no state was recorded")
-        mass = self.mass
-        ref = np.abs(mass[0])
-        scale = np.maximum(ref, 1e-300)
-        return float((np.abs(mass - mass[0]) / scale).max())
-
     def csv_columns(self, species) -> tuple[list[str], list[np.ndarray]]:
         """(header, columns) of the monitor CSV; ``species`` names the table's species."""
         names = ("mass", "min", "max", "tv")
@@ -516,9 +519,15 @@ def _time_steps(t_final: float, dt0: float):
     Every step takes ``dt0`` except the last, which is clamped to land
     exactly on ``t_final``.  When the summed times reach ``t_final`` one step
     early, through rounding, that step is the clamped last one, so no step
-    is zero or negative.
+    is zero or negative.  More than ``MAX_STEPS`` steps is a config error.
     """
-    n_steps = 0 if t_final == 0.0 else max(1, math.ceil(t_final / dt0 - 1e-12))
+    steps = t_final / dt0 if dt0 > 0.0 else math.inf
+    if t_final and not steps <= MAX_STEPS:
+        raise ConfigurationError(
+            f"T = {t_final:g} takes {steps:.3g} steps of dt = {dt0:.3g}, more than "
+            f"{MAX_STEPS:.0e}: lower T, or raise time_ratio (or safety, if it is derived)"
+        )
+    n_steps = max(1, math.ceil(steps - 1e-12)) if t_final else 0
     t = 0.0
     for i in range(n_steps):
         after = t + dt0
@@ -870,81 +879,3 @@ def _column_text(column):
     starts = np.r_[0, np.flatnonzero(edges) + 1]
     text = np.array([repr(v) for v in c[starts].tolist()], dtype=object)
     return np.repeat(text, np.diff(starts, append=c.size)).tolist()
-
-
-# ---------------------------------------------------------------------------
-# discrete entropy residual
-# ---------------------------------------------------------------------------
-
-
-def entropy_residual(
-    model: ModelDef,
-    grid: Grid,
-    values: np.ndarray,
-    zeta: float,
-    t_final: float,
-    time_ratio: float,
-    bc: "str | BoundaryCondition" = "periodic",
-    slope_variant: str = "v2",
-    clip: ClipConfig = NO_CLIP,
-) -> np.ndarray:
-    """Per-step maximum violation of the discrete entropy inequality.
-
-    Runs the central scheme on a scalar model and evaluates, for the constant
-    ``zeta``, the cellwise entropy production of every update; nonpositive
-    production satisfies the inequality, so the returned values are the
-    positive parts (zero for a clean run).
-    """
-    if model.n_species != 1:
-        raise ConfigurationError(
-            "the discrete entropy residual is only defined for scalar models"
-        )
-    stepper = Stepper(model, grid, bc, SchemeSpec("nt", slope_variant), clip)
-    dx = grid.dx
-    z = float(zeta)
-
-    v = np.atleast_2d(np.array(values, dtype=float))
-    def flux(u, R):  # the one species' flux g(u) V(R)
-        return model.eval_flux(u[None], R)[0]
-
-    residuals = []
-    for dt, _ in _time_steps(t_final, time_ratio * dx):
-        lam = dt / dx
-        new, f = stepper.step_with_fields(v, dt)
-        # cells -1 .. J (cell j at index j + 1) and interfaces -1/2 .. J-1/2
-        c = f["values"][0]
-        s = f["slopes"][0]
-        h = 0.5 * dt * f["source_minus_sigma"][0]
-        Rh = f["half_R"]
-        Sh = f["half_source"][0]
-        ss = f["staggered_slopes"][0]
-        Fz = flux(z + h, Rh)
-
-        # numerical entropy flux on the interfaces
-        uL, uR = c[:-1], c[1:]
-        sLR = s[:-1] + s[1:]
-
-        def entropy_flux(a, b):
-            return (0.25 * (a - b) + dx / 16.0 * sLR + dx / 8.0 * ss) / lam + 0.5 * (
-                flux(a + h[:-1], Rh[..., :-1]) + flux(b + h[1:], Rh[..., 1:])
-            )
-
-        F = entropy_flux(np.maximum(uL, z), np.maximum(uR, z)) - entropy_flux(
-            np.minimum(uL, z), np.minimum(uR, z)
-        )
-
-        bracket = (
-            dx / 16.0 * (s[2:] - s[:-2])
-            + dx / 8.0 * (ss[1:] - ss[:-1])
-            + 0.5 * lam * (Fz[2:] - Fz[:-2])
-            - 0.25 * dt * (Sh[2:] + 2.0 * Sh[1:-1] + Sh[:-2])
-        )
-        lhs = (
-            np.abs(new[0] - z)
-            - np.abs(c[1:-1] - z)
-            + np.sign(new[0] - z) * bracket
-            + lam * (F[1:] - F[:-1])
-        )
-        residuals.append(max(0.0, float(lhs.max())))
-        v = new
-    return np.array(residuals)

@@ -117,8 +117,15 @@ class BandStack:
         return self.spectra[nfft][k - 1]
 
 
+MAX_TAPS = 2**31  # the most taps a band may have: a wider support is refused, not allocated
+
+
 def _band_counts(spec: KernelSpec, dx: float, tol: float = 1e-9) -> tuple[int, int]:
     eta1, eta2 = spec.support
+    if not (eta2 - eta1) / dx < MAX_TAPS:
+        raise ConfigurationError(
+            f"kernel {spec.name!r}: support {spec.support} spans more than {MAX_TAPS} taps"
+        )
     out = []
     for span in (-eta1, eta2):
         ratio = span / dx

@@ -373,6 +373,41 @@ def test_fractional_kernel_support_rejected(tmp_path, capsys):
     assert "integer multiple" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, change, message",
+    [
+        # runs that would not end: a step ceiling of 1e9
+        ("run", {"time_ratio": 1e-300}, "steps of dt"),
+        ("run", {"T": 1e300, "time_ratio": 0.06}, "steps of dt"),
+        ("run", {"model": "multilane", "safety": 1e-300}, "steps of dt"),
+        ("run", {"model": "garz", "initial_data": ["0", "1"]}, "steps of dt"),
+        # grids and bands too large to allocate: ceilings of 2**31 cells and taps
+        ("run", {"domain": [0, 1e300]}, "level 0 is too fine"),
+        ("run", {"eta": 1e9}, "spans more than 2147483648 taps"),
+        ("converge", {"levels": [0, 1], "reference_level": 40}, "level 40 is too fine"),
+        # expressions that cannot be evaluated
+        ("run", {"initial_data": ["9**9**9"]}, "bad initial-data expression '9**9**9'"),
+        ("run", {"initial_data": ["x+1/0"]}, "'x+1/0': float division by zero"),
+    ],
+)
+def test_an_unrunnable_config_fails_fast_with_exit_2(tmp_path, capsys, command, change, message):
+    cfg = write_config(tmp_path, {"model": "arrhenius", "T": 0.01, **change})
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "model, names",
+    [("arrhenius", ["lxf1", "lxf2", "nt-v1", "nt-v2"]), ("garz", ["lxf1", "lxf2", "nt-v1"])],
+)
+def test_a_config_without_schemes_runs_every_scheme_the_model_supports(model, names):
+    # nt-v2 needs the model's dV, which GARZ does not give
+    exp = parse_config({"model": model, "T": 0.01}).experiments[0]
+    assert [spec.name for spec in exp.schemes] == names
+
+
 def test_unknown_preset(capsys):
     assert main(["run", "--preset", "table-burgers"]) == 2
     err = capsys.readouterr().err

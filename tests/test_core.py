@@ -16,11 +16,10 @@ from ntcentral.core import (
     extend_array,
     init_cell_averages,
     max_stable_dt,
-    total_mass,
-    total_variation,
 )
 from ntcentral.errors import ConfigurationError, InputDataError
 from ntcentral.harness import Experiment
+from oracles import total_mass, total_variation
 
 
 def interfaces(g):

@@ -3,11 +3,12 @@
 Each (model, boundary condition) pair is run for three steps of every
 scheme it supports, at 80 cells (every band by the direct sum) and at 2560
 cells (every band by the FFT).  The digest covers the bytes of each state.
-The discrete entropy residual, which reads the step's intermediate fields
-on the window ``Stepper.step_with_fields`` publishes (cells -1 .. J), is
-pinned the same way on Arrhenius: its per-step values on a clean run are
-round-off, so any change to that window or to the arithmetic behind it
-moves a digest.
+The discrete entropy residual of ``oracles.entropy_residual``, which reads
+the step's intermediate fields on the window ``Stepper.step_with_fields``
+publishes (cells -1 .. J), is pinned the same way on Arrhenius: its
+per-step values on a clean run are round-off, so any change to that window,
+to the run loop's step schedule or to the arithmetic behind them moves a
+digest.
 A change that moves any result by one ulp changes a digest, and then the
 cached references (keyed by ``harness._CACHE_TAG``) may be stale too: so
 the digests and the tag are pinned side by side, and neither can move
@@ -27,6 +28,7 @@ from ntcentral.harness import resolve_profiles
 from ntcentral.limiters import NO_CLIP, ClipConfig
 from ntcentral.models import MODEL_FACTORIES, ModelDef, make_model
 from ntcentral.schemes import SchemeSpec, Stepper
+from oracles import entropy_residual
 
 CACHE_TAG = "ntc-8"
 DIGESTS = {
@@ -145,7 +147,7 @@ def entropy_fingerprint(bc: str, variant: str) -> str:
         grid = Grid(-1.0, 1.0, cells)
         v0 = init_cell_averages(resolve_profiles("arrhenius-sine"), grid)
         for zeta in ZETAS:
-            res = harness.entropy_residual(
+            res = entropy_residual(
                 model, grid, v0, zeta, STEPS * TIME_RATIO * grid.dx, TIME_RATIO, bc, variant
             )
             assert res.shape == (STEPS,)

@@ -5,13 +5,15 @@ tells a derived-field nonlocal term from a species one, one function that
 turns text into code (the checked initial-data expressions), no numerics
 chosen by a library heuristic (scipy.signal's direct/FFT ``method="auto"``),
 no scipy on the import path (numpy alone runs the package; scipy stays a
-test oracle), and every layer the benchmark's tracer times still reached
-through its module attribute.
+test oracle), no public function or class that only tests read, one loop
+over the step schedule, and every layer the benchmark's tracer times still
+reached through its module attribute.
 """
 
 import ast
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -257,6 +259,79 @@ def test_only_the_expression_profile_turns_text_into_code(module):
         assert found == ["expression_profile: compile", "expression_profile: eval"]
     else:
         assert found == []
+
+
+def public_definitions(source: str) -> list[str]:
+    """Names of a module's public top-level functions and classes."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+def test_public_definition_detector_flags_and_spares():
+    source = (
+        "import numpy as np\n"
+        "def f(): pass\n"
+        "class K:\n"
+        "    def m(self): pass\n"
+        "def _g(): pass\n"
+        "h = 1\n"
+        "if True:\n"
+        "    def i(): pass\n"
+    )
+    assert public_definitions(source) == ["f", "K"]
+
+
+def test_every_public_definition_has_a_reader():
+    # the public surface holds what the package, the README or the benchmark
+    # reads; a diagnostic that only tests read belongs in tests/oracles.py
+    root = SOURCE_DIR.parents[1]
+    modules = MODULES + ["__init__.py"]
+    used = set().union(*(identifiers((SOURCE_DIR / m).read_text()) for m in modules))
+    bench = sorted((root / "perfbench").rglob("*.py")) + sorted((root / "perfbench").rglob("*.md"))
+    text = "".join(p.read_text() for p in [root / "README.md", *bench])
+    unread = [
+        f"{module}: {name}"
+        for module in MODULES
+        for name in public_definitions((SOURCE_DIR / module).read_text())
+        if name not in used and not re.search(rf"\b{name}\b", text)
+    ]
+    assert unread == []
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The top-level definitions of a module that call ``name``, bare or as
+    an attribute, once per call."""
+    found = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if name in (getattr(f, "id", None), getattr(f, "attr", None)):
+                    found.append(getattr(top, "name", "<module>"))
+    return found
+
+
+def test_caller_detector_flags_and_spares():
+    source = (
+        "from . import harness\n"
+        "harness.step()\n"
+        "def f():\n"
+        "    return [step(t) for t in step]\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return self.step, steps(), step\n"
+    )
+    assert callers(source, "step") == ["<module>", "f"]
+
+
+def test_the_package_has_one_time_loop():
+    # run_simulation is the one loop over the step schedule; a diagnostic
+    # that needs its own loop is a test oracle (tests/oracles.py)
+    found = [c for m in MODULES for c in callers((SOURCE_DIR / m).read_text(), "_time_steps")]
+    assert found == ["run_simulation"]
 
 
 def fresh_modules(imports: str, prefixes: tuple) -> list:

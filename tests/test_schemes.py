@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from ntcentral import schemes
-from ntcentral.core import BoundaryCondition, Grid, init_cell_averages, total_mass
+from ntcentral.core import BoundaryCondition, Grid, init_cell_averages
 from ntcentral.errors import ConfigurationError
 from ntcentral.models import make_model
 from ntcentral.schemes import SchemeSpec, Stepper
+from oracles import total_mass
 
 PER = BoundaryCondition.PERIODIC
 
