@@ -32,6 +32,7 @@ from .harness import (
     restrict_values,
     run_simulation,
     snapshot_columns,
+    stored_run,
 )
 from .limiters import NO_CLIP, ClipConfig
 from .models import MODEL_FACTORIES, make_model, model_parameters
@@ -417,6 +418,7 @@ def cmd_run(cfg: RunConfig, strict_cfl: bool = False) -> int:
             state, log = run_simulation(
                 exp, level, spec, strict_cfl=strict_cfl, record=True, time_ratio=lam
             )
+            stored_run(exp, level, spec, lam, ran=(state, log))  # for compare to read
             _emit(
                 _out_path(cfg, cfg.name, exp.name, spec.name),
                 csv_table(*snapshot_columns(model, grid, state.values)),
@@ -441,10 +443,8 @@ def cmd_compare(cfg: RunConfig, strict_cfl: bool = False) -> int:
     for exp, model, lam, level, grid in _one_level_runs(cfg, "compare"):
         names, columns = ["x"], [grid.centers]
         for spec in exp.schemes:
-            state, _ = run_simulation(
-                exp, level, spec, strict_cfl=strict_cfl, record=False, time_ratio=lam
-            )
-            header, cols = snapshot_columns(model, grid, state.values)
+            values = stored_run(exp, level, spec, lam, strict_cfl)
+            header, cols = snapshot_columns(model, grid, values)
             names += [f"{spec.name}:{h}" for h in header[1:]]
             columns += cols[1:]
         reference = compute_reference(exp, lam)

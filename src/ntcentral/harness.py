@@ -5,7 +5,8 @@ initial data, domain, schemes, refinement levels).  The driver advances it
 level by level with a fixed mesh ratio ``dt/dx``, monitors conserved
 quantities along the way, measures L1 distances against a fine reference on
 nested grids, and assembles per-scheme error/rate tables.  Reference
-solutions are cached on disk because they dominate the cost of every study.
+solutions are cached on disk because they dominate the cost of every study,
+and so is the final state of each ``run``, for the ``compare`` after it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     NumericsError,
 )
 from .limiters import NO_CLIP, ClipConfig
-from .models import ModelDef, make_model
+from .models import MODEL_FACTORIES, ModelDef, make_model
 from .schemes import SchemeSpec, Stepper
 
 CACHE_ENV = "NTCENTRAL_CACHE_DIR"
@@ -163,6 +164,7 @@ def resolve_profiles(spec):
 class Experiment:
     """One benchmark: model, data, domain, schemes, and refinement ladder.
 
+    ``model`` is the name of a registered model (``MODEL_FACTORIES``).
     ``base_dx`` is the level-0 spacing; level ``n`` uses ``base_dx * 2**-n``.
     ``time_ratio`` fixes ``dt/dx`` for the whole family; when ``None`` it is
     derived once from the CFL bound, scaled by ``safety`` in (0, 1], with the
@@ -194,6 +196,11 @@ class Experiment:
     name: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.model, str):  # the cache keys read the name
+            raise ConfigurationError(
+                f"model is the name of a registered model, one of {sorted(MODEL_FACTORIES)}; "
+                f"got a {type(self.model).__name__}"
+            )
         # NaN fails every comparison below and inf passes them (a None time_ratio is derived)
         for name in ("t_final", "time_ratio", "base_dx", "domain"):
             value = getattr(self, name)
@@ -397,7 +404,8 @@ class MonitorLog:
     the table is read, so off the torus ``tv`` counts interior differences
     only.  The table has a row per recorded state, in the column order of
     the monitor CSV: ``t``, then ``mass``, ``min``, ``max`` and ``tv`` of
-    each species in turn.
+    each species in turn.  ``cfl_warning`` is the message of the first step
+    of the run that exceeded the CFL estimate, or None, recorded or not.
     """
 
     _FIRST_ROWS = 64
@@ -405,6 +413,7 @@ class MonitorLog:
     def __init__(self, grid: Grid, bc: "str | BoundaryCondition"):
         self.grid = grid
         self.bc = BoundaryCondition.parse(bc)
+        self.cfl_warning: str | None = None
         self._count = 0
 
     def _start(self, values: np.ndarray):
@@ -554,8 +563,8 @@ def run_simulation(
     with the step index (NaN propagates through min, max and the box's sum,
     and an infinity is a min or a max), the log records it as
     ``min``/``max``, and then the per-step CFL monitor
-    (:func:`flux_speed_estimate`) warns once per run or raises in strict
-    mode.
+    (:func:`flux_speed_estimate`) warns once per run, keeping the message
+    as the log's ``cfl_warning``, or raises in strict mode.
     """
     model = exp.build_model()
     grid = exp.grid_at(level)
@@ -570,7 +579,6 @@ def run_simulation(
     if record:
         monitor.record(0.0, v, _box(v, box))
 
-    warned = False
     for i, (dt, t) in enumerate(_time_steps(exp.t_final, lam * grid.dx)):
         v = stepper.step(v, dt)
         _box(v, box)
@@ -590,9 +598,9 @@ def run_simulation(
             )
             if strict_cfl:
                 raise CflViolationError(message)
-            if not warned:
+            if monitor.cfl_warning is None:
                 warnings.warn(message, RuntimeWarning, stacklevel=2)
-                warned = True
+                monitor.cfl_warning = message
     return SystemState(v, exp.t_final), monitor
 
 
@@ -619,7 +627,7 @@ def l1_error(a: np.ndarray, b: np.ndarray, dx: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# reference cache
+# run cache
 # ---------------------------------------------------------------------------
 
 
@@ -635,39 +643,77 @@ def _reference_spec(model: ModelDef) -> SchemeSpec:
     return SchemeSpec(scheme="nt", slope_variant=variant, label="reference")
 
 
+def _entry_path(
+    exp: Experiment, level: int, spec: SchemeSpec, time_ratio: float, reference: bool = False
+) -> str:
+    """The cache file of one run's final state.
+
+    ``ref-<sha>.npy`` for the fine reference of ``exp`` (``reference``: the
+    key holds its level and slope variant) and ``run-<sha>.npy`` for any
+    other run (the level, scheme, slope variant and theta, but not the
+    label, which only names the output), each keyed with the experiment's
+    canonical document and the mesh ratio.
+    """
+    if reference:
+        prefix, run = "ref", {"reference": [level, spec.slope_variant]}
+    else:
+        prefix, run = "run", {"run": [level, spec.scheme, spec.slope_variant, spec.theta]}
+    key = _tagged_digest({"experiment": exp.canonical(), **run, "time_ratio": time_ratio})
+    return os.path.join(cache_directory(), f"{prefix}-{key}.npy")
+
+
+def stored_run(
+    exp: Experiment,
+    level: int,
+    spec: SchemeSpec,
+    time_ratio: float,
+    strict_cfl: bool = False,
+    reference: bool = False,
+    ran: "tuple[SystemState, MonitorLog] | None" = None,
+) -> np.ndarray:
+    """Final cell averages of one run, through its entry in the disk cache.
+
+    The entry (:func:`_entry_path`) is read when it holds a finite float64
+    array of the run's shape; anything else is run again with
+    :func:`run_simulation` and overwritten.  ``ran`` is the ``(state, log)``
+    of a run the caller has made, stored without a read.  A failed run is
+    never stored.  A ``run-`` entry is stored only when the run ended within
+    the CFL estimate (its log's ``cfl_warning`` is None), so a read never
+    takes the place of a run that warns or, under ``strict_cfl``, fails.  A
+    reference never runs strict and is stored either way, so only its first
+    computation warns.  A failed write is not fatal.
+    """
+    path = _entry_path(exp, level, spec, time_ratio, reference)
+    if ran is None:
+        try:
+            values = np.load(path, allow_pickle=False)
+            shape = (len(exp.profiles()), exp.cells_at(level))
+            if values.dtype == np.float64 and values.shape == shape and np.isfinite(values).all():
+                return values
+        except (OSError, ValueError):
+            pass  # no entry, or an unreadable one: run below
+        ran = run_simulation(
+            exp, level, spec, strict_cfl=strict_cfl, record=False, time_ratio=time_ratio
+        )
+    state, log = ran
+    if reference or log.cfl_warning is None:
+        npy = io.BytesIO()
+        np.save(npy, state.values)
+        try:
+            _atomic_write(path, npy.getvalue())
+        except OSError:
+            pass  # a failed cache write is not fatal: the values are still returned
+    return state.values
+
+
 def compute_reference(
     exp: Experiment,
     time_ratio: float | None = None,
 ) -> np.ndarray:
     """Cell averages of the fine reference run, cached on disk."""
     model = exp.build_model()
-    spec = _reference_spec(model)
     lam = time_ratio if time_ratio is not None else resolve_time_ratio(exp, model)
-    key_doc = {
-        "experiment": exp.canonical(),
-        "reference": [exp.reference_level, spec.slope_variant],
-        "time_ratio": lam,
-    }
-    key = _tagged_digest(key_doc)
-    path = os.path.join(cache_directory(), f"ref-{key}.npy")
-    expected = (model.n_species, exp.cells_at(exp.reference_level))
-    if os.path.exists(path):
-        try:
-            values = np.load(path, allow_pickle=False)
-            if values.shape == expected:
-                return values
-        except (OSError, ValueError):
-            pass  # unreadable cache entry: recompute below
-    state, _ = run_simulation(
-        exp, exp.reference_level, spec, record=False, time_ratio=lam
-    )
-    npy = io.BytesIO()
-    np.save(npy, state.values)
-    try:
-        _atomic_write(path, npy.getvalue())
-    except OSError:
-        pass  # a failed cache write is not fatal: the reference is still returned
-    return state.values
+    return stored_run(exp, exp.reference_level, _reference_spec(model), lam, reference=True)
 
 
 # ---------------------------------------------------------------------------

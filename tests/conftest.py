@@ -5,6 +5,7 @@ import pytest
 
 from ntcentral.core import Grid
 from ntcentral.models import make_model
+from ntcentral.schemes import Stepper
 
 
 def pytest_collection_modifyitems(session, config, items):
@@ -35,3 +36,17 @@ def with_sources():
         return dataclasses.replace(model, kernels=kernels, nonlocal_sources=sources)
 
     return build
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    """A dict whose ``"steps"`` counts the ``Stepper.step`` calls from now on."""
+    counts = {"steps": 0}
+    step = Stepper.step
+
+    def counted(stepper, values, dt):
+        counts["steps"] += 1
+        return step(stepper, values, dt)
+
+    monkeypatch.setattr(Stepper, "step", counted)
+    return counts

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,79 @@ def test_run_reruns_are_byte_identical(tmp_path):
     a = (out1 / "arrhenius-nt-v1.csv").read_bytes()
     b = (out2 / "arrhenius-nt-v1.csv").read_bytes()
     assert a == b
+
+
+# -- the run cache -----------------------------------------------------------------
+
+
+def cache_doc(**kw):
+    schemes = [{"scheme": "lxf1"}, {"scheme": "nt", "slope_variant": "v2", "theta": 0.5}]
+    return tiny_doc(**{"level": 0, "reference_level": 2, "schemes": schemes, **kw})
+
+
+def test_compare_after_run_reads_the_states_run_stored(tmp_path, step_calls):
+    cfg = write_config(tmp_path, cache_doc())
+    fresh, after = tmp_path / "fresh", tmp_path / "after"
+    assert main(["compare", "--config", cfg, "--out", str(fresh)]) == 0
+    for entry in tmp_path.glob("cache/run-*.npy"):  # keep the reference only
+        entry.unlink()
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert len(list(tmp_path.glob("cache/run-*.npy"))) == 2
+    step_calls["steps"] = 0
+    assert main(["compare", "--config", cfg, "--out", str(after)]) == 0
+    assert step_calls["steps"] == 0
+    assert (after / "arrhenius.csv").read_bytes() == (fresh / "arrhenius.csv").read_bytes()
+
+
+def test_a_run_over_the_cfl_estimate_stores_nothing(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path, cache_doc(time_ratio=0.5))
+
+    def compare(cache, *flags):
+        """(exit code, warning texts, stderr) of a compare with the cache ``cache``."""
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / cache))
+        argv = ["compare", "--config", cfg, "--out", str(tmp_path / cache), *flags]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        return code, [str(w.message) for w in caught], capsys.readouterr().err
+
+    fresh, fresh_strict = compare("fresh"), compare("fresh-strict", "--strict-cfl")
+    assert "CFL estimate exceeded" in fresh[1][0]
+    assert fresh_strict[0] == 3 and "error: CFL estimate exceeded" in fresh_strict[2]
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path / "ran"))
+    with pytest.warns(RuntimeWarning, match="CFL estimate exceeded"):
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert not list(tmp_path.glob("ran/run-*.npy"))
+    assert compare("ran") == fresh
+    assert compare("ran", "--strict-cfl") == fresh_strict
+
+
+def test_a_cache_that_cannot_be_written_leaves_run_and_compare_as_they_were(
+    tmp_path, monkeypatch
+):
+    cfg = write_config(tmp_path, cache_doc())
+    (tmp_path / "file").write_text("")
+    outputs = {}
+    for side, cache in (("blocked", "file/cache"), ("open", "cache")):  # a directory under a file
+        monkeypatch.setenv(CACHE_ENV, str(tmp_path / cache))
+        out = tmp_path / side
+        for command in ("run", "compare"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        outputs[side] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs["open"]) == 5  # a snapshot and a monitor per scheme, and the compare table
+    assert outputs["blocked"] == outputs["open"]
+    assert len(list(tmp_path.glob("cache/run-*.npy"))) == 2
+
+
+def test_converge_stores_one_reference_per_experiment_and_no_run(tmp_path):
+    experiments = [
+        {**tiny_doc(levels=[0, 1], reference_level=2), "label": "a"},
+        {**tiny_doc(levels=[0, 1], reference_level=2, eta=0.3), "label": "b"},
+    ]
+    cfg = write_config(tmp_path, {"experiments": experiments})
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("cache/ref-*.npy"))) == 2
+    assert not list(tmp_path.glob("cache/run-*.npy"))
 
 
 # -- converge ----------------------------------------------------------------------

@@ -693,7 +693,7 @@ def test_monitor_ranges_are_those_of_every_recorded_state(monkeypatch, name):
     np.testing.assert_array_equal(log.vmax, [v.max(axis=1) for v in states])
 
 
-# -- reference cache ---------------------------------------------------------------
+# -- run cache ---------------------------------------------------------------------
 
 
 def test_reference_cache_roundtrip(tmp_path, monkeypatch):
@@ -718,6 +718,101 @@ def test_a_cache_that_cannot_be_written_does_not_stop_the_reference(tmp_path, mo
     unwritten = compute_reference(exp)
     monkeypatch.setenv(CACHE_ENV, str(tmp_path / "fresh"))
     np.testing.assert_array_equal(unwritten, compute_reference(exp))
+
+
+def test_a_reference_file_name_is_pinned(tmp_path, monkeypatch):
+    # the name this experiment's reference had before the run cache shared the
+    # reference's routine: warm caches still hit
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    compute_reference(small_experiment(t_final=0.02, levels=(0,), reference_level=2))
+    name = "ref-49e767c520fdb8ee7361290588659cb801ce11cbe6dd08dcf9f06f60cad2e2c1.npy"
+    assert os.listdir(tmp_path) == [name]
+
+
+def cached(exp, spec, reference, lam=0.2):
+    """A run through the cache, the reference of ``exp`` or ``spec`` at level 0."""
+    if reference:
+        return compute_reference(exp, lam)
+    return harness.stored_run(exp, 0, spec, lam)
+
+
+@pytest.mark.parametrize("reference", [True, False], ids=["ref", "run"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda v: v.astype(np.float32),
+        lambda v: np.zeros(v.shape, dtype=np.int64),
+        lambda v: np.where(np.arange(v.size).reshape(v.shape) == 3, np.nan, v),
+        lambda v: v[:, :-1],
+    ],
+    ids=["float32", "int64", "nan", "shape"],
+)
+def test_a_cache_entry_that_is_not_finite_float64_is_run_again(
+    tmp_path, monkeypatch, step_calls, reference, bad
+):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    exp, spec = small_experiment(levels=(0,), reference_level=2), SchemeSpec("nt", "v2")
+    first = cached(exp, spec, reference)
+    (entry,) = glob.glob(os.path.join(str(tmp_path), "ref-*" if reference else "run-*"))
+    np.save(entry, bad(first))
+    step_calls["steps"] = 0
+    again = cached(exp, spec, reference)
+    assert step_calls["steps"] > 0
+    np.testing.assert_array_equal(again, first)
+    stored = np.load(entry)  # overwritten with the run's state
+    assert stored.dtype == np.float64
+    np.testing.assert_array_equal(stored, first)
+    step_calls["steps"] = 0
+    np.testing.assert_array_equal(cached(exp, spec, reference), first)
+    assert step_calls["steps"] == 0
+
+
+def test_a_run_over_the_cfl_estimate_is_not_stored(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    exp, spec = small_experiment(levels=(0,), reference_level=2), SchemeSpec("nt", "v2")
+    with pytest.warns(RuntimeWarning, match="CFL estimate exceeded") as caught:
+        _, log = run_simulation(exp, 0, spec, time_ratio=0.5)
+    assert log.cfl_warning == str(caught[0].message)
+    with pytest.warns(RuntimeWarning, match="CFL estimate exceeded"):
+        harness.stored_run(exp, 0, spec, 0.5)
+    assert os.listdir(tmp_path) == []
+    _, log = run_simulation(exp, 0, spec, time_ratio=0.2)
+    assert log.cfl_warning is None
+    # a reference is stored either way, as it always was: it never runs strict
+    with pytest.warns(RuntimeWarning, match="CFL estimate exceeded"):
+        compute_reference(exp, 0.5)
+    assert [name[:4] for name in os.listdir(tmp_path)] == ["ref-"]
+
+
+@pytest.mark.parametrize(
+    "level, spec, lam, hits",
+    [
+        (0, SchemeSpec("nt", "v2", theta=0.5, label="other"), 0.2, True),
+        (0, SchemeSpec("nt", "v2", theta=0.25), 0.2, False),
+        (0, SchemeSpec("nt", "v2", theta=0.5), 0.1, False),
+        (1, SchemeSpec("nt", "v2", theta=0.5), 0.2, False),
+        (0, SchemeSpec("lxf2", theta=0.5), 0.2, False),
+        (0, SchemeSpec("nt", "v1", theta=0.5), 0.2, False),
+    ],
+    ids=["label", "theta", "time_ratio", "level", "scheme", "slope_variant"],
+)
+def test_a_run_entry_is_keyed_by_all_but_the_label(
+    tmp_path, monkeypatch, step_calls, level, spec, lam, hits
+):
+    monkeypatch.setenv(CACHE_ENV, str(tmp_path))
+    exp = small_experiment(levels=(0, 1), reference_level=2)
+    harness.stored_run(exp, 0, SchemeSpec("nt", "v2", theta=0.5), 0.2)
+    step_calls["steps"] = 0
+    values = harness.stored_run(exp, level, spec, lam)
+    assert (step_calls["steps"] == 0) == hits
+    assert len(os.listdir(tmp_path)) == (1 if hits else 2)
+    state, _ = run_simulation(exp, level, spec, record=False, time_ratio=lam)
+    np.testing.assert_array_equal(values, state.values)
+
+
+def test_an_experiment_model_is_a_registered_name():
+    with pytest.raises(ConfigurationError, match="model is the name of a registered model"):
+        small_experiment(model=make_model("arrhenius", eta=0.2), model_params={})
 
 
 # -- convergence studies ------------------------------------------------------------
