@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -57,7 +56,7 @@ _SCHEME_SCHEMA = {
     "properties": {
         "scheme": {"enum": list(SCHEMES)},
         "slope_variant": {"enum": list(SLOPE_VARIANTS)},
-        "theta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+        "theta": {"type": "number"},
         "label": {"type": "string", "minLength": 1},
     },
 }
@@ -65,9 +64,9 @@ _SCHEME_SCHEMA = {
 _EXPERIMENT_PROPERTIES = {
     "label": {"type": "string"},
     "model": {"enum": sorted(MODEL_FACTORIES)},
-    "eta": {"type": "number", "exclusiveMinimum": 0},
+    "eta": {"type": "number"},
     "kernel": {"type": "string"},
-    "T": {"type": "number", "minimum": 0},
+    "T": {"type": "number"},
     "initial_data": {"type": ["string", "array"], "items": {"type": "string"}, "minItems": 1},
     "domain": {
         "type": "array",
@@ -76,27 +75,23 @@ _EXPERIMENT_PROPERTIES = {
         "maxItems": 2,
     },
     "bc": {"enum": [b.value for b in BoundaryCondition]},
-    "base_dx": {"type": "number", "exclusiveMinimum": 0},
-    "level": {"type": "integer", "minimum": 0},
-    "levels": {
-        "type": "array",
-        "items": {"type": "integer", "minimum": 0},
-        "minItems": 1,
-    },
-    "reference_level": {"type": "integer", "minimum": 1},
-    "time_ratio": {"type": "number", "exclusiveMinimum": 0},
+    "base_dx": {"type": "number"},
+    "level": {"type": "integer"},
+    "levels": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
+    "reference_level": {"type": "integer"},
+    "time_ratio": {"type": "number"},
     "schemes": {"type": "array", "items": _SCHEME_SCHEMA, "minItems": 1},
     "clip": {
         "type": "object",
         "additionalProperties": False,
         "properties": {
             "enabled": {"type": "boolean"},
-            "C": {"type": "number", "exclusiveMinimum": 0},
-            "delta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+            "C": {"type": "number"},
+            "delta": {"type": "number"},
         },
     },
     "positivity": {"type": "boolean"},
-    "safety": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
+    "safety": {"type": "number"},
 }
 
 _TOP_LEVEL_EXTRA = {
@@ -137,12 +132,10 @@ _PRESET_SCHEMA = {
 #
 # The two schemas above use a small part of JSON Schema (draft 2020-12), and
 # this walk implements exactly that part, _SCHEMA_KEYWORDS.  It reports the
-# error jsonschema's best_match would pick, with the same message and path,
-# with one deliberate difference: a `number` must be finite, so NaN, Infinity
-# and 1e400 (which Python's JSON reader accepts) fail here, not deep inside
-# the numerics.  An error is a tuple (path, message, matches_type).
-
-_FLOAT_MAX = sys.float_info.max
+# error jsonschema's best_match would pick, with the same message and path.
+# The schemas check structure only: types, keys, enums and sizes.  Every rule
+# on a value (ranges, finiteness) is checked once, by the dataclass or factory
+# that holds the value.  An error is a tuple (path, message).
 
 
 def _is_type(x, kind: "str | list[str]") -> bool:
@@ -151,17 +144,14 @@ def _is_type(x, kind: "str | list[str]") -> bool:
     if kind in ("number", "integer"):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             return False
-        if kind == "number":
-            return -_FLOAT_MAX <= x <= _FLOAT_MAX  # false for NaN and infinities
-        return isinstance(x, int) or x.is_integer()
+        return kind == "number" or isinstance(x, int) or x.is_integer()
     return isinstance(x, {"object": dict, "array": list, "string": str, "boolean": bool}[kind])
 
 
 def _type(kind, x):
     if not _is_type(x, kind):
-        numeric = kind == "number" and isinstance(x, (int, float)) and not isinstance(x, bool)
         shown = ", ".join(map(repr, kind if isinstance(kind, list) else [kind]))
-        yield f"{x!r} is {'not a finite number' if numeric else f'not of type {shown}'}"
+        yield f"{x!r} is not of type {shown}"
 
 
 def _extras(x, schema):
@@ -181,11 +171,6 @@ def _size(bound, x, kind, low):
             yield f"{x!r} {'is expected to be empty' if bound == 0 else 'is too long'}"
 
 
-def _bound(limit, x, fails, text):
-    if _is_type(x, "number") and fails(x, limit):
-        yield f"{x!r} is {text} {limit!r}"
-
-
 # keyword -> (value, instance, schema) -> messages of the instance's own errors
 _CHECKS = {
     "type": lambda kind, x, _: _type(kind, x),
@@ -199,19 +184,14 @@ _CHECKS = {
     "minItems": lambda n, x, _: _size(n, x, "array", True),
     "maxItems": lambda n, x, _: _size(n, x, "array", False),
     "minLength": lambda n, x, _: _size(n, x, "string", True),
-    "minimum": lambda m, x, _: _bound(m, x, operator.lt, "less than the minimum of"),
-    "maximum": lambda m, x, _: _bound(m, x, operator.gt, "greater than the maximum of"),
-    "exclusiveMinimum": lambda m, x, _: _bound(
-        m, x, operator.le, "less than or equal to the minimum of"
-    ),
 }
 #: the keywords the walk implements; the two schemas may use no others
 _SCHEMA_KEYWORDS = frozenset(_CHECKS) | {"properties", "items"}
 
 
 def _errors(schema: dict, x, path: tuple = ()):
-    """Every error of ``x`` under ``schema`` as (path, message, matches_type),
-    in the order jsonschema yields them."""
+    """Every error of ``x`` under ``schema`` as (path, message), in the order
+    jsonschema yields them."""
     for keyword, value in schema.items():
         if keyword == "properties":
             if isinstance(x, dict):
@@ -223,24 +203,19 @@ def _errors(schema: dict, x, path: tuple = ()):
                 for i, item in enumerate(x):
                     yield from _errors(value, item, path + (i,))
         else:
-            matches = "type" in schema and _is_type(x, schema["type"])
             for message in _CHECKS[keyword](value, x, schema):
-                yield path, message, matches
+                yield path, message
 
 
 def _relevance(error):
-    # best_match's order: shallower first, then the later sibling, then an
-    # instance that fails its schema's type
-    path, _, matches = error
-    return -len(path), path, not matches
+    # best_match's order: shallower first, then the later sibling
+    path, _ = error
+    return -len(path), path
 
 
 def _best_match(errors) -> tuple | None:
     """(path, message) of the error jsonschema.exceptions.best_match picks."""
-    best = max(errors, key=_relevance, default=None)
-    if best is None:
-        return None
-    return best[0], best[1]
+    return max(errors, key=_relevance, default=None)
 
 
 @dataclass
@@ -331,14 +306,18 @@ def parse_config(doc, source: str = "<config>") -> RunConfig:
         path, message = error
         raise ConfigurationError(f"{source}: {_schema_path(path)}: {message}")
 
-    if "experiments" in doc:
+    if preset:
         exp_docs = doc["experiments"]
     else:
         exp_docs = [{k: v for k, v in doc.items() if k in _EXPERIMENT_PROPERTIES}]
-    try:
-        experiments = tuple(_experiment_from_doc(d) for d in exp_docs)
-    except SolverError as exc:
-        raise type(exc)(f"{source}: {exc}") from None
+    experiments = []
+    for i, exp_doc in enumerate(exp_docs):
+        try:
+            experiments.append(_experiment_from_doc(exp_doc))
+        except SolverError as exc:
+            # an error in a preset's experiment i names it; a single config's does not
+            where = f"$.experiments[{i}]: " if preset else ""
+            raise type(exc)(f"{source}: {where}{exc}") from None
     labels = [e.name for e in experiments]
     if len(experiments) > 1 and len(set(labels)) != len(labels):
         raise ConfigurationError(
@@ -348,7 +327,7 @@ def parse_config(doc, source: str = "<config>") -> RunConfig:
     return RunConfig(
         name=name,
         out_dir=doc.get("out", "."),
-        experiments=experiments,
+        experiments=tuple(experiments),
     )
 
 

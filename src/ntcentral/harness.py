@@ -201,6 +201,8 @@ class Experiment:
                 f"model is the name of a registered model, one of {sorted(MODEL_FACTORIES)}; "
                 f"got a {type(self.model).__name__}"
             )
+        if len(self.domain) != 2:
+            raise ConfigurationError(f"domain must be two numbers, got {self.domain}")
         # NaN fails every comparison below and inf passes them (a None time_ratio is derived)
         for name in ("t_final", "time_ratio", "base_dx", "domain"):
             value = getattr(self, name)

@@ -33,6 +33,7 @@ torus, else the smallest 5-smooth length ``fft_length(L)`` of the window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -324,12 +325,17 @@ BUILTIN_KERNELS: dict[str, Callable[[float], KernelSpec]] = {
 
 def builtin_kernel(name: str, eta: float) -> KernelSpec:
     """Construct one of the built-in unit-integral kernels."""
-    if eta <= 0.0:
-        raise KernelDefinitionError(f"kernel range eta must be positive, got {eta}")
+    if not 0.0 < eta < math.inf:  # NaN fails too
+        raise KernelDefinitionError(f"kernel range eta must be positive and finite, got {eta}")
     try:
         factory = BUILTIN_KERNELS[name]
     except KeyError:
         raise KernelDefinitionError(
             f"unknown kernel {name!r}; available: {sorted(BUILTIN_KERNELS)}"
         ) from None
-    return factory(eta)
+    try:
+        return factory(eta)
+    except ArithmeticError as exc:  # a normalisation such as eta**6 leaves the doubles
+        raise KernelDefinitionError(
+            f"kernel {name!r} cannot be normalised at eta = {eta}: {exc}"
+        ) from None

@@ -33,8 +33,8 @@ class ClipConfig:
     When enabled, every limited difference is additionally capped at
     ``C * dx**delta`` (signed like the backward difference), which bounds the
     reconstruction jumps independently of the data.  Disabled by default.
-    ``C`` must be positive and finite and ``delta`` in (0, 1], the config
-    schema's range: a cap of zero or less would zero every limited slope.
+    ``C`` must be positive and finite and ``delta`` in (0, 1]: a cap of zero
+    or less would zero every limited slope.
     """
 
     enabled: bool = False

@@ -3,7 +3,6 @@
 import hashlib
 import itertools
 import json
-import math
 import os
 import random
 import warnings
@@ -14,7 +13,7 @@ import pytest
 from ntcentral import cli
 from ntcentral.cli import load_preset, main, parse_config, preset_names
 from ntcentral.core import init_cell_averages
-from ntcentral.errors import ConfigurationError
+from ntcentral.errors import ConfigurationError, SolverError
 from ntcentral.harness import CACHE_ENV, Experiment, resolve_profiles
 from ntcentral.limiters import ClipConfig
 
@@ -462,6 +461,9 @@ def test_fractional_kernel_support_rejected(tmp_path, capsys):
         # expressions that cannot be evaluated
         ("run", {"initial_data": ["9**9**9"]}, "bad initial-data expression '9**9**9'"),
         ("run", {"initial_data": ["x+1/0"]}, "'x+1/0': float division by zero"),
+        # a kernel whose normalisation leaves the doubles
+        ("run", {"model": "keyfitz-kranzer", "eta": 5e-324}, "cannot be normalised at eta"),
+        ("run", {"model": "keyfitz-kranzer", "eta": 1e308}, "cannot be normalised at eta"),
     ],
 )
 def test_an_unrunnable_config_fails_fast_with_exit_2(tmp_path, capsys, command, change, message):
@@ -476,10 +478,20 @@ def test_an_unrunnable_config_fails_fast_with_exit_2(tmp_path, capsys, command, 
     "model, names",
     [("arrhenius", ["lxf1", "lxf2", "nt-v1", "nt-v2"]), ("garz", ["lxf1", "lxf2", "nt-v1"])],
 )
-def test_a_config_without_schemes_runs_every_scheme_the_model_supports(model, names):
+def test_a_config_without_schemes_runs_every_scheme_the_model_supports(
+    tmp_path, capsys, model, names
+):
     # nt-v2 needs the model's dV, which GARZ does not give
-    exp = parse_config({"model": model, "T": 0.01}).experiments[0]
+    doc = {"model": model, "T": 0.001}
+    exp = parse_config(doc).experiments[0]
     assert [spec.name for spec in exp.schemes] == names
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    stems = [stem for name in names for stem in (name, f"{name}-monitor")]
+    assert printed == [os.path.join(str(tmp_path), f"{model}-{stem}.csv") for stem in stems]
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(
+        f"{model}-{stem}.csv" for stem in stems
+    )
 
 
 def test_unknown_preset(capsys):
@@ -563,6 +575,20 @@ def test_bad_preset_message_is_the_best_match():
         assert str(err.value) == f"fig-garz.json: {message}"
 
 
+@pytest.mark.parametrize("index", [0, 2])
+def test_a_preset_value_error_names_its_experiment(index):
+    # the schema checks structure only, so the value error comes from the
+    # dataclass, prefixed with the path of the experiment that holds it
+    doc = load_preset("table-arrhenius")
+    doc["experiments"][index]["safety"] = 1.5
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(doc, "table-arrhenius.json")
+    assert str(err.value) == (
+        f"table-arrhenius.json: $.experiments[{index}]: "
+        "CFL safety factor must lie in (0, 1], got 1.5"
+    )
+
+
 @pytest.mark.parametrize("text", ["3", "null", "true", "[1]", '"experiments"'])
 def test_a_top_level_that_is_not_an_object_is_a_config_error(tmp_path, capsys, text):
     path = tmp_path / "c.json"
@@ -579,16 +605,22 @@ def test_a_top_level_that_is_not_an_object_is_a_config_error(tmp_path, capsys, t
         ("T", "1e400", "T", "inf"),
         ("time_ratio", "NaN", "time_ratio", "nan"),
         ("eta", "Infinity", "eta", "inf"),
+        ("eta", "NaN", "eta", "nan"),
         ("domain", "[0, Infinity]", "domain[1]", "inf"),
     ],
 )
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, key, literal, where, shown):
-    # Python's JSON reader accepts these; without the check they crash in the numerics
+    # Python's JSON reader accepts these, and the schema passes them on as JSON
+    # Schema numbers, so no message has the value's path $.<where>; the
+    # Experiment refuses each by the name of its field (the key T sets t_final)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(tiny_doc(**{key: "@"})).replace('"@"', literal))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert f"{path}: $.{where}: {shown} is not a finite number" in err
+    field = {"T": "t_final", "eta": "kernel range eta"}.get(key, key)
+    value = f"(0, {shown})" if key == "domain" else shown
+    assert f"error: {path}: {field} must be " in err and f"finite, got {value}\n" in err
+    assert f"$.{where}" not in err
     assert "Traceback" not in err and not list(tmp_path.glob("*.csv"))
 
 
@@ -641,6 +673,11 @@ def _schemas(schema):
 
 @pytest.mark.parametrize("schema", [cli._SINGLE_SCHEMA, cli._PRESET_SCHEMA])
 def test_schemas_use_only_the_keywords_the_checker_implements(schema):
+    # structure only: every rule on a value lives in the class that holds it
+    assert cli._SCHEMA_KEYWORDS == {
+        "type", "enum", "required", "additionalProperties", "minItems", "maxItems",
+        "minLength", "properties", "items",
+    }
     for sub in _schemas(schema):
         assert set(sub) <= cli._SCHEMA_KEYWORDS, set(sub) - cli._SCHEMA_KEYWORDS
         kinds = {"object", "array", "string", "boolean", "number", "integer"}
@@ -691,16 +728,9 @@ def _variants(doc, keys, rng):
         yield {**doc, a: rng.choice(_VALUES), b: rng.choice(_VALUES)}
 
 
-def _value_at(doc, path):
-    for part in path:
-        doc = doc[part]
-    return doc
-
-
-def test_checker_gives_the_best_match_of_jsonschema():
-    jsonschema = pytest.importorskip("jsonschema")
-    oracles = {id(s): jsonschema.Draft202012Validator(s)
-               for s in (cli._SINGLE_SCHEMA, cli._PRESET_SCHEMA)}
+def _corpus():
+    """About 10,400 documents: a few non-objects, then mutations of every
+    preset as a preset, as a one-experiment preset and as a single config."""
     rng = random.Random(20261019)
     docs = [3, None, True, 1.5, "experiments", [], ["experiments"], [{"model": "garz"}]]
     for k, name in enumerate(preset_names()):
@@ -713,19 +743,36 @@ def test_checker_gives_the_best_match_of_jsonschema():
             _variants({**first, "name": name}, sorted(cli._SINGLE_SCHEMA["properties"]), rng),
         )
         # every other variant, alternating between presets, so that each
-        # mutation meets several presets and the test stays within seconds
+        # mutation meets several presets and the tests stay within seconds
         docs += itertools.islice(variants, k % 2, None, 2)
-    differ = 0
+    return docs
+
+
+def test_checker_gives_the_best_match_of_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    oracles = {id(s): jsonschema.Draft202012Validator(s)
+               for s in (cli._SINGLE_SCHEMA, cli._PRESET_SCHEMA)}
+    docs = _corpus()
     for doc in docs:
         is_preset = isinstance(doc, dict) and "experiments" in doc
         schema = cli._PRESET_SCHEMA if is_preset else cli._SINGLE_SCHEMA
         error = jsonschema.exceptions.best_match(oracles[id(schema)].iter_errors(doc))
         want = error and (tuple(error.absolute_path), error.message)
-        got = cli._best_match(cli._errors(schema, doc))
-        if got != want:
-            # the one deliberate difference: a number must be finite
-            path, message = got
-            assert message.endswith("is not a finite number"), (doc, got, want)
-            assert not math.isfinite(_value_at(doc, path)), (doc, got, want)
-            differ += 1
-    assert len(docs) > 10_000 and 0 < differ < len(docs) // 10
+        assert cli._best_match(cli._errors(schema, doc)) == want, doc
+    assert len(docs) > 10_000
+
+
+def test_every_corpus_document_parses_or_is_a_solver_error():
+    # the value rules live in the dataclasses alone; the count and digest of
+    # the accepted documents were taken when the schema also checked values,
+    # so they show that no rule was lost
+    accepted = []
+    for i, doc in enumerate(_corpus()):
+        try:
+            parse_config(doc)
+        except SolverError:
+            continue
+        accepted.append(i)
+    digest = hashlib.sha256(",".join(map(str, accepted)).encode()).hexdigest()
+    assert len(accepted) == 768
+    assert digest == "32c1e4acc63fbc5dbf9611d590151b3275b57174f3d1eedf97cccf1ae352953b"

@@ -251,6 +251,12 @@ def test_experiment_validation():
         ({"domain": (0.0, 1e300)}, "level 0 is too fine"),
         ({"reference_level": 40}, "is 4.4e+13 cells, more than 2147483648"),
         ({"model_params": {"eta": 1e9}}, "spans more than 2147483648 taps"),
+        # the domain's shape and the kernel range
+        ({"domain": (0.0,)}, "domain must be two numbers, got (0.0,)"),
+        ({"domain": (-1.0, 1.0, 5.0)}, "domain must be two numbers, got (-1.0, 1.0, 5.0)"),
+        ({"model_params": {"eta": float("nan")}}, "eta must be positive and finite, got nan"),
+        ({"model_params": {"eta": float("inf")}}, "eta must be positive and finite, got inf"),
+        ({"model_params": {"eta": 0.0}}, "eta must be positive and finite, got 0.0"),
     ],
 )
 def test_an_experiment_that_cannot_run_fails_when_built(change, message):
