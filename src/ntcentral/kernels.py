@@ -296,6 +296,12 @@ def _symmetric_parabola(eta: float) -> KernelSpec:
 def _backward_power(eta: float) -> KernelSpec:
     # (-x (eta + x))^(5/2) on [-eta, 0]; substituting x = -eta t turns its
     # integral into eta^6 B(7/2, 7/2) = 5 pi eta^6 / 1024
+    # inside these bounds eta**6, 5 pi eta**6 and the scale are normal doubles
+    if not 1.1e-51 <= eta <= 1.4e51:
+        raise KernelDefinitionError(
+            f"kernel 'backward-power52' cannot be normalised at eta = {eta}: "
+            "its scale is a normal double only for eta in [1.1e-51, 1.4e51]"
+        )
     scale = 1024.0 / (5.0 * np.pi * eta**6)
 
     def omega(x):
@@ -333,9 +339,4 @@ def builtin_kernel(name: str, eta: float) -> KernelSpec:
         raise KernelDefinitionError(
             f"unknown kernel {name!r}; available: {sorted(BUILTIN_KERNELS)}"
         ) from None
-    try:
-        return factory(eta)
-    except ArithmeticError as exc:  # a normalisation such as eta**6 leaves the doubles
-        raise KernelDefinitionError(
-            f"kernel {name!r} cannot be normalised at eta = {eta}: {exc}"
-        ) from None
+    return factory(eta)

@@ -13,7 +13,7 @@ import pytest
 from ntcentral import cli
 from ntcentral.cli import load_preset, main, parse_config, preset_names
 from ntcentral.core import init_cell_averages
-from ntcentral.errors import ConfigurationError, SolverError
+from ntcentral.errors import ConfigurationError, NumericsError, SolverError
 from ntcentral.harness import CACHE_ENV, Experiment, resolve_profiles
 from ntcentral.limiters import ClipConfig
 
@@ -770,7 +770,9 @@ def test_every_corpus_document_parses_or_is_a_solver_error():
     for i, doc in enumerate(_corpus()):
         try:
             parse_config(doc)
-        except SolverError:
+        except SolverError as exc:
+            # cli.main gives a NumericsError exit 3; a refused config is exit 2
+            assert not isinstance(exc, NumericsError), (i, exc)
             continue
         accepted.append(i)
     digest = hashlib.sha256(",".join(map(str, accepted)).encode()).hexdigest()

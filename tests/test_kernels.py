@@ -56,6 +56,17 @@ def test_backward_power_normalization_matches_beta_integral():
         assert kernel_integral(spec) == pytest.approx(1.0, rel=1e-11), eta
 
 
+def test_backward_power_refuses_an_eta_whose_scale_leaves_the_normal_doubles():
+    # beyond about [1.06e-51, 1.50e51], eta**6, 5 pi eta**6 or the scale
+    # 1024 / (5 pi eta**6) leaves the normal doubles
+    for eta in (1.1e-51, 1.4e51):
+        scale = builtin_kernel("backward-power52", eta).omega(-0.5 * eta) / (eta**2 / 4) ** 2.5
+        assert np.isfinite(scale) and abs(scale) >= np.finfo(float).tiny, eta
+    for eta in (5e-324, 1e-51, 1.5e51, 1e308):
+        with pytest.raises(KernelDefinitionError, match="cannot be normalised at eta"):
+            builtin_kernel("backward-power52", eta)
+
+
 @pytest.mark.parametrize("eta", [0.01, 0.04])
 def test_small_range_keyfitz_kranzer_kernels_build(eta):
     model = make_model("keyfitz-kranzer", eta=eta)
